@@ -22,9 +22,8 @@ read-out and always divides by the full world size, included or not.
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +37,10 @@ SOLO, MAJORITY, SYNC = "solo", "majority", "sync"
 FLAVORS = (SOLO, MAJORITY, SYNC)
 
 _ELEMENTS = {"f8": np.float64, "i8": np.int64}
+
+
+class RoundOrderError(RuntimeError):
+    """The application offered a value for a round other than the current one."""
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,10 @@ class AllreduceHandle:
         with eng.lock:
             if eng.done_generation >= t:
                 return False
-            assert eng.generation == t, "application rounds must be driven in order"
+            if eng.generation != t:
+                raise RoundOrderError(
+                    f"rank {self.rank} offered round {t} while round "
+                    f"{eng.generation} is current; rounds must be driven in order")
             if eng.consumed[eng.template.snapshot_last]:
                 return False
             buf = eng.buffer("send")

@@ -20,7 +20,6 @@ the convergence guarantee holds, and the matching minimum iteration count.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,10 @@ class DivergenceError(RuntimeError):
 
 class AlphaTooLarge(ValueError):
     pass
+
+
+class ResyncError(RuntimeError):
+    """A model-averaging round broke its synchronous contract."""
 
 
 @dataclass
@@ -176,11 +179,14 @@ def resync_models(weights: list[np.ndarray]) -> np.ndarray:
 
 def resync_step(state: TrainState, resync_handle, k: int):
     """Distributed model averaging round k on a dedicated sync collective."""
-    ok = resync_handle.try_contribute(k, state.w, fresh=True)
-    assert ok, "resync rounds are synchronous; contribution cannot miss"
+    if not resync_handle.try_contribute(k, state.w, fresh=True):
+        raise ResyncError(f"rank {state.rank} missed resync round {k}; "
+                          "resync rounds are synchronous")
     resync_handle.activate(k)
     gen, res = yield from resync_handle.wait_done(k)
-    assert gen == k
+    if gen != k:
+        raise ResyncError(f"rank {state.rank} resync round {k} returned "
+                          f"generation {gen}")
     state.w = res.u.copy()
 
 
@@ -273,27 +279,3 @@ def min_iterations(params: LrBoundParams, alpha: float) -> int:
     if alpha > amax * (1 + 1e-12):
         raise AlphaTooLarge(f"alpha={alpha} exceeds the admissible {amax}")
     return math.ceil(24.0 * params.f0_minus_m / (alpha * params.eps))
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-_CKPT = struct.Struct("<4sIq")  # magic, version, dim: 16 bytes
-_CKPT_MAGIC = b"EGW1"
-
-
-def save_weights(path: str, w: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(_CKPT.pack(_CKPT_MAGIC, 1, w.shape[0]))
-        np.asarray(w, dtype="<f8").tofile(f)
-
-
-def load_weights(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, version, dim = _CKPT.unpack(f.read(_CKPT.size))
-        if magic != _CKPT_MAGIC or version != 1:
-            raise ValueError("not a weight checkpoint")
-        w = np.fromfile(f, dtype="<f8", count=dim)
-    if w.shape[0] != dim:
-        raise ValueError("truncated checkpoint")
-    return w

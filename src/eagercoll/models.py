@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,34 +81,3 @@ def sample_batch(ds: HyperplaneDataset, seed: int, rank: int, step: int,
     rng = np.random.default_rng([seed, rank, step])
     idx = rng.integers(0, ds.n_train, size=batch)
     return ds.x_train[idx], ds.y_train[idx]
-
-
-_DS_MAGIC = b"HYP1"
-
-
-def save_dataset(path: str, ds: HyperplaneDataset) -> None:
-    """Flat binary: 16-byte header (magic, version, dim, n_total), then the
-    generating vector, then rows of (x, y) as f64."""
-    n = ds.n_train + ds.x_val.shape[0]
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", _DS_MAGIC, 1, ds.dim, n))
-        f.write(struct.pack("<dI", ds.sigma, ds.seed))
-        ds.a.astype("<f8").tofile(f)
-        x = np.vstack([ds.x_train, ds.x_val])
-        y = np.concatenate([ds.y_train, ds.y_val])
-        np.hstack([x, y[:, None]]).astype("<f8").tofile(f)
-
-
-def load_dataset(path: str) -> HyperplaneDataset:
-    with open(path, "rb") as f:
-        magic, version, dim, n = struct.unpack("<4sIII", f.read(16))
-        if magic != _DS_MAGIC or version != 1:
-            raise ValueError("not a dataset file")
-        sigma, seed = struct.unpack("<dI", f.read(12))
-        a = np.fromfile(f, dtype="<f8", count=dim)
-        rows = np.fromfile(f, dtype="<f8", count=n * (dim + 1)).reshape(n, dim + 1)
-    x, y = rows[:, :dim], rows[:, dim]
-    n_train = int(0.8 * n)
-    return HyperplaneDataset(a=a, x_train=x[:n_train], y_train=y[:n_train],
-                             x_val=x[n_train:], y_val=y[n_train:],
-                             sigma=sigma, seed=seed)

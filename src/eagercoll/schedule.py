@@ -179,8 +179,8 @@ class Engine:
     """Executes one committed schedule for one rank.
 
     Public surface: commit(), activate_internal(), pump(), fire(),
-    try_contribute(), replicate(), plus read-only state (generation,
-    done_generation, recv_buffer, fire_log).
+    replicate(), state()/restore(), plus read-only state (generation,
+    done_generation, consumed, recv_buffer).
     """
 
     def __init__(self, template: ScheduleTemplate, rank: int, cid: int,
@@ -209,8 +209,6 @@ class Engine:
         n = len(template.ops)
         self.ops: list[OpSpec] = sorted(template.ops, key=lambda o: o.oid)
         self.consumed = bytearray(n)
-        self.fire_count = [0] * n
-        self.fire_log: list[tuple[int, int]] = []   # (generation, oid)
         self.dependents: list[list[int]] = [[] for _ in range(n)]
         for op in self.ops:
             for d in op.deps:
@@ -246,6 +244,22 @@ class Engine:
 
     def buffer(self, name: str) -> np.ndarray:
         return self._buf[name]
+
+    def state(self) -> tuple:
+        """Everything a run changes (op states, generations, buffers) as a
+        hashable value; restore() puts it back.  The mailbox belongs to the
+        transport and is not included."""
+        return (bytes(self.consumed), self.generation, self.done_generation,
+                tuple((k, v.tobytes()) for k, v in sorted(self._buf.items())),
+                None if self.recv_buffer is None else self.recv_buffer.tobytes())
+
+    def restore(self, state: tuple) -> None:
+        consumed, self.generation, self.done_generation, bufs, recv = state
+        self.consumed = bytearray(consumed)
+        for name, raw in bufs:
+            self._buf[name][:] = np.frombuffer(raw, dtype=np.uint8)
+        if recv is not None:
+            self.recv_buffer[:] = np.frombuffer(recv, dtype=np.uint8)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -294,7 +308,6 @@ class Engine:
     def _replicate(self) -> None:
         self.generation += 1
         self.consumed = bytearray(len(self.ops))
-        self.fire_count = [0] * len(self.ops)
         for name, arr in self._buf.items():
             if name not in self.template.preserve:
                 arr[:] = 0
@@ -343,15 +356,17 @@ class Engine:
             self._fire(oid)
             stack.extend(self.dependents[oid])
 
-    def _fire(self, oid: int) -> None:
-        assert self.fire_count[oid] == 0, "op fired twice in one generation"
+    def _mark_fired(self, oid: int, op: OpSpec) -> None:
+        if self.consumed[oid]:
+            raise ScheduleError("op fired twice in one generation")
         self.consumed[oid] = 1
-        self.fire_count[oid] += 1
-        op = self.ops[oid]
-        self.fire_log.append((self.generation, oid))
         if self.recorder is not None:
             self.recorder.op_fired(self.now_fn(), self.rank, self.cid,
                                    self.generation, oid, op.label)
+
+    def _fire(self, oid: int) -> None:
+        op = self.ops[oid]
+        self._mark_fired(oid, op)
         if op.kind == K_SEND:
             payload = self._buf[op.send_buf].tobytes() if op.send_buf else b""
             self.send_fn(Message(self.rank, op.peer,
@@ -399,13 +414,7 @@ class Engine:
                 raise ScheduleError(
                     f"recv {oid} payload {len(payload)}B != buffer {len(dst)}B")
             dst[:] = np.frombuffer(payload, dtype=np.uint8)
-        assert self.fire_count[oid] == 0
-        self.consumed[oid] = 1
-        self.fire_count[oid] += 1
-        self.fire_log.append((self.generation, oid))
-        if self.recorder is not None:
-            self.recorder.op_fired(self.now_fn(), self.rank, self.cid,
-                                   self.generation, oid, op.label)
+        self._mark_fired(oid, op)
         self._cascade(self.dependents[oid])
 
     def pump(self, mailbox: list | None = None) -> None:

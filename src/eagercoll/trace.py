@@ -1,12 +1,10 @@
-"""In-memory run traces: per-op firings, per-round results, contribution snapshots.
+"""In-memory run traces: per-round results, contribution snapshots, latencies.
 
-The verifier consumes these records directly; the harness can also spill them
-to JSONL for offline inspection.
+The verifier consumes these records directly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,26 +45,18 @@ class LatencyRecord:
 
 @dataclass
 class TraceRecorder:
-    """Collects everything a run produces that the checkers need.
+    """Collects everything a run produces that the checkers need."""
 
-    level "results" records round results, snapshots and latencies;
-    level "ops" additionally logs every op firing (slower, for debugging
-    and the schedule-level tests).
-    """
-
-    level: str = "results"
     rounds: list[RoundRecord] = field(default_factory=list)
     snapshots: list[SnapshotRecord] = field(default_factory=list)
     latencies: list[LatencyRecord] = field(default_factory=list)
-    op_events: list[tuple] = field(default_factory=list)  # (t, rank, cid, gen, oid, label)
     # training-side records, keyed (rank, round)
     gradients: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
     losses: dict = field(default_factory=dict)
 
     def op_fired(self, t: int, rank: int, cid: int, gen: int, oid: int, label: str) -> None:
-        if self.level == "ops":
-            self.op_events.append((t, rank, cid, gen, oid, label))
+        """Called by the engine on every op firing; records nothing."""
 
     def round_done(self, rec: RoundRecord) -> None:
         self.rounds.append(rec)
@@ -79,31 +69,3 @@ class TraceRecorder:
 
     def rounds_by_key(self) -> dict:
         return {(r.rank, r.rnd): r for r in self.rounds}
-
-    def dump_jsonl(self, path: str) -> None:
-        with open(path, "w") as f:
-            for r in self.rounds:
-                f.write(json.dumps({
-                    "kind": "round", "rank": r.rank, "round": r.rnd,
-                    "u": [float(x) for x in np.asarray(r.u).ravel()],
-                    "included": r.included, "nap": r.nap,
-                    "flavor": r.flavor, "initiator": r.initiator,
-                    "t_done": r.t_done,
-                }) + "\n")
-            for s in self.snapshots:
-                f.write(json.dumps({
-                    "kind": "snapshot", "rank": s.rank, "round": s.rnd,
-                    "data": [float(x) for x in np.asarray(s.data).ravel()],
-                    "fresh": s.fresh, "t": s.t,
-                }) + "\n")
-            for l in self.latencies:
-                f.write(json.dumps({
-                    "kind": "latency", "rank": l.rank, "round": l.rnd,
-                    "t_enter": l.t_enter, "t_exit": l.t_exit,
-                }) + "\n")
-            for ev in self.op_events:
-                t, rank, cid, gen, oid, label = ev
-                f.write(json.dumps({
-                    "kind": "op", "t": t, "rank": rank, "cid": cid,
-                    "gen": gen, "op": oid, "label": label,
-                }) + "\n")

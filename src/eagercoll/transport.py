@@ -26,7 +26,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,16 +156,6 @@ _PRIO_RESUME = 0  # process resumptions run before message deliveries
 _PRIO_DELIVER = 1
 
 
-@dataclass
-class SimClock:
-    now_us: int = 0
-
-    def advance_to(self, t: int) -> None:
-        if t < self.now_us:
-            raise ValueError("clock may not move backwards")
-        self.now_us = t
-
-
 class SimTransport:
     """Deterministic discrete-event transport.
 
@@ -180,7 +170,7 @@ class SimTransport:
             raise ValueError("p must be >= 1")
         self.p = p
         self.link_latency_us = int(link_latency_us)
-        self.clock = SimClock(0)
+        self._now_us = 0
         self._heap: list = []
         self._seq = 0
         self._mail: list[list[Message]] = [[] for _ in range(p)]
@@ -193,12 +183,8 @@ class SimTransport:
 
     # -- time ---------------------------------------------------------------
 
-    @property
-    def now(self) -> int:
-        return self.clock.now_us
-
     def now_us(self) -> int:
-        return self.clock.now_us
+        return self._now_us
 
     # -- wiring -------------------------------------------------------------
 
@@ -211,14 +197,14 @@ class SimTransport:
     def defer(self, fn) -> None:
         """Run fn at the current virtual time, after any pending same-time
         process resumes (delivery priority)."""
-        self._push(self.now, _PRIO_DELIVER, ("call", fn))
+        self._push(self._now_us, _PRIO_DELIVER, ("call", fn))
 
     def spawn(self, rank: Rank, proc) -> None:
         self._check_rank(rank)
         if rank in self._procs:
             raise ValueError(f"rank {rank} already has a process")
         self._procs[rank] = proc
-        self._push(self.now, _PRIO_RESUME, ("resume", rank, None))
+        self._push(self._now_us, _PRIO_RESUME, ("resume", rank, None))
 
     def _check_rank(self, rank: Rank) -> None:
         if not (0 <= rank < self.p):
@@ -235,7 +221,7 @@ class SimTransport:
             raise TransportClosed("send on closed transport")
         self._check_rank(msg.src)
         self._check_rank(msg.dst)
-        self._push(self.now + self.link_latency_us, _PRIO_DELIVER, ("deliver", msg))
+        self._push(self._now_us + self.link_latency_us, _PRIO_DELIVER, ("deliver", msg))
 
     # -- event loop ---------------------------------------------------------
 
@@ -251,7 +237,9 @@ class SimTransport:
             if until_us is not None and t > until_us:
                 return
             heapq.heappop(self._heap)
-            self.clock.advance_to(t)
+            if t < self._now_us:  # e.g. a process yielded a negative Sleep
+                raise ValueError("clock may not move backwards")
+            self._now_us = t
             self.events_processed += 1
             if self.events_processed > max_events:
                 raise RuntimeError("event budget exceeded; likely livelock")
@@ -275,7 +263,7 @@ class SimTransport:
             got = self._pull_match(msg.dst, pat)
             if got is not None:
                 del self._parked_recv[msg.dst]
-                self._push(self.now, _PRIO_RESUME, ("resume", msg.dst, got))
+                self._push(self._now_us, _PRIO_RESUME, ("resume", msg.dst, got))
 
     def _pull_match(self, rank: Rank, pattern) -> Message | None:
         box = self._mail[rank]
@@ -294,17 +282,17 @@ class SimTransport:
             del self._procs[rank]
             return
         if isinstance(cmd, Sleep):
-            self._push(self.now + int(cmd.us), _PRIO_RESUME, ("resume", rank, None))
+            self._push(self._now_us + int(cmd.us), _PRIO_RESUME, ("resume", rank, None))
         elif isinstance(cmd, Recv):
             got = self._pull_match(rank, cmd.pattern)
             if got is not None:
-                self._push(self.now, _PRIO_RESUME, ("resume", rank, got))
+                self._push(self._now_us, _PRIO_RESUME, ("resume", rank, got))
             else:
                 self._parked_recv[rank] = cmd.pattern
         elif isinstance(cmd, WaitRound):
             h, g = cmd.handle, cmd.generation
             if h.done_generation >= g:
-                self._push(self.now, _PRIO_RESUME, ("resume", rank, h.latest_result()))
+                self._push(self._now_us, _PRIO_RESUME, ("resume", rank, h.latest_result()))
             else:
                 self._parked_round[rank] = (h, g)
                 h.add_waiter(g, rank, self._wake_round)
@@ -314,7 +302,7 @@ class SimTransport:
     def _wake_round(self, rank: Rank, result) -> None:
         if rank in self._parked_round:
             del self._parked_round[rank]
-            self._push(self.now, _PRIO_RESUME, ("resume", rank, result))
+            self._push(self._now_us, _PRIO_RESUME, ("resume", rank, result))
 
     def close(self) -> None:
         self._open = False
@@ -363,10 +351,6 @@ class SocketTransport:
 
     def now_us(self) -> int:
         return (time.monotonic_ns() - self._t0) // 1000
-
-    @property
-    def now(self) -> int:
-        return self.now_us()
 
     def register_engine(self, rank: Rank, engine) -> None:
         self._engines[rank].append(engine)
@@ -499,8 +483,3 @@ class SocketTransport:
                 except OSError:
                     pass
             self._conns.clear()
-
-
-def delays_for_round(model: DelayModel, rnd: int, p: int) -> list[int]:
-    """Convenience: per-rank injected delays (us) for one round."""
-    return [inject_delay(r, rnd, model, p) for r in range(p)]

@@ -237,11 +237,6 @@ def drop_round(recorder: TraceRecorder, rank: int, rnd: int) -> None:
 
 
 @dataclass
-class ShadowIterate:
-    lam: np.ndarray
-
-
-@dataclass
 class ShadowReport:
     drift: list[float]          # per-round mean over ranks of ||lam - w||^2
     max_drift: float
@@ -384,11 +379,7 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *,
         mask[rank // 64] |= np.uint64(1 << (rank % 64))
 
     def snapshot():
-        engs = tuple(
-            (bytes(e.consumed), e.generation, e.done_generation,
-             tuple((k, v.tobytes()) for k, v in sorted(e._buf.items())),
-             e.recv_buffer.tobytes())
-            for e in engines)
+        engs = tuple(e.state() for e in engines)
         net = tuple(sorted(
             (k, tuple((m.tag, m.payload) for m in q)) for k, q in streams.items() if q))
         boxes = tuple(tuple((m.src, m.dst, m.tag, m.payload) for m in box)
@@ -397,14 +388,8 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *,
 
     def restore(s) -> None:
         engs, net, boxes, arrivals = s
-        for e, (consumed, gen, done, bufs, recv) in zip(engines, engs):
-            e.consumed = bytearray(consumed)
-            e.fire_count = [1 if c else 0 for c in consumed]
-            e.generation = gen
-            e.done_generation = done
-            for name, raw in bufs:
-                e._buf[name][:] = np.frombuffer(raw, dtype=np.uint8)
-            e.recv_buffer[:] = np.frombuffer(recv, dtype=np.uint8)
+        for e, state in zip(engines, engs):
+            e.restore(state)
         streams.clear()
         for k, msgs in net:
             streams[k] = deque(Message(k[0], k[1], t, pl) for t, pl in msgs)

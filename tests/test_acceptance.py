@@ -5,7 +5,7 @@ and asserts a numeric window plus a wall-clock budget.  The verdict lines
 print outside pytest's capture so a plain `pytest -v` run shows them.
 """
 
-import importlib.util
+import hashlib
 import math
 import time
 from decimal import Decimal, getcontext
@@ -20,6 +20,8 @@ from eagercoll.eagersgd import LrBoundParams, max_learning_rate, min_iterations
 from eagercoll.harness import (
     RunConfig,
     bench_collectives,
+    contract_sweep,
+    load_config,
     run_training,
     summarize,
     write_bench_csv,
@@ -27,9 +29,14 @@ from eagercoll.harness import (
 )
 from eagercoll.models import loss_and_grad, mse
 from eagercoll.transport import DelayModel
-from eagercoll.verify import check_round_contracts, explore_interleavings, track_shadow
+from eagercoll.verify import explore_interleavings, track_shadow
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# SHA-256 of the bench32 and hyperplane_run CSVs.  Any change to a virtual
+# number (latency, NAP, loss, simulated time) changes these.
+GOLDEN_BENCH_SHA256 = "b4f3fc3a23132459b38ea89385140710d81ac8f02281be009a85b4626987f23f"
+GOLDEN_TRAIN_SHA256 = "e5471d1f89e6d62e42571d71c33aecacf27e168ef6942fa3526f1b8a954338e8"
 
 
 def report(capsys, n, ok, detail):
@@ -45,14 +52,11 @@ def report(capsys, n, ok, detail):
 @pytest.fixture(scope="module")
 def bench32():
     """P=32, per-round skew 1..32 ms, 64 rounds, all three flavors."""
-    cfg = RunConfig(mode="bench", p=32, rounds=64, vector_len=64,
-                    delay=DelayModel("linear_skew", unit_ms=1.0),
-                    link_latency_us=10, seed=1234,
-                    flavors=("sync", "solo", "majority"))
+    cfg = load_config(str(CONFIGS / "microbench.conf"))
     t0 = time.perf_counter()
     records = bench_collectives(cfg)
     elapsed = time.perf_counter() - t0
-    return summarize(records), elapsed
+    return summarize(records), elapsed, records
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +73,7 @@ def zero_skew_run():
 
 @pytest.fixture(scope="module")
 def hyperplane_run():
-    cfg = RunConfig(mode="train", p=8, flavors=("sync", "solo"),
-                    epochs=48, steps_per_epoch=4, dim=64, n_samples=4096,
-                    batch_per_rank=128, lr=0.05, tau=8, resync_period=8,
-                    delay=DelayModel("random_subset", unit_ms=0.2, k=1, seed=11),
-                    link_latency_us=10, seed=1234, data_seed=99)
+    cfg = load_config(str(CONFIGS / "hyperplane.conf"))
     t0 = time.perf_counter()
     rep = run_training(cfg)
     return cfg, rep, time.perf_counter() - t0
@@ -100,7 +100,7 @@ def drift_runs():
 
 
 def test_criterion_01_mean_nap_windows(bench32, capsys):
-    s, elapsed = bench32
+    s, elapsed, _ = bench32
     solo = s["flavors"]["solo"]["mean_nap"]
     maj = s["flavors"]["majority"]["mean_nap"]
     ok = 1.0 <= solo <= 2.0 and 12.8 <= maj <= 19.2 and elapsed < 10.0
@@ -110,7 +110,7 @@ def test_criterion_01_mean_nap_windows(bench32, capsys):
 
 
 def test_criterion_02_latency_ordering(bench32, capsys):
-    s, elapsed = bench32
+    s, elapsed, _ = bench32
     lat = {f: s["flavors"][f]["mean_latency_us"] for f in s["flavors"]}
     r_solo = s["speedup_vs_sync"]["solo"]
     r_maj = s["speedup_vs_sync"]["majority"]
@@ -123,24 +123,9 @@ def test_criterion_02_latency_ordering(bench32, capsys):
 
 
 def test_criterion_03_contract_sweep(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "run_contracts", SCRIPTS / "run_contracts.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-
-    rng = np.random.default_rng(2024)
-    n_configs, bad = 500, 0
+    n_configs = 500
     t0 = time.perf_counter()
-    for _ in range(n_configs):
-        cfg = mod.random_config(rng)
-        flavor = cfg.flavors[0]
-        rep = run_training(cfg)
-        rounds = cfg.epochs * cfg.steps_per_epoch
-        r = check_round_contracts(rep.recorders[flavor], cfg.p, tau=cfg.tau,
-                         ledger=rep.ledgers[flavor], expect_rounds=rounds,
-                         allow_pending_after=rounds - 1 - cfg.tau)
-        if not r.ok:
-            bad += 1
+    bad = sum(not r.ok for _, r in contract_sweep(n_configs, seed=2024))
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and elapsed < 120.0
     report(capsys, 3, ok,
@@ -315,3 +300,16 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
            f"bench and train runs repeated with identical configs/seeds: "
            f"CSV outputs byte-identical ({len(paths[0][0])} + "
            f"{len(paths[0][1])} bytes)")
+
+
+def test_golden_csv_digests(bench32, hyperplane_run, tmp_path):
+    """The preset runs' CSVs match the digests pinned above, so a change to
+    any virtual-time result fails here (criterion 11 only compares two runs
+    of the same code)."""
+    _, _, records = bench32
+    _, rep, _ = hyperplane_run
+    bench_csv, train_csv = tmp_path / "bench.csv", tmp_path / "train.csv"
+    write_bench_csv(records, str(bench_csv))
+    write_train_csv(rep.rows, str(train_csv))
+    assert hashlib.sha256(bench_csv.read_bytes()).hexdigest() == GOLDEN_BENCH_SHA256
+    assert hashlib.sha256(train_csv.read_bytes()).hexdigest() == GOLDEN_TRAIN_SHA256

@@ -12,6 +12,7 @@ import pytest
 from eagercoll.collectives import (
     AllreduceHandle,
     CollectiveConfig,
+    RoundOrderError,
     build_allreduce_template,
     ceil_log2,
     floor_pow2,
@@ -174,6 +175,14 @@ def test_late_contribution_is_refused():
     assert not handles[1].try_contribute(0, contrib[1])
     gen, res = handles[1].latest_result()
     assert gen == 0 and res.included == 0b01
+
+
+def test_out_of_order_contribution_raises():
+    cfg = CollectiveConfig(p=2, flavor="solo", vector_len=2)
+    h = AllreduceHandle(cfg, 0, SimTransport(2))
+    with pytest.raises(RoundOrderError):
+        h.try_contribute(1, np.ones(2))  # round 0 is current
+    assert h.try_contribute(0, np.ones(2))
 
 
 def test_wait_done_fast_path_returns_latest():

@@ -1,7 +1,5 @@
 """Eager-SGD mechanics: stale folds, delivery tracking, resync, step-size bound."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,14 +9,13 @@ from eagercoll.eagersgd import (
     AlphaTooLarge,
     GradientBuffer,
     LrBoundParams,
+    ResyncError,
     TrainState,
     attach_delivery_tracking,
-    load_weights,
     max_learning_rate,
     min_iterations,
     resync_models,
     resync_step,
-    save_weights,
     staleness_guard,
     train_step,
     training_process,
@@ -299,18 +296,15 @@ def test_bound_params_validation():
 # odds and ends
 
 
-def test_weight_checkpoint_roundtrip(tmp_path):
-    w = np.random.default_rng(0).standard_normal(17)
-    path = str(tmp_path / "w.ckpt")
-    save_weights(path, w)
-    assert load_weights(path).tobytes() == w.tobytes()
-
-
-def test_weight_checkpoint_rejects_junk(tmp_path):
-    path = tmp_path / "w.ckpt"
-    path.write_bytes(b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_weights(str(path))
+def test_resync_step_raises_when_the_round_is_already_done():
+    cfg = CollectiveConfig(p=1, flavor="sync", vector_len=2)
+    h = AllreduceHandle(cfg, 0, SimTransport(1))
+    assert h.try_contribute(0, np.ones(2))
+    h.activate(0)
+    assert h.round_done(0)
+    s = TrainState.fresh(np.zeros(2), lr=0.1)
+    with pytest.raises(ResyncError):
+        next(resync_step(s, h, 0))
 
 
 def test_train_step_rejects_dimension_mismatch():

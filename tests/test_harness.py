@@ -7,10 +7,12 @@ else shows up, so every rank's call returns in 0us.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eagercoll import harness
 from eagercoll.harness import (
     BenchRecord,
     ConfigError,
@@ -28,6 +30,9 @@ from eagercoll.harness import (
     write_jsonl,
 )
 from eagercoll.transport import DelayModel
+from eagercoll.verify import RoundContractReport, Violation
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def bench_cfg(**kw):
@@ -244,6 +249,14 @@ def test_load_config_file(tmp_path):
     assert (cfg.p, cfg.rounds, cfg.flavors) == (4, 2, ("sync",))
 
 
+def test_every_preset_parses():
+    """An unknown or renamed key in a shipped preset fails here, not at use."""
+    presets = sorted(CONFIGS.glob("*.conf"))
+    assert presets
+    for path in presets:
+        assert isinstance(load_config(str(path)), RunConfig), path.name
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -271,3 +284,25 @@ def test_cli_train_smoke(tmp_path):
                "--flavors", "sync", "--out", str(out)])
     assert rc == 0
     assert (tmp_path / "train.csv").exists()
+
+
+VERIFY_ARGS = ["verify", "--p", "4", "--flavors", "solo", "--rounds", "6"]
+
+
+def test_cli_verify_clean_run_exits_zero(capsys):
+    rc = main(VERIFY_ARGS)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out == {"ok": True, "failures": {}}
+
+
+def test_cli_verify_violation_exits_three(monkeypatch, capsys):
+    def one_mismatch(recorder, p, **kw):
+        return RoundContractReport([Violation("mismatch", 0, 1, "injected")], 1, p)
+
+    monkeypatch.setattr(harness, "check_round_contracts", one_mismatch)
+    rc = main(VERIFY_ARGS)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    assert out["ok"] is False
+    assert out["failures"] == {"contracts[solo]": {"mismatch": 1}}

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from eagercoll.models import (
-    HyperplaneDataset,
     LinearModel,
     gen_dataset,
-    load_dataset,
     loss_and_grad,
     mse,
     sample_batch,
-    save_dataset,
 )
 
 
@@ -86,27 +83,6 @@ def test_sample_batch_deterministic_and_in_range():
     x3, _ = sample_batch(ds, 42, rank=2, step=3, batch=8)
     assert x1.tobytes() != x3.tobytes()
     assert x1.shape == (8, 4)
-
-
-def test_dataset_file_roundtrip(tmp_path):
-    ds = gen_dataset(dim=6, n=40, sigma=0.05, seed=8)
-    path = str(tmp_path / "plane.bin")
-    save_dataset(path, ds)
-    back = load_dataset(path)
-    assert isinstance(back, HyperplaneDataset)
-    assert back.a.tobytes() == ds.a.tobytes()
-    assert back.x_train.tobytes() == ds.x_train.tobytes()
-    assert back.y_train.tobytes() == ds.y_train.tobytes()
-    assert back.x_val.tobytes() == ds.x_val.tobytes()
-    assert back.y_val.tobytes() == ds.y_val.tobytes()
-    assert back.sigma == ds.sigma and back.seed == ds.seed
-
-
-def test_load_rejects_foreign_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a dataset at all, definitely")
-    with pytest.raises(ValueError):
-        load_dataset(str(path))
 
 
 def test_linear_model_init_scale():

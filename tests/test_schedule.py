@@ -114,7 +114,37 @@ def test_fire_twice_is_silent_noop():
     eng.activate_internal()  # racing second initiator
     eng.fire(1)              # manual re-fire of the already-consumed send
     assert len(sent) == 1
-    assert eng.fire_count[0] == 1 and eng.fire_count[1] == 1
+    assert eng.consumed[0] == 1 and eng.consumed[1] == 1
+
+
+def test_refiring_a_consumed_op_raises():
+    """The single-firing contract is enforced by a real exception, not an
+    assert, so it holds under python -O too."""
+    eng = make_engine(chain_template(), [])
+    eng.commit()
+    eng.activate_internal()
+    with pytest.raises(ScheduleError, match="fired twice"):
+        eng._fire(1)  # the send already fired on activation
+    eng.pump([Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16)])
+    with pytest.raises(ScheduleError, match="fired twice"):
+        eng._fire_recv(2, b"\0" * 16)
+
+
+def test_state_restore_round_trip():
+    eng = make_engine(chain_template(), [])
+    eng.commit()
+    before = eng.state()
+    eng.buffer("acc").view(np.float64)[:] = 2.0
+    eng.activate_internal()
+    eng.pump([Message(1, 0, Tag(0, 0, PHASE_RED, 1), np.full(2, 3.0).tobytes())])
+    assert eng.done_generation == 0
+    after = eng.state()
+    eng.restore(before)
+    assert eng.state() == before and eng.done_generation == -1
+    assert not any(eng.consumed)
+    eng.restore(after)
+    assert eng.state() == after
+    assert eng.recv_buffer.view(np.float64)[0] == 5.0
 
 
 def test_fire_with_unmet_deps_raises():
@@ -139,7 +169,7 @@ def test_or_logic_fires_on_first_dep():
     eng.commit()
     eng.activate_internal()  # fires 0 -> 1 -> (or) 3; recv 2 never fires
     assert eng.done_generation == 0
-    assert eng.fire_count[2] == 0
+    assert eng.consumed[2] == 0
 
 
 def test_persistent_replication_resets_state_and_buffers():
@@ -160,7 +190,7 @@ def test_persistent_replication_resets_state_and_buffers():
     assert eng.generation == 1
     assert eng.buffer("acc").view(np.float64)[0] == 0.0   # scratch zeroed
     assert eng.buffer("keep").view(np.float64)[0] == 9.0  # preserved survives
-    assert eng.fire_count == [0, 0]
+    assert bytes(eng.consumed) == b"\0\0"
     eng.activate_internal()
     assert eng.done_generation == 1
 

@@ -1,6 +1,5 @@
 """Simulated transport: delivery timing, ordering, delay models, deadlock."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +143,19 @@ def test_run_until_bound_stops_the_clock():
     assert sim.now_us() == 100
     sim.run()
     assert sim.now_us() == 200
+
+
+def test_negative_sleep_is_rejected():
+    """A process cannot move virtual time backwards."""
+    sim = SimTransport(1)
+
+    def body():
+        yield Sleep(100)
+        yield Sleep(-50)
+
+    sim.spawn(0, body())
+    with pytest.raises(ValueError, match="backwards"):
+        sim.run()
 
 
 def test_event_trace_is_deterministic():
