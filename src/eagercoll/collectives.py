@@ -7,10 +7,12 @@ majority  one rank per round, drawn by a counter-based PRNG every rank can
           evaluate locally, is the only one allowed to activate internally;
           on average half the ranks have contributed by the time it arrives.
 
-The wire payload is the value vector followed by an inclusion bitmask
-(one bit per rank, packed in 64-bit words).  Reduction combines payloads
-elementwise: sum over the vector, bitwise-or over the mask, so the result
-always says exactly which ranks' fresh contributions it contains.
+The wire payload is the float64 value vector followed by an inclusion
+bitmask (one bit per rank, packed in 64-bit words at byte 8*vector_len);
+write_payload and parse_payload are its only writer and parser.  Reduction
+combines payloads elementwise: sum over the vector, bitwise-or over the
+mask, so the result always says exactly which ranks' fresh contributions it
+contains.
 
 The reduction is a recursive-doubling butterfly over the largest power of
 two p2 <= p; ranks beyond p2 fold their contribution into a base partner
@@ -36,8 +38,6 @@ from .transport import PHASE_ACT, PHASE_RED, Sleep, SimTransport, WaitRound
 SOLO, MAJORITY, SYNC = "solo", "majority", "sync"
 FLAVORS = (SOLO, MAJORITY, SYNC)
 
-_ELEMENTS = {"f8": np.float64, "i8": np.int64}
-
 
 class RoundOrderError(RuntimeError):
     """The application offered a value for a round other than the current one."""
@@ -48,7 +48,6 @@ class CollectiveConfig:
     p: int
     flavor: str
     vector_len: int
-    element: str = "f8"
     seed: int = 0
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class CollectiveConfig:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.vector_len < 1:
             raise ValueError("vector_len must be >= 1")
-        if self.element not in _ELEMENTS:
-            raise ValueError(f"element must be one of {sorted(_ELEMENTS)}")
 
     @property
     def mask_words(self) -> int:
@@ -68,6 +65,23 @@ class CollectiveConfig:
     @property
     def payload_nbytes(self) -> int:
         return 8 * self.vector_len + 8 * self.mask_words
+
+
+def write_payload(buf: np.ndarray, cfg: CollectiveConfig, rank: int,
+                  vec: np.ndarray, fresh: bool = True) -> None:
+    """Store `vec` as rank's contribution in the payload bytes `buf`; fresh
+    also sets rank's bit in the inclusion mask."""
+    np.copyto(buf[:8 * cfg.vector_len].view(np.float64), vec)
+    if fresh:
+        mask = buf[8 * cfg.vector_len:].view(np.uint64)
+        mask[rank // 64] |= np.uint64(1 << (rank % 64))
+
+
+def parse_payload(raw: np.ndarray, cfg: CollectiveConfig) -> tuple[np.ndarray, int]:
+    """(values, inclusion mask as an int) of the payload bytes `raw`; the
+    values are a view into raw."""
+    mask = int.from_bytes(raw[8 * cfg.vector_len:].tobytes(), "little")
+    return raw[:8 * cfg.vector_len].view(np.float64), mask
 
 
 @dataclass
@@ -116,10 +130,9 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     """
     p, nbytes = cfg.p, cfg.payload_nbytes
     vlen, mw = cfg.vector_len, cfg.mask_words
-    el = cfg.element
 
     def dv(buf: str) -> BufView:
-        return BufView(buf, el, 0, vlen)
+        return BufView(buf, "f8", 0, vlen)
 
     def mv(buf: str) -> BufView:
         return BufView(buf, "u8", 8 * vlen, mw)
@@ -199,12 +212,8 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     return ScheduleTemplate(
         ops=ops, buffers=buffers, entry_id=n0, publish_from=publish_from,
         snapshot_last=snap_or, snapshot_src="send", persistent=True,
-        require_activation=True, preserve=("send",),
+        preserve=("send",),
     )
-
-
-def mask_words_to_int(words: np.ndarray) -> int:
-    return int.from_bytes(words.tobytes(), "little")
 
 
 class AllreduceHandle:
@@ -239,14 +248,8 @@ class AllreduceHandle:
 
     # -- engine callbacks ---------------------------------------------------
 
-    def _parse_payload(self, raw: np.ndarray) -> tuple[np.ndarray, int]:
-        vlen = self.cfg.vector_len
-        data = raw[:8 * vlen].view(_ELEMENTS[self.cfg.element])
-        mask = mask_words_to_int(raw[8 * vlen:].view(np.uint64))
-        return data, mask
-
     def _snap_cb(self, rnd: int, taken: np.ndarray) -> None:
-        data, mask = self._parse_payload(taken)
+        data, mask = parse_payload(taken, self.cfg)
         fresh = bool((mask >> self.rank) & 1)
         if self.recorder is not None:
             self.recorder.snapshot(SnapshotRecord(
@@ -255,12 +258,9 @@ class AllreduceHandle:
             self.user_snapshot_cb(rnd, data, fresh)
 
     def _done_cb(self, rnd: int) -> None:
-        data, mask = self._parse_payload(self.engine.recv_buffer)
-        if self.cfg.element == "f8":
-            u = data / self.cfg.p
-        else:
-            u = data // self.cfg.p
-        res = CollectiveResult(u=u.copy(), included=mask, nap=mask.bit_count(), rnd=rnd)
+        data, mask = parse_payload(self.engine.recv_buffer, self.cfg)
+        res = CollectiveResult(u=data / self.cfg.p, included=mask,
+                               nap=mask.bit_count(), rnd=rnd)
         self._last = res
         if self.recorder is not None:
             init = (initiator_for_round(self.cfg.seed, rnd, self.cfg.p)
@@ -304,12 +304,7 @@ class AllreduceHandle:
                     f"{eng.generation} is current; rounds must be driven in order")
             if eng.consumed[eng.template.snapshot_last]:
                 return False
-            buf = eng.buffer("send")
-            data = buf[:8 * self.cfg.vector_len].view(_ELEMENTS[self.cfg.element])
-            np.copyto(data, vec)
-            if fresh:
-                mask = buf[8 * self.cfg.vector_len:].view(np.uint64)
-                mask[self.rank // 64] |= np.uint64(1 << (self.rank % 64))
+            write_payload(eng.buffer("send"), self.cfg, self.rank, vec, fresh)
             self.contributed_round = t
         eng.pump()
         return True

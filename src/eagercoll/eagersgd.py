@@ -73,8 +73,6 @@ class TrainState:
     rank: int = 0
     resync_period: int = 10
     tau: int | None = 4
-    # generated round -> delivered round, filled in as snapshots consume the stash
-    staleness_ledger: dict[int, int] = field(default_factory=dict)
     in_progress: int | None = None   # round whose gradient is being computed
 
     @classmethod
@@ -120,9 +118,8 @@ def attach_delivery_tracking(handle, state: TrainState, ledger=None) -> None:
     def on_snapshot(rnd: int, data: np.ndarray, fresh: bool) -> None:
         if not fresh:
             return  # null contribution taken on our behalf; stash untouched
-        for g in state.send_buf.pending_rounds:
-            state.staleness_ledger[g] = rnd
-            if ledger is not None:
+        if ledger is not None:
+            for g in state.send_buf.pending_rounds:
                 ledger.delivered(state.rank, g, rnd)
         state.send_buf.reset()
 
@@ -154,7 +151,6 @@ def train_step(state: TrainState, batch, handle):
     if rec is not None:
         rec.weights[(state.rank, t)] = state.w.copy()
         rec.gradients[(state.rank, t)] = grad.copy()
-        rec.losses[(state.rank, t)] = loss
 
     # Fold and offer under the engine lock: a concurrent snapshot between the
     # two would reset the stash and silently drop this round's gradient.

@@ -8,10 +8,11 @@ without double-executing anything.
 
 The engine is passive: it is driven by whoever owns the transport (the
 simulator's delivery loop, a socket reader thread, or the interleaving
-explorer), sends through an injected callable, and makes progress on every
-pump.  A persistent schedule replicates itself on completion: the generation
-counter bumps, op states and scratch buffers reset, and messages tagged with
-a future generation wait in the mailbox until their generation is current.
+explorer), which appends each message for this engine's collective to its
+mailbox and pumps it.  It sends through an injected callable.  A persistent
+schedule replicates itself on completion: the generation counter bumps, op
+states and scratch buffers reset, and messages tagged with a future
+generation wait in the mailbox until their generation is current.
 
 Internal activation fires the entry NOP locally.  External activation is a
 message arriving on an activation-phase recv.  A hold policy, when set,
@@ -31,8 +32,7 @@ from .transport import Message, Tag, PHASE_ACT
 K_SEND, K_RECV, K_COMPUTE, K_NOP = "send", "recv", "compute", "nop"
 _KINDS = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
 
-_DTYPES = {"f8": np.float64, "i8": np.int64, "i4": np.int32, "u8": np.uint64}
-_INT_CODES = ("i8", "i4", "u8")
+_DTYPES = {"f8": np.float64, "u8": np.uint64}
 
 
 class ScheduleError(Exception):
@@ -44,14 +44,6 @@ class CycleError(ScheduleError):
 
 
 class DuplicateOpError(ScheduleError):
-    pass
-
-
-class DepsUnsatisfied(ScheduleError):
-    pass
-
-
-class ReplicateError(ScheduleError):
     pass
 
 
@@ -82,7 +74,7 @@ class OpSpec:
     send_buf: str | None = None    # None sends an empty payload
     recv_buf: str | None = None
     # compute
-    fn: str | None = None          # "sum" | "max" | "bor"
+    fn: str | None = None          # "sum" | "bor"
     dst: BufView | None = None
     src: BufView | None = None
     # markers
@@ -106,7 +98,6 @@ class ScheduleTemplate:
     snapshot_last: int | None = None     # op after which the send buffer is consumed
     snapshot_src: str | None = None      # the send buffer name
     persistent: bool = False
-    require_activation: bool = True
     preserve: tuple[str, ...] = ()
 
     def validate(self) -> None:
@@ -134,7 +125,7 @@ class ScheduleTemplate:
             if op.kind == K_RECV and (op.recv_buf is not None) and op.recv_buf not in self.buffers:
                 raise ScheduleError(f"recv op {op.oid} names unknown buffer")
             if op.kind == K_COMPUTE:
-                if op.fn not in ("sum", "max", "bor"):
+                if op.fn not in ("sum", "bor"):
                     raise ScheduleError(f"compute op {op.oid} has unknown fn {op.fn!r}")
                 for v in (op.dst, op.src):
                     if v is None or v.buf not in self.buffers:
@@ -143,8 +134,8 @@ class ScheduleTemplate:
                         raise ScheduleError(f"unknown dtype {v.dtype!r}")
                     if v.offset + v.nbytes() > self.buffers[v.buf]:
                         raise ScheduleError(f"compute op {op.oid} view out of range")
-                if op.fn == "bor" and op.dst.dtype not in _INT_CODES:
-                    raise ScheduleError("bor requires an integer dtype")
+                if op.fn == "bor" and op.dst.dtype != "u8":
+                    raise ScheduleError("bor requires the u8 dtype")
                 if op.dst.count != op.src.count or op.dst.dtype != op.src.dtype:
                     raise ScheduleError(f"compute op {op.oid} view shape mismatch")
         # Kahn's algorithm: every op must be reachable through its deps
@@ -169,18 +160,15 @@ class ScheduleTemplate:
         publishers = [op for op in self.ops if op.publish]
         if len(publishers) > 1:
             raise ScheduleError("at most one publishing op")
-        if self.persistent and not self.require_activation:
-            # the replica would complete unprompted and replicate again,
-            # unboundedly, before commit() ever returns
-            raise ScheduleError("persistent schedules must require activation")
 
 
 class Engine:
     """Executes one committed schedule for one rank.
 
-    Public surface: commit(), activate_internal(), pump(), fire(),
-    replicate(), state()/restore(), plus read-only state (generation,
-    done_generation, consumed, recv_buffer).
+    Public surface: commit(), activate_internal(), pump(), buffer(),
+    state()/restore(), the mailbox the transport appends this collective's
+    messages to, plus read-only state (generation, done_generation,
+    consumed, recv_buffer).
     """
 
     def __init__(self, template: ScheduleTemplate, rank: int, cid: int,
@@ -196,7 +184,7 @@ class Engine:
         self.on_snapshot = on_snapshot
         self.on_done = on_done
         self.hold_policy = None      # callable(generation) -> bool, or None
-        self.mailbox: list | None = None
+        self.mailbox: list[Message] = []
         # When set (simulated transport), a rescan after an in-pump
         # replication is handed to the scheduler instead of running inline,
         # so same-instant application resumes observe the new generation
@@ -246,16 +234,17 @@ class Engine:
         return self._buf[name]
 
     def state(self) -> tuple:
-        """Everything a run changes (op states, generations, buffers) as a
-        hashable value; restore() puts it back.  The mailbox belongs to the
-        transport and is not included."""
+        """Everything a run changes (op states, generations, buffers, the
+        mailbox) as a hashable value; restore() puts it back."""
         return (bytes(self.consumed), self.generation, self.done_generation,
                 tuple((k, v.tobytes()) for k, v in sorted(self._buf.items())),
-                None if self.recv_buffer is None else self.recv_buffer.tobytes())
+                None if self.recv_buffer is None else self.recv_buffer.tobytes(),
+                tuple(self.mailbox))
 
     def restore(self, state: tuple) -> None:
-        consumed, self.generation, self.done_generation, bufs, recv = state
+        consumed, self.generation, self.done_generation, bufs, recv, box = state
         self.consumed = bytearray(consumed)
+        self.mailbox[:] = box
         for name, raw in bufs:
             self._buf[name][:] = np.frombuffer(raw, dtype=np.uint8)
         if recv is not None:
@@ -265,7 +254,7 @@ class Engine:
 
     def commit(self) -> None:
         """Arm the schedule: dependency-free ops fire immediately, except the
-        entry NOP when activation is required, and recvs, which fire on
+        entry NOP, which waits for activation, and recvs, which fire on
         message arrival."""
         with self.lock:
             if self.committed:
@@ -277,13 +266,8 @@ class Engine:
     def _fire_free(self) -> None:
         seeds = []
         for op in self.ops:
-            if op.deps:
-                continue
-            if op.kind == K_RECV:
-                continue
-            if op.entry and self.template.require_activation:
-                continue
-            seeds.append(op.oid)
+            if not (op.deps or op.entry or op.kind == K_RECV):
+                seeds.append(op.oid)
         self._cascade(seeds)
 
     def activate_internal(self, expected_generation: int | None = None) -> None:
@@ -296,13 +280,6 @@ class Engine:
             if expected_generation is not None and self.generation != expected_generation:
                 return
             self._cascade([self.template.entry_id])
-        self.pump()
-
-    def replicate(self) -> None:
-        with self.lock:
-            if self.done_generation < self.generation:
-                raise ReplicateError("replicate before the current generation completed")
-            self._replicate()
         self.pump()
 
     def _replicate(self) -> None:
@@ -321,23 +298,6 @@ class Engine:
         if op.logic == "or":
             return any(self.consumed[d] for d in op.deps)
         return all(self.consumed[d] for d in op.deps)
-
-    def fire(self, oid: int) -> None:
-        """Manually fire one op (and anything it unblocks).
-
-        Already-consumed: silent no-op.  Unsatisfied dependencies: error.
-        Recvs cannot be fired manually; they fire when a message matches.
-        """
-        with self.lock:
-            if self.consumed[oid]:
-                return
-            op = self.ops[oid]
-            if op.kind == K_RECV:
-                raise DepsUnsatisfied("recv ops fire on message arrival")
-            if not self._dep_ok(op):
-                raise DepsUnsatisfied(f"op {oid} has unmet dependencies")
-            self._cascade([oid])
-        self.pump()
 
     def _cascade(self, seeds: list[int]) -> None:
         stack = list(seeds)
@@ -376,8 +336,6 @@ class Engine:
             dst, src = self._views[oid]
             if op.fn == "sum":
                 np.add(dst, src, out=dst)
-            elif op.fn == "max":
-                np.maximum(dst, src, out=dst)
             else:
                 np.bitwise_or(dst, src, out=dst)
         if oid == self.template.snapshot_last:
@@ -417,8 +375,8 @@ class Engine:
         self._mark_fired(oid, op)
         self._cascade(self.dependents[oid])
 
-    def pump(self, mailbox: list | None = None) -> None:
-        """Match deliverable messages against this generation's recvs.
+    def pump(self) -> None:
+        """Match the mailbox's messages against this generation's recvs.
 
         Messages for past generations are dropped, future generations wait,
         duplicates of consumed ops are discarded, and activation-phase
@@ -428,13 +386,11 @@ class Engine:
         """
         if not self.committed:
             return
-        box = self.mailbox if mailbox is None else mailbox
-        if box is None:
-            return
         with self.lock:
-            self._pump_locked(box)
+            self._pump_locked()
 
-    def _pump_locked(self, box: list) -> None:
+    def _pump_locked(self) -> None:
+        box = self.mailbox
         progressed = True
         while progressed:
             progressed = False
@@ -442,9 +398,6 @@ class Engine:
             i = 0
             while i < len(box):
                 m = box[i]
-                if m.tag.cid != self.cid:
-                    i += 1
-                    continue
                 if m.tag.rnd < self.generation:
                     box.pop(i)
                     continue
@@ -472,11 +425,3 @@ class Engine:
                     self.defer_fn(self.pump)
                     return
                 break
-
-
-def single_nop_template(*, publish: bool = True) -> ScheduleTemplate:
-    """Smallest valid schedule: one dependency-free NOP that completes the
-    generation the moment the schedule is committed."""
-    op = OpSpec(0, K_NOP, entry=True, publish=publish, label="N0")
-    return ScheduleTemplate(ops=[op], buffers={}, entry_id=0,
-                            require_activation=False)

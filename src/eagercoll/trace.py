@@ -53,7 +53,6 @@ class TraceRecorder:
     # training-side records, keyed (rank, round)
     gradients: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
-    losses: dict = field(default_factory=dict)
 
     def op_fired(self, t: int, rank: int, cid: int, gen: int, oid: int, label: str) -> None:
         """Called by the engine on every op firing; records nothing."""

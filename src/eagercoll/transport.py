@@ -9,13 +9,15 @@ used to demonstrate that nothing in the upper layers depends on simulation.
 A logical process is a generator that yields command objects:
 
     Sleep(us)            suspend for a duration (virtual or wall time)
-    Recv(pattern)        block until a message matching `pattern` arrives
     WaitRound(handle, t) block until `handle` has completed round >= t
 
-Messages between one (src, dst, tag-stream) triple are delivered in FIFO
-order; the simulated backend orders simultaneous events by (time, priority,
-sequence) with process resumption ahead of message delivery, which keeps
-zero-skew runs exactly synchronous.
+Processes never receive messages themselves.  Each message goes to the
+schedule engine registered for (dst, tag.cid): the delivery appends it to
+that engine's mailbox and pumps that engine alone.  Messages between one
+(src, dst, tag-stream) triple are delivered in FIFO order; the simulated
+backend orders simultaneous events by (time, priority, sequence) with
+process resumption ahead of message delivery, which keeps zero-skew runs
+exactly synchronous.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ import numpy as np
 # A rank is a plain int in [0, p).  Validated at the transport boundary.
 Rank = int
 
-# Tag phases used by the collective layer; applications may use any ints.
+# Tag phases used by the collective layer.
 PHASE_ACT = 0
 PHASE_RED = 1
-PHASE_APP = 7
 
 
 class Tag(NamedTuple):
@@ -62,11 +63,6 @@ class Sleep:
 
 
 @dataclass
-class Recv:
-    pattern: object  # Tag, partial tuple with None wildcards, or predicate
-
-
-@dataclass
 class WaitRound:
     handle: object
     generation: int
@@ -84,11 +80,8 @@ class DeadlockError(RuntimeError):
     """Raised when the event queue drains while processes are still blocked."""
 
 
-def match_tag(pattern, tag: Tag) -> bool:
-    if callable(pattern):
-        return bool(pattern(tag))
-    # tuple with None wildcards (or a full Tag)
-    return all(p is None or p == t for p, t in zip(pattern, tag))
+class UnroutedMessage(LookupError):
+    """A message arrived for a (rank, cid) that has no registered engine."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +143,23 @@ def inject_delay(rank: Rank, rnd: int, model: DelayModel, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# engine routing (both backends)
+
+
+def _add_engine(engines: dict, rank: Rank, engine) -> None:
+    if engine.cid in engines:
+        raise ValueError(f"rank {rank} already has an engine for cid {engine.cid}")
+    engines[engine.cid] = engine
+
+
+def _engine_for(engines: dict, msg: Message):
+    eng = engines.get(msg.tag.cid)
+    if eng is None:
+        raise UnroutedMessage(f"no engine for cid {msg.tag.cid} at rank {msg.dst}")
+    return eng
+
+
+# ---------------------------------------------------------------------------
 # simulated backend
 
 _PRIO_RESUME = 0  # process resumptions run before message deliveries
@@ -160,9 +170,9 @@ class SimTransport:
     """Deterministic discrete-event transport.
 
     Every send is delivered after `link_latency_us`; there is no loss and no
-    reordering within a (src, dst, tag-stream).  Engines registered per rank
-    are pumped on each delivery so schedules make progress without any
-    process being scheduled.
+    reordering within a (src, dst, tag-stream).  A delivery pumps the one
+    engine registered for (dst, cid), so schedules make progress without
+    any process being scheduled.
     """
 
     def __init__(self, p: int, link_latency_us: int = 0):
@@ -173,10 +183,8 @@ class SimTransport:
         self._now_us = 0
         self._heap: list = []
         self._seq = 0
-        self._mail: list[list[Message]] = [[] for _ in range(p)]
-        self._engines: list[list] = [[] for _ in range(p)]
+        self._engines: list[dict] = [{} for _ in range(p)]
         self._procs: dict[int, object] = {}
-        self._parked_recv: dict[int, object] = {}
         self._parked_round: dict[int, tuple] = {}
         self._open = True
         self.events_processed = 0
@@ -190,8 +198,7 @@ class SimTransport:
 
     def register_engine(self, rank: Rank, engine) -> None:
         self._check_rank(rank)
-        self._engines[rank].append(engine)
-        engine.mailbox = self._mail[rank]
+        _add_engine(self._engines[rank], rank, engine)
         engine.defer_fn = self.defer
 
     def defer(self, fn) -> None:
@@ -229,8 +236,8 @@ class SimTransport:
         """Drain the event queue (optionally up to a virtual time bound).
 
         Raises DeadlockError if the queue empties while processes are still
-        blocked on Recv or WaitRound: with no pending events nothing can ever
-        wake them.
+        blocked on WaitRound: with no pending events nothing can ever wake
+        them.
         """
         while self._heap:
             t, prio, _, item = self._heap[0]
@@ -249,28 +256,14 @@ class SimTransport:
                 item[1]()
             else:
                 self._step_proc(item[1], item[2])
-        if self._procs and (self._parked_recv or self._parked_round):
-            blocked = sorted(set(self._parked_recv) | set(self._parked_round))
-            raise DeadlockError(f"ranks {blocked} blocked with no pending events")
+        if self._parked_round:
+            raise DeadlockError(
+                f"ranks {sorted(self._parked_round)} blocked with no pending events")
 
     def _deliver(self, msg: Message) -> None:
-        box = self._mail[msg.dst]
-        box.append(msg)
-        for eng in self._engines[msg.dst]:
-            eng.pump(box)
-        pat = self._parked_recv.get(msg.dst)
-        if pat is not None:
-            got = self._pull_match(msg.dst, pat)
-            if got is not None:
-                del self._parked_recv[msg.dst]
-                self._push(self._now_us, _PRIO_RESUME, ("resume", msg.dst, got))
-
-    def _pull_match(self, rank: Rank, pattern) -> Message | None:
-        box = self._mail[rank]
-        for i, m in enumerate(box):
-            if match_tag(pattern, m.tag):
-                return box.pop(i)
-        return None
+        eng = _engine_for(self._engines[msg.dst], msg)
+        eng.mailbox.append(msg)
+        eng.pump()
 
     def _step_proc(self, rank: Rank, value) -> None:
         proc = self._procs.get(rank)
@@ -283,12 +276,6 @@ class SimTransport:
             return
         if isinstance(cmd, Sleep):
             self._push(self._now_us + int(cmd.us), _PRIO_RESUME, ("resume", rank, None))
-        elif isinstance(cmd, Recv):
-            got = self._pull_match(rank, cmd.pattern)
-            if got is not None:
-                self._push(self._now_us, _PRIO_RESUME, ("resume", rank, got))
-            else:
-                self._parked_recv[rank] = cmd.pattern
         elif isinstance(cmd, WaitRound):
             h, g = cmd.handle, cmd.generation
             if h.done_generation >= g:
@@ -328,9 +315,7 @@ class SocketTransport:
         self.p = p
         self.host = host
         self._t0 = time.monotonic_ns()
-        self._mail: list[list[Message]] = [[] for _ in range(p)]
-        self._cond: list[threading.Condition] = [threading.Condition() for _ in range(p)]
-        self._engines: list[list] = [[] for _ in range(p)]
+        self._engines: list[dict] = [{} for _ in range(p)]
         self._listeners: list[socket.socket] = []
         self.ports: list[int] = []
         self._conns: dict[tuple[int, int], socket.socket] = {}
@@ -353,8 +338,7 @@ class SocketTransport:
         return (time.monotonic_ns() - self._t0) // 1000
 
     def register_engine(self, rank: Rank, engine) -> None:
-        self._engines[rank].append(engine)
-        engine.mailbox = self._mail[rank]
+        _add_engine(self._engines[rank], rank, engine)
 
     def _accept_loop(self, rank: int) -> None:
         srv = self._listeners[rank]
@@ -393,12 +377,10 @@ class SocketTransport:
         return buf
 
     def _deliver(self, msg: Message) -> None:
-        cond = self._cond[msg.dst]
-        with cond:
-            self._mail[msg.dst].append(msg)
-            for eng in self._engines[msg.dst]:
-                eng.pump(self._mail[msg.dst])
-            cond.notify_all()
+        eng = _engine_for(self._engines[msg.dst], msg)
+        with eng.lock:
+            eng.mailbox.append(msg)
+            eng.pump()
 
     def send(self, msg: Message) -> None:
         if not self._open:
@@ -417,20 +399,6 @@ class SocketTransport:
         with self._conn_lock:
             conn.sendall(frame + msg.payload)
 
-    def recv_match(self, rank: Rank, pattern, timeout: float = 30.0) -> Message:
-        cond = self._cond[rank]
-        deadline = time.monotonic() + timeout
-        with cond:
-            while True:
-                box = self._mail[rank]
-                for i, m in enumerate(box):
-                    if match_tag(pattern, m.tag):
-                        return box.pop(i)
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    raise TimeoutError(f"rank {rank} recv timed out on {pattern}")
-                cond.wait(left)
-
     def run_processes(self, bodies: dict[int, object], timeout: float = 60.0) -> None:
         """Drive generator process bodies to completion, one thread per rank."""
         errors: list = []
@@ -446,8 +414,6 @@ class SocketTransport:
                     if isinstance(cmd, Sleep):
                         time.sleep(cmd.us / 1e6)
                         value = None
-                    elif isinstance(cmd, Recv):
-                        value = self.recv_match(rank, cmd.pattern, timeout)
                     elif isinstance(cmd, WaitRound):
                         value = cmd.handle.wait_blocking(cmd.generation, timeout)
                     else:

@@ -9,12 +9,13 @@ suite validates each violation class by fault injection.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collectives import (
-    CollectiveConfig, SOLO, build_allreduce_template, tree_order_sum,
+    CollectiveConfig, SOLO, build_allreduce_template, parse_payload, tree_order_sum,
+    write_payload,
 )
 from .schedule import Engine
 from .trace import TraceRecorder
@@ -166,7 +167,6 @@ def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = 
                 vs.append(Violation("mismatch", rnd, r.rank,
                                     "result differs from rank %d's" % ref.rank))
         # reconstruct the reduction from the consumed contributions
-        vec = None
         contributions, mask_expected, missing = [], 0, False
         for rank in range(p):
             s = snaps.get((rank, rnd))
@@ -177,16 +177,13 @@ def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = 
             contributions.append(s.data)
             if s.fresh:
                 mask_expected |= 1 << rank
-            if vec is None:
-                vec = np.zeros_like(s.data)
         if missing:
             continue
         if ref.included != mask_expected:
             vs.append(Violation("subset-sum", rnd, None,
                                 f"mask {ref.included:#x} != consumed-fresh set {mask_expected:#x}"))
         tree = tree_order_sum(contributions)
-        expected_u = tree / p if tree.dtype.kind == "f" else tree // p
-        if expected_u.tobytes() != ref.u.tobytes():
+        if (tree / p).tobytes() != ref.u.tobytes():
             vs.append(Violation("subset-sum", rnd, None,
                                 "u does not equal the tree-ordered contribution sum / p"))
         serial = np.sum(np.stack(contributions), axis=0)
@@ -297,19 +294,11 @@ def track_shadow(recorder: TraceRecorder, alpha: float, p: int, tau: int,
 
 
 @dataclass
-class InterleavingCase:
-    p: int
-    arrival_order: tuple
-    delivery_order: tuple
-
-
-@dataclass
 class InterleavingReport:
     states: int
     terminals: int
     unique_results: int
     violations: list[str]
-    sample_cases: list[InterleavingCase] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -324,8 +313,7 @@ class InterleavingReport:
 def explore_interleavings(cfg: CollectiveConfig | None = None, *,
                           contributions=None, arrive_ranks=None,
                           arrivals_first: bool = False,
-                          max_states: int = 250_000,
-                          sample_limit: int = 5) -> InterleavingReport:
+                          max_states: int = 250_000) -> InterleavingReport:
     """Enumerate every reachable event order of one collective round.
 
     Events are rank arrivals (contribute-if-not-snapshotted + activate
@@ -357,45 +345,32 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *,
         streams.setdefault(key, deque()).append(msg)
 
     engines: list[Engine] = []
-    mailboxes: list[list] = [[] for _ in range(p)]
     for r in range(p):
         tpl = build_allreduce_template(r, cfg)
         tpl.persistent = False  # single round; terminal state is generation 0 done
         eng = Engine(tpl, r, 0, send_fn, lambda: 0)
-        eng.mailbox = mailboxes[r]
         eng.commit()
         engines.append(eng)
-
-    el = np.float64 if cfg.element == "f8" else np.int64
 
     def contribute(rank: int) -> None:
         eng = engines[rank]
         if eng.consumed[eng.template.snapshot_last]:
             return  # too late: the round already took this rank's (null) slot
-        buf = eng.buffer("send")
-        data = buf[:8 * cfg.vector_len].view(el)
-        np.copyto(data, contributions[rank])
-        mask = buf[8 * cfg.vector_len:].view(np.uint64)
-        mask[rank // 64] |= np.uint64(1 << (rank % 64))
+        write_payload(eng.buffer("send"), cfg, rank, contributions[rank])
 
     def snapshot():
         engs = tuple(e.state() for e in engines)
         net = tuple(sorted(
             (k, tuple((m.tag, m.payload) for m in q)) for k, q in streams.items() if q))
-        boxes = tuple(tuple((m.src, m.dst, m.tag, m.payload) for m in box)
-                      for box in mailboxes)
-        return (engs, net, boxes, frozenset(pending_arrivals))
+        return (engs, net, frozenset(pending_arrivals))
 
     def restore(s) -> None:
-        engs, net, boxes, arrivals = s
+        engs, net, arrivals = s
         for e, state in zip(engines, engs):
             e.restore(state)
         streams.clear()
         for k, msgs in net:
             streams[k] = deque(Message(k[0], k[1], t, pl) for t, pl in msgs)
-        for box, saved in zip(mailboxes, boxes):
-            box.clear()
-            box.extend(Message(src, dst, t, pl) for src, dst, t, pl in saved)
         pending_arrivals.clear()
         pending_arrivals.update(arrivals)
 
@@ -419,13 +394,12 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *,
             engines[x].activate_internal(expected_generation=0)
         else:
             msg = streams[x].popleft()
-            mailboxes[msg.dst].append(msg)
+            engines[msg.dst].mailbox.append(msg)
             engines[msg.dst].pump()
 
     seen: set = set()
     results: set = set()
     violations: list[str] = []
-    samples: list[InterleavingCase] = []
     terminals = 0
     root = snapshot()
     stack = [(root, ())]
@@ -447,20 +421,14 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *,
             if len(set(res)) != 1:
                 violations.append(f"ranks disagree at terminal via {path}")
             results.add(res[0])
-            raw = engines[0].recv_buffer
-            data = raw[:8 * cfg.vector_len].view(el)
-            mask = int.from_bytes(raw[8 * cfg.vector_len:].tobytes(), "little")
+            data, mask = parse_payload(engines[0].recv_buffer, cfg)
             vecs = [contributions[r] if (mask >> r) & 1
                     else np.zeros_like(contributions[r]) for r in range(p)]
             if tree_order_sum(vecs).tobytes() != data.tobytes():
                 violations.append(f"terminal sum does not match its mask via {path}")
-            if len(samples) < sample_limit:
-                arr = tuple(a for a in path if a[0] == "arrive")
-                dlv = tuple(a for a in path if a[0] == "deliver")
-                samples.append(InterleavingCase(p, arr, dlv))
             continue
         for c in ch:
             restore(s)
             apply(c)
             stack.append((snapshot(), path + (c,)))
-    return InterleavingReport(len(seen), terminals, len(results), violations, samples)
+    return InterleavingReport(len(seen), terminals, len(results), violations)

@@ -33,10 +33,13 @@ from eagercoll.verify import explore_interleavings, track_shadow
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# SHA-256 of the bench32 and hyperplane_run CSVs.  Any change to a virtual
-# number (latency, NAP, loss, simulated time) changes these.
+# SHA-256 of the bench32, hyperplane_run, zero_skew_run and two-collective
+# CSVs.  Any change to a virtual number (latency, NAP, loss, simulated time)
+# changes these.
 GOLDEN_BENCH_SHA256 = "b4f3fc3a23132459b38ea89385140710d81ac8f02281be009a85b4626987f23f"
 GOLDEN_TRAIN_SHA256 = "e5471d1f89e6d62e42571d71c33aecacf27e168ef6942fa3526f1b8a954338e8"
+GOLDEN_ZERO_SKEW_SHA256 = "4e1ddb01f7b087d76ca6bd2b1e5c81cf6b7d611b1f2a4b4cc02c6631bb0c59f9"
+GOLDEN_TWO_CID_SHA256 = "896477ff66ff987e0fdd539d54e5da5e974a0475eda974e9478f447577bcb6cc"
 
 
 def report(capsys, n, ok, detail):
@@ -302,14 +305,24 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
            f"{len(paths[0][1])} bytes)")
 
 
-def test_golden_csv_digests(bench32, hyperplane_run, tmp_path):
-    """The preset runs' CSVs match the digests pinned above, so a change to
-    any virtual-time result fails here (criterion 11 only compares two runs
-    of the same code)."""
-    _, _, records = bench32
-    _, rep, _ = hyperplane_run
-    bench_csv, train_csv = tmp_path / "bench.csv", tmp_path / "train.csv"
-    write_bench_csv(records, str(bench_csv))
-    write_train_csv(rep.rows, str(train_csv))
-    assert hashlib.sha256(bench_csv.read_bytes()).hexdigest() == GOLDEN_BENCH_SHA256
-    assert hashlib.sha256(train_csv.read_bytes()).hexdigest() == GOLDEN_TRAIN_SHA256
+def test_golden_csv_digests(bench32, hyperplane_run, zero_skew_run, tmp_path):
+    """The pinned runs' CSVs match the digests above, so a change to any
+    virtual-time result fails here (criterion 11 only compares two runs of
+    the same code).  The last run resyncs every other epoch under a tight
+    tau, so the gradient (cid 0) and resync (cid 1) collectives both carry
+    traffic on every rank, and the guard holds rounds."""
+    two_cid = RunConfig(mode="train", p=5, flavors=("sync", "solo", "majority"),
+                        epochs=6, steps_per_epoch=4, dim=8, n_samples=256,
+                        batch_per_rank=8, lr=0.02, tau=1, resync_period=2,
+                        delay=DelayModel("random_subset", unit_ms=0.5, k=2, seed=3),
+                        link_latency_us=10, seed=7, data_seed=8)
+    runs = [
+        (write_bench_csv, bench32[2], GOLDEN_BENCH_SHA256),
+        (write_train_csv, hyperplane_run[1].rows, GOLDEN_TRAIN_SHA256),
+        (write_train_csv, zero_skew_run[1].rows, GOLDEN_ZERO_SKEW_SHA256),
+        (write_train_csv, run_training(two_cid).rows, GOLDEN_TWO_CID_SHA256),
+    ]
+    for i, (write, rows, want) in enumerate(runs):
+        path = tmp_path / f"run{i}.csv"
+        write(rows, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, path.name

@@ -17,8 +17,10 @@ from eagercoll.collectives import (
     ceil_log2,
     floor_pow2,
     initiator_for_round,
+    parse_payload,
     run_allreduce,
     tree_order_sum,
+    write_payload,
 )
 from eagercoll.schedule import K_SEND
 from eagercoll.transport import PHASE_ACT, SimTransport
@@ -48,14 +50,6 @@ def test_sync_matches_tree_oracle_bitwise(p):
         assert res[(r, 0)].nap == p
     # and the tree order stays within float tolerance of the serial sum
     assert np.allclose(want * p, contrib.sum(axis=0), rtol=1e-12)
-
-
-def test_integer_element_divides_exactly():
-    cfg = CollectiveConfig(p=4, flavor="sync", vector_len=3, element="i8")
-    contrib = np.array([[8, -4, 100]] * 4, dtype=np.int64)
-    res, _, _ = run_allreduce(cfg, contrib)
-    assert res[(0, 0)].u.dtype == np.int64
-    assert res[(0, 0)].u.tolist() == [8, -4, 100]
 
 
 def test_solo_first_arrival_defines_the_round():
@@ -263,8 +257,6 @@ def test_config_validation():
         CollectiveConfig(p=2, flavor="quorum", vector_len=1)
     with pytest.raises(ValueError):
         CollectiveConfig(p=2, flavor="sync", vector_len=0)
-    with pytest.raises(ValueError):
-        CollectiveConfig(p=2, flavor="sync", vector_len=1, element="f4")
 
 
 def test_payload_layout():
@@ -273,6 +265,12 @@ def test_payload_layout():
     assert cfg.payload_nbytes == 16 * 8 + 8
     wide = CollectiveConfig(p=65, flavor="sync", vector_len=1)
     assert wide.mask_words == 2
+    buf = np.zeros(wide.payload_nbytes, dtype=np.uint8)
+    write_payload(buf, wide, 64, np.array([2.5]))
+    write_payload(buf, wide, 3, np.array([-1.0]), fresh=False)
+    data, mask = parse_payload(buf, wide)
+    assert data.tolist() == [-1.0] and mask == 1 << 64
+    assert buf[8:].view(np.uint64).tolist() == [0, 1]  # mask words after the values
 
 
 def test_helpers():

@@ -6,7 +6,6 @@ import pytest
 from eagercoll.schedule import (
     BufView,
     CycleError,
-    DepsUnsatisfied,
     DuplicateOpError,
     Engine,
     K_COMPUTE,
@@ -14,10 +13,8 @@ from eagercoll.schedule import (
     K_RECV,
     K_SEND,
     OpSpec,
-    ReplicateError,
     ScheduleError,
     ScheduleTemplate,
-    single_nop_template,
 )
 from eagercoll.transport import Message, Tag, PHASE_ACT, PHASE_RED
 
@@ -27,7 +24,14 @@ def make_engine(tpl, sent=None, rank=0):
     return Engine(tpl, rank, 0, send_fn, lambda: 0)
 
 
-def chain_template(require_activation=True):
+def deliver(eng, *msgs):
+    """Append messages to the engine's mailbox and pump it, as a transport
+    delivery does."""
+    eng.mailbox.extend(msgs)
+    eng.pump()
+
+
+def chain_template():
     """N0 -> send(step 0) -> recv(step 1) -> compute -> publishing NOP."""
     buffers = {"acc": 16, "inbox": 16}
     ops = [
@@ -39,13 +43,7 @@ def chain_template(require_activation=True):
         OpSpec(4, K_NOP, deps=(3,), publish=True, label="done"),
     ]
     return ScheduleTemplate(ops=ops, buffers=buffers, entry_id=0,
-                            publish_from="acc", require_activation=require_activation)
-
-
-def test_single_nop_completes_on_commit():
-    eng = make_engine(single_nop_template())
-    eng.commit()
-    assert eng.done_generation == 0
+                            publish_from="acc")
 
 
 def test_entry_waits_for_activation():
@@ -64,31 +62,27 @@ def test_chain_runs_to_completion_on_matching_recv():
     eng.commit()
     eng.activate_internal()
     payload = np.arange(2, dtype=np.float64).tobytes()
-    eng.pump([Message(1, 0, Tag(0, 0, PHASE_RED, 1), payload)])
+    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_RED, 1), payload))
     assert eng.done_generation == 0
     acc = eng.buffer("acc").view(np.float64)
     assert acc.tolist() == [0.0, 1.0]
 
 
 def test_compute_fns():
-    buffers = {"a": 16, "b": 16}
-    for fn, lhs, rhs, want in [
-        ("sum", [1.0, 2.0], [10.0, 20.0], [11.0, 22.0]),
-        ("max", [5.0, 1.0], [2.0, 9.0], [5.0, 9.0]),
-    ]:
-        ops = [
-            OpSpec(0, K_NOP, entry=True),
-            OpSpec(1, K_COMPUTE, deps=(0,), fn=fn,
-                   dst=BufView("a", "f8", 0, 2), src=BufView("b", "f8", 0, 2)),
-            OpSpec(2, K_NOP, deps=(1,), publish=True),
-        ]
-        tpl = ScheduleTemplate(ops=ops, buffers=buffers, entry_id=0, publish_from="a")
-        eng = make_engine(tpl)
-        eng.commit()
-        eng.buffer("a").view(np.float64)[:] = lhs
-        eng.buffer("b").view(np.float64)[:] = rhs
-        eng.activate_internal()
-        assert eng.buffer("a").view(np.float64).tolist() == want
+    ops = [
+        OpSpec(0, K_NOP, entry=True),
+        OpSpec(1, K_COMPUTE, deps=(0,), fn="sum",
+               dst=BufView("a", "f8", 0, 2), src=BufView("b", "f8", 0, 2)),
+        OpSpec(2, K_NOP, deps=(1,), publish=True),
+    ]
+    tpl = ScheduleTemplate(ops=ops, buffers={"a": 16, "b": 16}, entry_id=0,
+                           publish_from="a")
+    eng = make_engine(tpl)
+    eng.commit()
+    eng.buffer("a").view(np.float64)[:] = [1.0, 2.0]
+    eng.buffer("b").view(np.float64)[:] = [10.0, 20.0]
+    eng.activate_internal()
+    assert eng.buffer("a").view(np.float64).tolist() == [11.0, 22.0]
 
 
 def test_bor_on_integer_view():
@@ -112,7 +106,6 @@ def test_fire_twice_is_silent_noop():
     eng.commit()
     eng.activate_internal()
     eng.activate_internal()  # racing second initiator
-    eng.fire(1)              # manual re-fire of the already-consumed send
     assert len(sent) == 1
     assert eng.consumed[0] == 1 and eng.consumed[1] == 1
 
@@ -125,7 +118,7 @@ def test_refiring_a_consumed_op_raises():
     eng.activate_internal()
     with pytest.raises(ScheduleError, match="fired twice"):
         eng._fire(1)  # the send already fired on activation
-    eng.pump([Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16)])
+    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16))
     with pytest.raises(ScheduleError, match="fired twice"):
         eng._fire_recv(2, b"\0" * 16)
 
@@ -136,7 +129,7 @@ def test_state_restore_round_trip():
     before = eng.state()
     eng.buffer("acc").view(np.float64)[:] = 2.0
     eng.activate_internal()
-    eng.pump([Message(1, 0, Tag(0, 0, PHASE_RED, 1), np.full(2, 3.0).tobytes())])
+    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_RED, 1), np.full(2, 3.0).tobytes()))
     assert eng.done_generation == 0
     after = eng.state()
     eng.restore(before)
@@ -145,15 +138,6 @@ def test_state_restore_round_trip():
     eng.restore(after)
     assert eng.state() == after
     assert eng.recv_buffer.view(np.float64)[0] == 5.0
-
-
-def test_fire_with_unmet_deps_raises():
-    eng = make_engine(chain_template())
-    eng.commit()
-    with pytest.raises(DepsUnsatisfied):
-        eng.fire(3)  # compute depends on a recv that never fired
-    with pytest.raises(DepsUnsatisfied):
-        eng.fire(2)  # recvs only fire on message arrival
 
 
 def test_or_logic_fires_on_first_dep():
@@ -201,22 +185,14 @@ def test_future_generation_messages_wait_in_mailbox():
     tpl.persistent = True
     eng = make_engine(tpl, [])
     eng.commit()
-    box = [Message(1, 0, Tag(0, 1, PHASE_RED, 1), b"\0" * 16)]
-    eng.pump(box)
+    deliver(eng, Message(1, 0, Tag(0, 1, PHASE_RED, 1), b"\0" * 16))
     assert eng.done_generation == -1
-    assert len(box) == 1  # still parked
+    assert len(eng.mailbox) == 1  # still parked
     eng.activate_internal()
-    eng.pump(box + [Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16)])
+    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16))
     assert eng.done_generation == 0
     assert eng.generation == 1
-
-
-def test_replicate_before_completion_raises():
-    tpl = chain_template()
-    eng = make_engine(tpl)
-    eng.commit()
-    with pytest.raises(ReplicateError):
-        eng.replicate()
+    assert len(eng.mailbox) == 1  # now current, but generation 1 is not yet activated
 
 
 def test_stale_activation_is_ignored():
@@ -230,13 +206,6 @@ def test_stale_activation_is_ignored():
     assert (eng.done_generation, eng.generation) == (0, 1)
 
 
-def test_persistent_without_activation_rejected():
-    tpl = single_nop_template()
-    tpl.persistent = True
-    with pytest.raises(ScheduleError):
-        tpl.validate()
-
-
 def test_hold_policy_defers_activation_messages():
     ops = [
         OpSpec(0, K_NOP, entry=True),
@@ -248,12 +217,11 @@ def test_hold_policy_defers_activation_messages():
     eng.commit()
     held = {"on": True}
     eng.hold_policy = lambda gen: held["on"]
-    box = [Message(1, 0, Tag(0, 0, PHASE_ACT, 0), b"")]
-    eng.pump(box)
-    assert eng.done_generation == -1 and len(box) == 1
+    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_ACT, 0), b""))
+    assert eng.done_generation == -1 and len(eng.mailbox) == 1
     held["on"] = False
-    eng.pump(box)
-    assert eng.done_generation == 0 and not box
+    eng.pump()
+    assert eng.done_generation == 0 and not eng.mailbox
 
 
 # ---------------------------------------------------------------------------

@@ -1,48 +1,68 @@
-"""Simulated transport: delivery timing, ordering, delay models, deadlock."""
+"""Simulated transport: delivery timing, ordering, routing by collective id,
+delay models, deadlock."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eagercoll.collectives import AllreduceHandle, CollectiveConfig
 from eagercoll.transport import (
     DeadlockError,
     DelayModel,
     Message,
-    Recv,
     SimTransport,
     Sleep,
     Tag,
-    PHASE_APP,
+    PHASE_RED,
     UnknownRank,
+    UnroutedMessage,
     delayed_ranks,
     inject_delay,
-    match_tag,
 )
 
-ANY = (None, None, None, None)
+
+class FakeEngine:
+    """What the transport drives on delivery: a cid, a mailbox and pump().
+    Each pump drains the mailbox into a (virtual time, message) log."""
+
+    def __init__(self, sim, cid=0):
+        self.sim = sim
+        self.cid = cid
+        self.mailbox = []
+        self.pumps = 0
+        self.log = []
+
+    def pump(self):
+        self.pumps += 1
+        self.log.extend((self.sim.now_us(), m) for m in self.mailbox)
+        self.mailbox.clear()
 
 
-def _msg(src, dst, step=0, payload=b"", rnd=0):
-    return Message(src, dst, Tag(0, rnd, PHASE_APP, step), payload)
+def _msg(src, dst, step=0, payload=b"", cid=0):
+    return Message(src, dst, Tag(cid, 0, PHASE_RED, step), payload)
+
+
+def _engines(sim, cid=0):
+    engines = [FakeEngine(sim, cid) for _ in range(sim.p)]
+    for rank, eng in enumerate(engines):
+        sim.register_engine(rank, eng)
+    return engines
 
 
 def test_link_latency_is_the_delivery_time():
     sim = SimTransport(2, link_latency_us=37)
-    seen = {}
+    engines = _engines(sim)
 
     def sender():
         sim.send(_msg(0, 1))
         yield Sleep(0)
 
-    def receiver():
-        m = yield Recv(ANY)
-        seen["t"] = sim.now_us()
-        seen["msg"] = m
-
     sim.spawn(0, sender())
-    sim.spawn(1, receiver())
     sim.run()
-    assert seen["t"] == 37
-    assert seen["msg"].src == 0
+    [(t, m)] = engines[1].log
+    assert t == 37
+    assert m.src == 0
+    assert engines[0].log == []
 
 
 def test_sleep_advances_virtual_time_exactly():
@@ -65,61 +85,58 @@ def test_sleep_advances_virtual_time_exactly():
 def test_fifo_within_a_stream(payloads):
     """Same (src, dst) stream, same tag pattern: arrival order == send order."""
     sim = SimTransport(2, link_latency_us=3)
-    got = []
+    engines = _engines(sim)
 
     def sender():
         for i, b in enumerate(payloads):
             sim.send(_msg(0, 1, step=i, payload=bytes([b])))
         yield Sleep(0)
 
-    def receiver():
-        for _ in payloads:
-            m = yield Recv(ANY)
-            got.append(m.payload[0])
-
     sim.spawn(0, sender())
-    sim.spawn(1, receiver())
     sim.run()
-    assert got == payloads
+    assert [m.payload[0] for _, m in engines[1].log] == payloads
+    assert engines[1].pumps == len(payloads)  # one pump per delivery
 
 
-def test_recv_matches_by_pattern_not_position():
-    """A parked recv with a specific step skips non-matching mail."""
+def test_delivery_pumps_only_its_collectives_engine():
+    """A message for cid 1 lands in the cid-1 engine's mailbox; the cid-0
+    engine on the same rank is neither given it nor pumped."""
     sim = SimTransport(2)
-    order = []
-
-    def sender():
-        sim.send(_msg(0, 1, step=9, payload=b"a"))
-        sim.send(_msg(0, 1, step=2, payload=b"b"))
-        yield Sleep(0)
-
-    def receiver():
-        m = yield Recv((None, None, None, 2))
-        order.append(m.payload)
-        m = yield Recv((None, None, None, 9))
-        order.append(m.payload)
-
-    sim.spawn(0, sender())
-    sim.spawn(1, receiver())
+    cid0, cid1 = _engines(sim, cid=0), _engines(sim, cid=1)
+    sim.send(_msg(0, 1, payload=b"x", cid=1))
     sim.run()
-    assert order == [b"b", b"a"]
+    assert cid0[1].mailbox == [] and cid0[1].pumps == 0
+    assert [m.payload for _, m in cid1[1].log] == [b"x"]
+    assert cid1[1].pumps == 1
 
 
-def test_match_tag_callable_and_wildcards():
-    t = Tag(1, 4, PHASE_APP, 3)
-    assert match_tag((None, 4, None, None), t)
-    assert not match_tag((None, 5, None, None), t)
-    assert match_tag(lambda tag: tag.step == 3, t)
+def test_delivery_without_an_engine_raises():
+    sim = SimTransport(2)
+    _engines(sim, cid=0)
+    sim.send(_msg(0, 1, cid=3))
+    with pytest.raises(UnroutedMessage, match="cid 3 at rank 1"):
+        sim.run()
+
+
+def test_second_engine_for_one_collective_rejected():
+    sim = SimTransport(1)
+    sim.register_engine(0, FakeEngine(sim, cid=2))
+    with pytest.raises(ValueError, match="cid 2"):
+        sim.register_engine(0, FakeEngine(sim, cid=2))
 
 
 def test_deadlock_detection():
-    sim = SimTransport(1)
+    """A sync round whose peer never arrives parks the caller on WaitRound
+    with nothing left in the queue."""
+    sim = SimTransport(2)
+    cfg = CollectiveConfig(p=2, flavor="sync", vector_len=1)
+    handles = [AllreduceHandle(cfg, r, sim) for r in range(2)]
 
     def body():
-        yield Recv(ANY)  # nobody will ever send
+        yield from handles[0].call_round(0, np.ones(1))
 
-    sim.spawn(0, body())
-    with pytest.raises(DeadlockError):
+    sim.spawn(0, body())  # rank 1 never calls the collective
+    with pytest.raises(DeadlockError, match=r"ranks \[0\]"):
         sim.run()
 
 
@@ -164,19 +181,18 @@ def test_event_trace_is_deterministic():
     def run_combined():
         sim = SimTransport(3, link_latency_us=5)
         log = []
+        for eng in _engines(sim):
+            eng.log = log  # one log in global delivery order
 
         def body(rank):
             for i in range(4):
                 yield Sleep(rank + 1)
                 sim.send(_msg(rank, (rank + 1) % 3, step=i, payload=bytes([rank, i])))
-            for _ in range(4):
-                m = yield Recv(ANY)
-                log.append((sim.now_us(), rank, m.payload))
 
         for r in range(3):
             sim.spawn(r, body(r))
         sim.run()
-        return tuple(log)
+        return tuple((t, m.dst, m.payload) for t, m in log)
 
     assert run_combined() == run_combined()
 
