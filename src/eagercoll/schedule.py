@@ -6,6 +6,14 @@ most once per generation; firing an already-consumed op is a silent no-op,
 which is what lets several concurrent initiators race on one schedule
 without double-executing anything.
 
+The engine compiles its template once, at construction, into a flat program
+in the manner of an offloaded NIC's triggered operations: each op has a
+counter of dependencies it still waits for (its dep count under and-logic,
+1 under or-logic, 0 with none), firing an op counts down its dependents,
+and an op is ready when its counter reaches 0.  The data each fire needs
+(peers, tags, buffer views, ufuncs, the seeds of a fresh generation) is
+resolved then too, so the hot path reads only flat per-op arrays.
+
 The engine is passive: it is driven by whoever owns the transport (the
 simulator's delivery loop, a socket reader thread, or the interleaving
 explorer), which appends each message for this engine's collective to its
@@ -165,6 +173,11 @@ class ScheduleTemplate:
 class Engine:
     """Executes one committed schedule for one rank.
 
+    Readiness is a per-op counter of unmet dependencies, reset from a
+    precomputed start value on every replication and carried by state().
+    The data each fire needs is compiled here, once, from the template
+    (see _compile); edits to the template after construction are not seen.
+
     Public surface: commit(), activate_internal(), pump(), buffer(),
     state()/restore(), the mailbox the transport appends this collective's
     messages to, plus read-only state (generation, done_generation,
@@ -194,35 +207,75 @@ class Engine:
         # uncontended in the simulator
         self.lock = threading.RLock()
 
-        n = len(template.ops)
-        self.ops: list[OpSpec] = sorted(template.ops, key=lambda o: o.oid)
-        self.consumed = bytearray(n)
-        self.dependents: list[list[int]] = [[] for _ in range(n)]
-        for op in self.ops:
-            for d in op.deps:
-                self.dependents[d].append(op.oid)
-        self._recv_index: dict[tuple[int, int], int] = {}
-        for op in self.ops:
-            if op.kind == K_RECV:
-                key = (op.phase, op.step)
-                if key in self._recv_index:
-                    raise ScheduleError(f"two recvs on the same (phase, step) {key}")
-                self._recv_index[key] = op.oid
-
         self._buf: dict[str, np.ndarray] = {
             name: np.zeros(size, dtype=np.uint8) for name, size in template.buffers.items()
         }
-        self._views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for op in self.ops:
-            if op.kind == K_COMPUTE:
-                self._views[op.oid] = (self._resolve(op.dst), self._resolve(op.src))
         self.recv_buffer = (
             np.zeros(template.buffers[template.publish_from], dtype=np.uint8)
             if template.publish_from else None
         )
+        self._compile(template)
+        self.consumed = bytearray(len(self.ops))
+        self._waiting = bytearray(self._waiting0)
         self.generation = 0
         self.done_generation = -1
         self.committed = False
+
+    def _compile(self, tpl: ScheduleTemplate) -> None:
+        """Flatten the template into the per-op arrays the hot path reads."""
+        ops = self.ops = sorted(tpl.ops, key=lambda o: o.oid)
+        n = len(ops)
+        bufs = self._buf
+        dependents: list[list[int]] = [[] for _ in range(n)]
+        waiting0 = bytearray(n)
+        recv_deps = False
+        seeds: list[int] = []
+        recv_index: dict[tuple[int, int], int] = {}
+        recv_dst: list[np.ndarray | None] = [None] * n
+        sends: list[tuple | None] = [None] * n     # (peer, phase, step, buffer)
+        computes: list[tuple | None] = [None] * n  # (ufunc, dst view, src view)
+        tails = bytearray(n)  # bit 1: takes the snapshot; bit 2: publishes
+        for op in ops:
+            oid, kind = op.oid, op.kind
+            if op.deps:
+                need = 1 if op.logic == "or" else len(op.deps)
+                if need > 255:
+                    raise ScheduleError(f"op {oid} has more than 255 and-dependencies")
+                waiting0[oid] = need
+                recv_deps |= kind == K_RECV
+                for d in op.deps:
+                    dependents[d].append(oid)
+            elif not (op.entry or kind == K_RECV):
+                seeds.append(oid)
+            if kind == K_RECV:
+                key = (op.phase, op.step)
+                if key in recv_index:
+                    raise ScheduleError(f"two recvs on the same (phase, step) {key}")
+                recv_index[key] = oid
+                if op.recv_buf is not None:
+                    recv_dst[oid] = bufs[op.recv_buf]
+            elif kind == K_SEND:
+                sends[oid] = (op.peer, op.phase, op.step,
+                              bufs[op.send_buf] if op.send_buf else None)
+            elif kind == K_COMPUTE:
+                fn = np.add if op.fn == "sum" else np.bitwise_or
+                computes[oid] = (fn, self._resolve(op.dst), self._resolve(op.src))
+            tails[oid] = (oid == tpl.snapshot_last) | (op.publish << 1)
+        self._seeds = seeds
+        self._recv_index = recv_index
+        self._recv_dst = recv_dst
+        self._send = sends
+        self._compute = computes
+        self._tail = bytes(tails)
+        self._waiting0 = bytes(waiting0)
+        self._dependents = [tuple(ds) for ds in dependents]
+        # the cascade never fires a recv, so it need not push one
+        self._cascade_to = self._dependents if not recv_deps else [
+            tuple(d for d in ds if ops[d].kind != K_RECV) for ds in dependents]
+        self._snap_buf = bufs[tpl.snapshot_src] if tpl.snapshot_src else None
+        self._publish_buf = bufs[tpl.publish_from] if tpl.publish_from else None
+        self._scratch = [arr for name, arr in bufs.items() if name not in tpl.preserve]
+        self._persistent = tpl.persistent
 
     def _resolve(self, view: BufView) -> np.ndarray:
         raw = self._buf[view.buf]
@@ -234,16 +287,20 @@ class Engine:
         return self._buf[name]
 
     def state(self) -> tuple:
-        """Everything a run changes (op states, generations, buffers, the
-        mailbox) as a hashable value; restore() puts it back."""
-        return (bytes(self.consumed), self.generation, self.done_generation,
+        """Everything a run changes (op states and dependency counters,
+        generations, buffers, the mailbox) as a hashable value; restore()
+        puts it back."""
+        return (bytes(self.consumed) + self._waiting,
+                self.generation, self.done_generation,
                 tuple((k, v.tobytes()) for k, v in sorted(self._buf.items())),
                 None if self.recv_buffer is None else self.recv_buffer.tobytes(),
                 tuple(self.mailbox))
 
     def restore(self, state: tuple) -> None:
-        consumed, self.generation, self.done_generation, bufs, recv, box = state
-        self.consumed = bytearray(consumed)
+        ops, self.generation, self.done_generation, bufs, recv, box = state
+        n = len(self.ops)
+        self.consumed = bytearray(ops[:n])
+        self._waiting = bytearray(ops[n:])
         self.mailbox[:] = box
         for name, raw in bufs:
             self._buf[name][:] = np.frombuffer(raw, dtype=np.uint8)
@@ -260,15 +317,8 @@ class Engine:
             if self.committed:
                 raise ScheduleError("schedule already committed")
             self.committed = True
-            self._fire_free()
+            self._cascade(self._seeds)
         self.pump()
-
-    def _fire_free(self) -> None:
-        seeds = []
-        for op in self.ops:
-            if not (op.deps or op.entry or op.kind == K_RECV):
-                seeds.append(op.oid)
-        self._cascade(seeds)
 
     def activate_internal(self, expected_generation: int | None = None) -> None:
         """Fire the entry NOP.  Silent no-op if this generation is already
@@ -285,69 +335,62 @@ class Engine:
     def _replicate(self) -> None:
         self.generation += 1
         self.consumed = bytearray(len(self.ops))
-        for name, arr in self._buf.items():
-            if name not in self.template.preserve:
-                arr[:] = 0
-        self._fire_free()
+        self._waiting = bytearray(self._waiting0)
+        for arr in self._scratch:
+            arr[:] = 0
+        self._cascade(self._seeds)
 
     # -- firing -------------------------------------------------------------
 
-    def _dep_ok(self, op: OpSpec) -> bool:
-        if not op.deps:
-            return True
-        if op.logic == "or":
-            return any(self.consumed[d] for d in op.deps)
-        return all(self.consumed[d] for d in op.deps)
-
-    def _cascade(self, seeds: list[int]) -> None:
+    def _cascade(self, seeds) -> None:
         stack = list(seeds)
         epoch = self.generation
+        # a replication swaps these arrays, but then the epoch check returns
+        consumed, waiting = self.consumed, self._waiting
+        cascade_to, fire = self._cascade_to, self._fire
         while stack:
             if self.generation != epoch:
                 return  # replicated underneath us; the old frontier is void
             oid = stack.pop()
-            if self.consumed[oid]:
+            if consumed[oid] or waiting[oid]:
                 continue
-            op = self.ops[oid]
-            if op.kind == K_RECV:
-                continue
-            if not self._dep_ok(op):
-                continue
-            self._fire(oid)
-            stack.extend(self.dependents[oid])
-
-    def _mark_fired(self, oid: int, op: OpSpec) -> None:
-        if self.consumed[oid]:
-            raise ScheduleError("op fired twice in one generation")
-        self.consumed[oid] = 1
-        if self.recorder is not None:
-            self.recorder.op_fired(self.now_fn(), self.rank, self.cid,
-                                   self.generation, oid, op.label)
+            fire(oid)
+            stack.extend(cascade_to[oid])
 
     def _fire(self, oid: int) -> None:
-        op = self.ops[oid]
-        self._mark_fired(oid, op)
-        if op.kind == K_SEND:
-            payload = self._buf[op.send_buf].tobytes() if op.send_buf else b""
-            self.send_fn(Message(self.rank, op.peer,
-                                 Tag(self.cid, self.generation, op.phase, op.step),
-                                 payload))
-        elif op.kind == K_COMPUTE:
-            dst, src = self._views[oid]
-            if op.fn == "sum":
-                np.add(dst, src, out=dst)
-            else:
-                np.bitwise_or(dst, src, out=dst)
-        if oid == self.template.snapshot_last:
-            self._snapshot_taken()
-        if op.publish:
-            self._complete()
+        consumed = self.consumed
+        if consumed[oid]:
+            raise ScheduleError("op fired twice in one generation")
+        consumed[oid] = 1
+        waiting = self._waiting
+        for d in self._dependents[oid]:
+            if waiting[d]:
+                waiting[d] -= 1
+        if self.recorder is not None:
+            self.recorder.op_fired(self.now_fn(), self.rank, self.cid,
+                                   self.generation, oid, self.ops[oid].label)
+        send = self._send[oid]
+        if send is not None:
+            peer, phase, step, buf = send
+            self.send_fn(Message(self.rank, peer,
+                                 Tag(self.cid, self.generation, phase, step),
+                                 b"" if buf is None else buf.tobytes()))
+        else:
+            compute = self._compute[oid]
+            if compute is not None:
+                fn, dst, src = compute
+                fn(dst, src, out=dst)
+        tail = self._tail[oid]
+        if tail:
+            if tail & 1:
+                self._snapshot_taken()
+            if tail & 2:
+                self._complete()
 
     def _snapshot_taken(self) -> None:
-        name = self.template.snapshot_src
-        if name is None:
+        buf = self._snap_buf
+        if buf is None:
             return
-        buf = self._buf[name]
         if self.on_snapshot is not None:
             self.on_snapshot(self.generation, buf.copy())
         buf[:] = 0  # contribution consumed; the stash starts empty again
@@ -355,25 +398,24 @@ class Engine:
     def _complete(self) -> None:
         g = self.generation
         if self.recv_buffer is not None:
-            np.copyto(self.recv_buffer, self._buf[self.template.publish_from])
+            np.copyto(self.recv_buffer, self._publish_buf)
         self.done_generation = g
         if self.on_done is not None:
             self.on_done(g)
-        if self.template.persistent:
+        if self._persistent:
             self._replicate()
 
     # -- message matching ---------------------------------------------------
 
     def _fire_recv(self, oid: int, payload: bytes) -> None:
-        op = self.ops[oid]
-        if op.recv_buf is not None:
-            dst = self._buf[op.recv_buf]
+        dst = self._recv_dst[oid]
+        if dst is not None:
             if len(payload) != len(dst):
                 raise ScheduleError(
                     f"recv {oid} payload {len(payload)}B != buffer {len(dst)}B")
-            dst[:] = np.frombuffer(payload, dtype=np.uint8)
-        self._mark_fired(oid, op)
-        self._cascade(self.dependents[oid])
+            dst.data[:] = payload  # a memoryview copy, cheaper than numpy's
+        self._fire(oid)
+        self._cascade(self._cascade_to[oid])
 
     def pump(self) -> None:
         """Match the mailbox's messages against this generation's recvs.
@@ -387,41 +429,39 @@ class Engine:
         if not self.committed:
             return
         with self.lock:
-            self._pump_locked()
-
-    def _pump_locked(self) -> None:
-        box = self.mailbox
-        progressed = True
-        while progressed:
-            progressed = False
-            gen_at_entry = self.generation
-            i = 0
-            while i < len(box):
-                m = box[i]
-                if m.tag.rnd < self.generation:
+            box = self.mailbox
+            recv_index = self._recv_index
+            progressed = True
+            while progressed:
+                progressed = False
+                gen = self.generation
+                i = 0
+                while i < len(box):
+                    _, _, (_, rnd, phase, step), payload = box[i]
+                    if rnd < gen:
+                        box.pop(i)
+                        continue
+                    if rnd > gen:
+                        i += 1
+                        continue
+                    oid = recv_index.get((phase, step))
+                    if oid is None:
+                        i += 1
+                        continue
+                    if self.consumed[oid]:
+                        box.pop(i)  # duplicate for a consumable op: ignore
+                        continue
+                    if (phase == PHASE_ACT and self.hold_policy is not None
+                            and self.hold_policy(gen)):
+                        i += 1
+                        continue
+                    if self._waiting[oid]:
+                        i += 1
+                        continue
                     box.pop(i)
-                    continue
-                if m.tag.rnd > self.generation:
-                    i += 1
-                    continue
-                oid = self._recv_index.get((m.tag.phase, m.tag.step))
-                if oid is None:
-                    i += 1
-                    continue
-                if self.consumed[oid]:
-                    box.pop(i)  # duplicate for a consumable op: ignore
-                    continue
-                if (m.tag.phase == PHASE_ACT and self.hold_policy is not None
-                        and self.hold_policy(self.generation)):
-                    i += 1
-                    continue
-                if not self._dep_ok(self.ops[oid]):
-                    i += 1
-                    continue
-                box.pop(i)
-                self._fire_recv(oid, m.payload)
-                progressed = True
-                if self.generation != gen_at_entry and self.defer_fn is not None:
-                    self.defer_fn(self.pump)
-                    return
-                break
+                    self._fire_recv(oid, payload)
+                    progressed = True
+                    if self.generation != gen and self.defer_fn is not None:
+                        self.defer_fn(self.pump)
+                        return
+                    break

@@ -22,6 +22,7 @@ exactly synchronous.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import socket
 import struct
@@ -49,8 +50,7 @@ class Tag(NamedTuple):
     step: int
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     src: Rank
     dst: Rank
     tag: Tag
@@ -299,6 +299,7 @@ class SimTransport:
 # socket backend
 
 _FRAME = struct.Struct("<iiiqiiI")  # src, dst, cid, rnd, phase, step, paylen
+_JOIN_TIMEOUT_S = 2.0  # close() waits no longer than this for its threads
 
 
 class SocketTransport:
@@ -321,6 +322,8 @@ class SocketTransport:
         self._conns: dict[tuple[int, int], socket.socket] = {}
         self._conn_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
+        # (rank, exception) of each reader a delivery error stopped
+        self._reader_errors: list[tuple[int, BaseException]] = []
         self._open = True
         for _ in range(p):
             srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -365,6 +368,10 @@ class SocketTransport:
                 self._deliver(msg)
         except OSError:
             return
+        except Exception as e:  # e.g. UnroutedMessage; run_processes raises it
+            self._reader_errors.append((rank, e))
+        finally:
+            conn.close()
 
     @staticmethod
     def _read_exact(conn: socket.socket, n: int) -> bytes | None:
@@ -430,22 +437,33 @@ class SocketTransport:
         for th in threads:
             th.join(timeout)
             if th.is_alive():
-                raise TimeoutError("process thread did not finish")
+                break
+        # a failed reader starves the ranks it fed, so it is the root cause
+        if self._reader_errors:
+            rank, err = self._reader_errors[0]
+            raise RuntimeError(f"reader for rank {rank} failed: {err!r}") from err
+        if any(th.is_alive() for th in threads):
+            raise TimeoutError("process thread did not finish")
         if errors:
             rank, err = errors[0]
             raise RuntimeError(f"rank {rank} failed: {err!r}") from err
 
     def close(self) -> None:
+        """Close every socket, then wait up to _JOIN_TIMEOUT_S in all for the
+        accept and reader threads to exit."""
         self._open = False
         for s in self._listeners:
-            try:
+            with contextlib.suppress(OSError):
+                s.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked in accept
+            with contextlib.suppress(OSError):
                 s.close()
-            except OSError:
-                pass
         with self._conn_lock:
             for c in self._conns.values():
                 try:
-                    c.close()
+                    c.close()  # its reader sees end-of-stream and closes its end
                 except OSError:
                     pass
             self._conns.clear()
+        deadline = time.monotonic() + _JOIN_TIMEOUT_S
+        for th in list(self._threads):
+            th.join(max(0.0, deadline - time.monotonic()))

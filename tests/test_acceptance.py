@@ -33,13 +33,14 @@ from eagercoll.verify import explore_interleavings, track_shadow
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# SHA-256 of the bench32, hyperplane_run, zero_skew_run and two-collective
-# CSVs.  Any change to a virtual number (latency, NAP, loss, simulated time)
-# changes these.
+# SHA-256 of the bench32, hyperplane_run, zero_skew_run, two-collective and
+# p=12 bench CSVs.  Any change to a virtual number (latency, NAP, loss,
+# simulated time) changes these.
 GOLDEN_BENCH_SHA256 = "b4f3fc3a23132459b38ea89385140710d81ac8f02281be009a85b4626987f23f"
 GOLDEN_TRAIN_SHA256 = "e5471d1f89e6d62e42571d71c33aecacf27e168ef6942fa3526f1b8a954338e8"
 GOLDEN_ZERO_SKEW_SHA256 = "4e1ddb01f7b087d76ca6bd2b1e5c81cf6b7d611b1f2a4b4cc02c6631bb0c59f9"
 GOLDEN_TWO_CID_SHA256 = "896477ff66ff987e0fdd539d54e5da5e974a0475eda974e9478f447577bcb6cc"
+GOLDEN_P12_BENCH_SHA256 = "22356bdef9d664d6d536aada85d729326369052d4f958bc94fa9cedfa04bac4d"
 
 
 def report(capsys, n, ok, detail):
@@ -310,17 +311,24 @@ def test_golden_csv_digests(bench32, hyperplane_run, zero_skew_run, tmp_path):
     virtual-time result fails here (criterion 11 only compares two runs of
     the same code).  The last run resyncs every other epoch under a tight
     tau, so the gradient (cid 0) and resync (cid 1) collectives both carry
-    traffic on every rank, and the guard holds rounds."""
+    traffic on every rank, and the guard holds rounds.  The p=12 bench run is
+    not a power of two, so its schedules carry the fold and final ops beside
+    the butterfly, and majority's CSV rows record the drawn initiator."""
     two_cid = RunConfig(mode="train", p=5, flavors=("sync", "solo", "majority"),
                         epochs=6, steps_per_epoch=4, dim=8, n_samples=256,
                         batch_per_rank=8, lr=0.02, tau=1, resync_period=2,
                         delay=DelayModel("random_subset", unit_ms=0.5, k=2, seed=3),
                         link_latency_us=10, seed=7, data_seed=8)
+    p12 = RunConfig(mode="bench", flavors=("sync", "solo", "majority"), p=12,
+                    rounds=16, vector_len=4,
+                    delay=DelayModel("random_subset", unit_ms=0.5, k=3, seed=21),
+                    link_latency_us=10, seed=77)
     runs = [
         (write_bench_csv, bench32[2], GOLDEN_BENCH_SHA256),
         (write_train_csv, hyperplane_run[1].rows, GOLDEN_TRAIN_SHA256),
         (write_train_csv, zero_skew_run[1].rows, GOLDEN_ZERO_SKEW_SHA256),
         (write_train_csv, run_training(two_cid).rows, GOLDEN_TWO_CID_SHA256),
+        (write_bench_csv, bench_collectives(p12), GOLDEN_P12_BENCH_SHA256),
     ]
     for i, (write, rows, want) in enumerate(runs):
         path = tmp_path / f"run{i}.csv"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eagercoll.schedule import (
     BufView,
@@ -17,6 +18,16 @@ from eagercoll.schedule import (
     ScheduleTemplate,
 )
 from eagercoll.transport import Message, Tag, PHASE_ACT, PHASE_RED
+
+
+class FireLog:
+    """Recorder that keeps the oid of every op fire, in order."""
+
+    def __init__(self):
+        self.oids = []
+
+    def op_fired(self, now, rank, cid, gen, oid, label):
+        self.oids.append(oid)
 
 
 def make_engine(tpl, sent=None, rank=0):
@@ -282,3 +293,180 @@ def test_two_recvs_on_one_stream_rejected():
     tpl = ScheduleTemplate(ops=ops, buffers={}, entry_id=0)
     with pytest.raises(ScheduleError):
         make_engine(tpl)
+
+
+# ---------------------------------------------------------------------------
+# dependency counters against the readiness rule they replace
+
+
+class ReferenceCascade:
+    """One generation of a schedule under the readiness rule the engine used
+    before it counted dependencies: an op is ready when all (and-logic) or
+    any (or-logic) of its deps are consumed, re-checked at every pop of a
+    LIFO stack.  Recv matching rescans the mailbox from the front after
+    every match, as the engine's pump does."""
+
+    def __init__(self, tpl):
+        self.ops = sorted(tpl.ops, key=lambda o: o.oid)
+        self.entry = tpl.entry_id
+        self.consumed = [0] * len(self.ops)
+        self.dependents = [[] for _ in self.ops]
+        for op in self.ops:
+            for d in op.deps:
+                self.dependents[d].append(op.oid)
+        self.recvs = {(op.phase, op.step): op.oid for op in self.ops if op.kind == K_RECV}
+        self.box = []
+        self.fired = []
+        self.sent = []
+
+    def ready(self, op):
+        if not op.deps:
+            return True
+        hits = (self.consumed[d] for d in op.deps)
+        return any(hits) if op.logic == "or" else all(hits)
+
+    def cascade(self, seeds):
+        stack = list(seeds)
+        while stack:
+            op = self.ops[stack.pop()]
+            if self.consumed[op.oid] or op.kind == K_RECV or not self.ready(op):
+                continue
+            self.fire(op)
+            stack.extend(self.dependents[op.oid])
+
+    def fire(self, op):
+        self.consumed[op.oid] = 1
+        self.fired.append(op.oid)
+        if op.kind == K_SEND:
+            self.sent.append((op.peer, op.phase, op.step))
+
+    def commit(self):
+        self.cascade([op.oid for op in self.ops
+                      if not (op.deps or op.entry or op.kind == K_RECV)])
+        self.pump()
+
+    def activate(self):
+        self.cascade([self.entry])
+        self.pump()
+
+    def deliver(self, phase, step):
+        self.box.append((phase, step))
+        self.pump()
+
+    def pump(self):
+        box = self.box
+        progressed = True
+        while progressed:
+            progressed = False
+            i = 0
+            while i < len(box):
+                oid = self.recvs.get(box[i])
+                if oid is None:
+                    i += 1
+                elif self.consumed[oid]:
+                    box.pop(i)
+                elif not self.ready(self.ops[oid]):
+                    i += 1
+                else:
+                    box.pop(i)
+                    self.fire(self.ops[oid])
+                    self.cascade(self.dependents[oid])
+                    progressed = True
+                    break
+
+
+_KIND_CHOICES = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
+
+
+@st.composite
+def random_schedules(draw):
+    """A valid one-generation schedule: an entry NOP, then ops of every kind
+    with and/or deps on earlier ops only, then a publishing NOP; plus the
+    events to feed it (activation, one message per recv, some duplicates
+    and a message no recv matches) in a random order."""
+    n = draw(st.integers(2, 12))
+    buffers = {"a": 8, "b": 8}
+    ops = [OpSpec(0, K_NOP, entry=True)]
+    streams = []
+    for oid in range(1, n + 1):
+        deps = tuple(draw(st.sets(st.integers(0, oid - 1), max_size=3)))
+        logic = draw(st.sampled_from(("and", "or")))
+        kind = K_NOP if oid == n else draw(st.sampled_from(_KIND_CHOICES))
+        if oid == n:
+            ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps or (oid - 1,),
+                              publish=True))
+        elif kind == K_SEND:
+            ops.append(OpSpec(oid, K_SEND, logic=logic, deps=deps, peer=oid,
+                              phase=draw(st.sampled_from((PHASE_ACT, PHASE_RED))),
+                              step=oid, send_buf=draw(st.sampled_from((None, "a")))))
+        elif kind == K_RECV:
+            phase = draw(st.sampled_from((PHASE_ACT, PHASE_RED)))
+            ops.append(OpSpec(oid, K_RECV, logic=logic, deps=deps, peer=1, phase=phase,
+                              step=oid, recv_buf=draw(st.sampled_from((None, "b")))))
+            streams.append((phase, oid))
+        elif kind == K_COMPUTE:
+            dtype, fn = draw(st.sampled_from((("f8", "sum"), ("u8", "bor"))))
+            ops.append(OpSpec(oid, K_COMPUTE, logic=logic, deps=deps, fn=fn,
+                              dst=BufView("a", dtype, 0, 1), src=BufView("b", dtype, 0, 1)))
+        else:
+            ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps))
+    tpl = ScheduleTemplate(ops=ops, buffers=buffers, entry_id=0)
+    dups = draw(st.lists(st.sampled_from(streams), max_size=2)) if streams else []
+    events = [("activate",)] + [("msg", ph, stp) for ph, stp in streams + dups]
+    events.append(("msg", PHASE_RED, n + 1))  # matches no recv: waits forever
+    events = draw(st.permutations(events))
+    return tpl, events, draw(st.integers(0, len(events)))
+
+
+def _payload(tpl, step):
+    op = next(op for op in tpl.ops if op.kind == K_RECV and op.step == step)
+    return b"" if op.recv_buf is None else np.float64(step).tobytes()
+
+
+def _apply(eng, tpl, event):
+    if event[0] == "activate":
+        eng.activate_internal()
+    else:
+        _, phase, step = event
+        known = any(op.kind == K_RECV and op.step == step for op in tpl.ops)
+        deliver(eng, Message(1, 0, Tag(0, 0, phase, step),
+                             _payload(tpl, step) if known else b""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_schedules())
+def test_counters_fire_what_the_reference_fires(case):
+    """The engine's dependency counters fire the same ops in the same order,
+    with the same sends, as re-checking all/any over consumed; state() and
+    restore() mid-generation replay to the same end state."""
+    tpl, events, cut = case
+    sent, log = [], FireLog()
+    eng = Engine(tpl, 0, 0, sent.append, lambda: 0, recorder=log)
+    ref = ReferenceCascade(tpl)
+    eng.commit()
+    ref.commit()
+    mid = None
+    for i, event in enumerate(events):
+        if i == cut:
+            mid = (eng.state(), len(log.oids), len(sent))
+        _apply(eng, tpl, event)
+        if event[0] == "activate":
+            ref.activate()
+        else:
+            ref.deliver(event[1], event[2])
+        assert log.oids == ref.fired
+    assert [(m.dst, m.tag.phase, m.tag.step) for m in sent] == ref.sent
+    assert bytes(eng.consumed) == bytes(ref.consumed)
+    assert eng.done_generation == (0 if ref.consumed[-1] else -1)
+
+    if mid is None:
+        return
+    end = eng.state()
+    state, n_fired, n_sent = mid
+    eng.restore(state)
+    assert eng.state() == state
+    for event in events[cut:]:
+        _apply(eng, tpl, event)
+    assert eng.state() == end
+    assert log.oids[len(ref.fired):] == ref.fired[n_fired:]
+    assert [(m.dst, m.tag.phase, m.tag.step) for m in sent[len(ref.sent):]] == ref.sent[n_sent:]

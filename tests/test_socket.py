@@ -4,11 +4,16 @@ Wall-clock timing makes nothing here deterministic, so these tests assert
 protocol outcomes (results agree, rounds complete), never latencies.
 """
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
 from eagercoll.collectives import AllreduceHandle, CollectiveConfig, tree_order_sum
-from eagercoll.transport import SocketTransport
+from eagercoll.transport import (
+    PHASE_RED, Message, SocketTransport, Tag, UnroutedMessage,
+)
 
 
 @pytest.mark.parametrize("flavor", ["sync", "solo"])
@@ -65,3 +70,43 @@ def test_socket_sync_includes_everyone():
         for r in range(p):
             assert results[(r, t)].nap == p
             assert results[(r, t)].u.tobytes() == want
+
+
+def _sync_pair(net, vlen=2):
+    cfg = CollectiveConfig(p=2, flavor="sync", vector_len=vlen)
+    handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(2)]
+
+    def body(rank):
+        yield from handles[rank].call_round(0, np.full(vlen, rank + 1.0))
+
+    return {r: body(r) for r in range(2)}
+
+
+def test_reader_failure_is_raised_from_run_processes():
+    """A message no engine is registered for stops its connection's reader;
+    run_processes names that error, not just the round it starved."""
+    net = SocketTransport(2)
+    try:
+        bodies = _sync_pair(net)
+        net.send(Message(0, 1, Tag(5, 0, PHASE_RED, 0), b""))
+        with pytest.raises(RuntimeError) as info:
+            net.run_processes(bodies, timeout=2)
+    finally:
+        net.close()
+    err = info.value
+    assert "UnroutedMessage" in str(err) or isinstance(err.__cause__, UnroutedMessage)
+
+
+def test_close_joins_readers_and_leaves_no_open_sockets():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        net = SocketTransport(2)
+        try:
+            net.run_processes(_sync_pair(net))
+        finally:
+            net.close()
+        assert not any(th.is_alive() for th in net._threads)
+        del net
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
