@@ -12,7 +12,13 @@ counter of dependencies it still waits for (its dep count under and-logic,
 1 under or-logic, 0 with none), firing an op counts down its dependents,
 and an op is ready when its counter reaches 0.  The data each fire needs
 (peers, tags, buffer views, ufuncs, the seeds of a fresh generation) is
-resolved then too, so the hot path reads only flat per-op arrays.
+resolved then too, so the hot path reads only flat per-op arrays.  One fire
+loop, _cascade, fires every op, recvs included: it binds those arrays to
+locals once and runs a LIFO stack of candidates until it empties or the
+generation moves on.  Every scratch buffer (each buffer not in the
+template's preserve list) is a slice of one byte arena, so a replication
+zeroes them all with a single fill; bitwise-or views are resolved as bytes,
+since or-ing bytes gives the same bits as or-ing 64-bit words.
 
 The engine is passive: it is driven by whoever owns the transport (the
 simulator's delivery loop, a socket reader thread, or the interleaving
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +48,7 @@ K_SEND, K_RECV, K_COMPUTE, K_NOP = "send", "recv", "compute", "nop"
 _KINDS = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
 
 _DTYPES = {"f8": np.float64, "u8": np.uint64}
+_ITEMSIZE = {k: np.dtype(t).itemsize for k, t in _DTYPES.items()}
 
 
 class ScheduleError(Exception):
@@ -55,8 +63,7 @@ class DuplicateOpError(ScheduleError):
     pass
 
 
-@dataclass(frozen=True)
-class BufView:
+class BufView(NamedTuple):
     """A typed element range inside a named byte buffer."""
 
     buf: str
@@ -65,11 +72,10 @@ class BufView:
     count: int   # elements
 
     def nbytes(self) -> int:
-        return self.count * np.dtype(_DTYPES[self.dtype]).itemsize
+        return self.count * _ITEMSIZE[self.dtype]
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(NamedTuple):
     oid: int
     kind: str
     logic: str = "and"             # "and" | "or"
@@ -108,13 +114,15 @@ class ScheduleTemplate:
     persistent: bool = False
     preserve: tuple[str, ...] = ()
 
-    def validate(self) -> None:
+    def validate(self) -> list[list[int]]:
+        """Raise ScheduleError on a malformed template; return each op's
+        dependents in oid order, the map the engine compiles from."""
         ids = [op.oid for op in self.ops]
         if len(set(ids)) != len(ids):
             raise DuplicateOpError("duplicate op ids")
         if sorted(ids) != list(range(len(ids))):
             raise ScheduleError("op ids must be dense 0..n-1")
-        byid = {op.oid: op for op in self.ops}
+        oids = range(len(ids))
         entries = [op for op in self.ops if op.entry]
         if len(entries) != 1 or entries[0].kind != K_NOP:
             raise ScheduleError("schedule needs exactly one entry NOP")
@@ -126,7 +134,7 @@ class ScheduleTemplate:
             if op.logic not in ("and", "or"):
                 raise ScheduleError(f"unknown dep logic {op.logic!r}")
             for d in op.deps:
-                if d not in byid:
+                if d not in oids:
                     raise ScheduleError(f"op {op.oid} depends on missing op {d}")
             if op.kind == K_SEND and op.send_buf is not None and op.send_buf not in self.buffers:
                 raise ScheduleError(f"send op {op.oid} names unknown buffer")
@@ -147,12 +155,13 @@ class ScheduleTemplate:
                 if op.dst.count != op.src.count or op.dst.dtype != op.src.dtype:
                     raise ScheduleError(f"compute op {op.oid} view shape mismatch")
         # Kahn's algorithm: every op must be reachable through its deps
-        indeg = {op.oid: len(op.deps) for op in self.ops}
-        dependents: dict[int, list[int]] = {op.oid: [] for op in self.ops}
-        for op in self.ops:
+        byid = sorted(self.ops, key=lambda op: op.oid)
+        dependents: list[list[int]] = [[] for _ in oids]
+        for op in byid:
             for d in op.deps:
                 dependents[d].append(op.oid)
-        frontier = [o for o, n in indeg.items() if n == 0]
+        indeg = [len(op.deps) for op in byid]
+        frontier = [o for o in oids if indeg[o] == 0]
         seen = 0
         while frontier:
             o = frontier.pop()
@@ -168,6 +177,7 @@ class ScheduleTemplate:
         publishers = [op for op in self.ops if op.publish]
         if len(publishers) > 1:
             raise ScheduleError("at most one publishing op")
+        return dependents
 
 
 class Engine:
@@ -187,7 +197,7 @@ class Engine:
     def __init__(self, template: ScheduleTemplate, rank: int, cid: int,
                  send_fn, now_fn, recorder=None,
                  on_snapshot=None, on_done=None):
-        template.validate()
+        dependents = template.validate()
         self.template = template
         self.rank = rank
         self.cid = cid
@@ -207,26 +217,34 @@ class Engine:
         # uncontended in the simulator
         self.lock = threading.RLock()
 
+        # every buffer not preserved is an 8-byte-aligned slice of one arena,
+        # so a replication zeroes them all with one fill
+        start, end = {}, 0
+        for name, size in template.buffers.items():
+            if name not in template.preserve:
+                start[name], end = end, end + -(-size // 8) * 8
+        self._arena = np.zeros(end, dtype=np.uint8)
         self._buf: dict[str, np.ndarray] = {
-            name: np.zeros(size, dtype=np.uint8) for name, size in template.buffers.items()
+            name: (self._arena[start[name]:start[name] + size] if name in start
+                   else np.zeros(size, dtype=np.uint8))
+            for name, size in template.buffers.items()
         }
         self.recv_buffer = (
             np.zeros(template.buffers[template.publish_from], dtype=np.uint8)
             if template.publish_from else None
         )
-        self._compile(template)
+        self._compile(template, dependents)
         self.consumed = bytearray(len(self.ops))
         self._waiting = bytearray(self._waiting0)
         self.generation = 0
         self.done_generation = -1
         self.committed = False
 
-    def _compile(self, tpl: ScheduleTemplate) -> None:
+    def _compile(self, tpl: ScheduleTemplate, dependents: list[list[int]]) -> None:
         """Flatten the template into the per-op arrays the hot path reads."""
         ops = self.ops = sorted(tpl.ops, key=lambda o: o.oid)
         n = len(ops)
         bufs = self._buf
-        dependents: list[list[int]] = [[] for _ in range(n)]
         waiting0 = bytearray(n)
         recv_deps = False
         seeds: list[int] = []
@@ -243,8 +261,6 @@ class Engine:
                     raise ScheduleError(f"op {oid} has more than 255 and-dependencies")
                 waiting0[oid] = need
                 recv_deps |= kind == K_RECV
-                for d in op.deps:
-                    dependents[d].append(oid)
             elif not (op.entry or kind == K_RECV):
                 seeds.append(oid)
             if kind == K_RECV:
@@ -258,9 +274,13 @@ class Engine:
                 sends[oid] = (op.peer, op.phase, op.step,
                               bufs[op.send_buf] if op.send_buf else None)
             elif kind == K_COMPUTE:
-                fn = np.add if op.fn == "sum" else np.bitwise_or
-                computes[oid] = (fn, self._resolve(op.dst), self._resolve(op.src))
+                # bor views are u8 words, and or-ing their bytes is cheaper
+                bor = op.fn == "bor"
+                dt = np.uint8 if bor else _DTYPES[op.dst.dtype]
+                computes[oid] = (np.bitwise_or if bor else np.add,
+                                 self._resolve(op.dst, dt), self._resolve(op.src, dt))
             tails[oid] = (oid == tpl.snapshot_last) | (op.publish << 1)
+        self._labels = [op.label for op in ops]
         self._seeds = seeds
         self._recv_index = recv_index
         self._recv_dst = recv_dst
@@ -269,19 +289,16 @@ class Engine:
         self._tail = bytes(tails)
         self._waiting0 = bytes(waiting0)
         self._dependents = [tuple(ds) for ds in dependents]
-        # the cascade never fires a recv, so it need not push one
+        # a recv fires only when the pump matches it, so no cascade pushes one
         self._cascade_to = self._dependents if not recv_deps else [
             tuple(d for d in ds if ops[d].kind != K_RECV) for ds in dependents]
         self._snap_buf = bufs[tpl.snapshot_src] if tpl.snapshot_src else None
         self._publish_buf = bufs[tpl.publish_from] if tpl.publish_from else None
-        self._scratch = [arr for name, arr in bufs.items() if name not in tpl.preserve]
         self._persistent = tpl.persistent
 
-    def _resolve(self, view: BufView) -> np.ndarray:
+    def _resolve(self, view: BufView, dtype) -> np.ndarray:
         raw = self._buf[view.buf]
-        dt = _DTYPES[view.dtype]
-        n = view.nbytes()
-        return raw[view.offset:view.offset + n].view(dt)
+        return raw[view.offset:view.offset + view.nbytes()].view(dtype)
 
     def buffer(self, name: str) -> np.ndarray:
         return self._buf[name]
@@ -317,7 +334,7 @@ class Engine:
             if self.committed:
                 raise ScheduleError("schedule already committed")
             self.committed = True
-            self._cascade(self._seeds)
+            self._cascade(list(self._seeds))
         self.pump()
 
     def activate_internal(self, expected_generation: int | None = None) -> None:
@@ -336,56 +353,61 @@ class Engine:
         self.generation += 1
         self.consumed = bytearray(len(self.ops))
         self._waiting = bytearray(self._waiting0)
-        for arr in self._scratch:
-            arr[:] = 0
-        self._cascade(self._seeds)
+        self._arena.fill(0)
+        self._cascade(list(self._seeds))
 
     # -- firing -------------------------------------------------------------
 
-    def _cascade(self, seeds) -> None:
-        stack = list(seeds)
+    def _cascade(self, stack: list[int]) -> None:
+        """The one fire loop: pop an op, fire it if it is unconsumed and
+        ready, push its dependents; LIFO, until the stack empties or the
+        generation moves on.  Takes ownership of `stack`."""
         epoch = self.generation
         # a replication swaps these arrays, but then the epoch check returns
         consumed, waiting = self.consumed, self._waiting
-        cascade_to, fire = self._cascade_to, self._fire
+        dependents, cascade_to = self._dependents, self._cascade_to
+        sends, computes, tails = self._send, self._compute, self._tail
+        send_fn, rank, cid = self.send_fn, self.rank, self.cid
+        op_fired = None if self.recorder is None else self.recorder.op_fired
+        if op_fired is not None:
+            labels = self._labels
+            now = self.now_fn()  # virtual time cannot move inside a cascade
         while stack:
             if self.generation != epoch:
                 return  # replicated underneath us; the old frontier is void
             oid = stack.pop()
             if consumed[oid] or waiting[oid]:
                 continue
-            fire(oid)
+            consumed[oid] = 1
+            for d in dependents[oid]:
+                if waiting[d]:
+                    waiting[d] -= 1
+            if op_fired is not None:
+                op_fired(now, rank, cid, epoch, oid, labels[oid])
+            send = sends[oid]
+            if send is not None:
+                peer, phase, step, buf = send
+                # tuple.__new__ skips the NamedTuples' Python-level __new__
+                send_fn(tuple.__new__(Message, (
+                    rank, peer, tuple.__new__(Tag, (cid, epoch, phase, step)),
+                    b"" if buf is None else buf.tobytes())))
+            else:
+                compute = computes[oid]
+                if compute is not None:
+                    fn, dst, src = compute
+                    fn(dst, src, out=dst)
+            tail = tails[oid]
+            if tail:
+                if tail & 1:
+                    self._snapshot_taken()
+                if tail & 2:
+                    self._complete()
             stack.extend(cascade_to[oid])
 
     def _fire(self, oid: int) -> None:
-        consumed = self.consumed
-        if consumed[oid]:
+        if self.consumed[oid]:
             raise ScheduleError("op fired twice in one generation")
-        consumed[oid] = 1
-        waiting = self._waiting
-        for d in self._dependents[oid]:
-            if waiting[d]:
-                waiting[d] -= 1
-        if self.recorder is not None:
-            self.recorder.op_fired(self.now_fn(), self.rank, self.cid,
-                                   self.generation, oid, self.ops[oid].label)
-        send = self._send[oid]
-        if send is not None:
-            peer, phase, step, buf = send
-            self.send_fn(Message(self.rank, peer,
-                                 Tag(self.cid, self.generation, phase, step),
-                                 b"" if buf is None else buf.tobytes()))
-        else:
-            compute = self._compute[oid]
-            if compute is not None:
-                fn, dst, src = compute
-                fn(dst, src, out=dst)
-        tail = self._tail[oid]
-        if tail:
-            if tail & 1:
-                self._snapshot_taken()
-            if tail & 2:
-                self._complete()
+        self._cascade([oid])
 
     def _snapshot_taken(self) -> None:
         buf = self._snap_buf
@@ -415,7 +437,6 @@ class Engine:
                     f"recv {oid} payload {len(payload)}B != buffer {len(dst)}B")
             dst.data[:] = payload  # a memoryview copy, cheaper than numpy's
         self._fire(oid)
-        self._cascade(self._cascade_to[oid])
 
     def pump(self) -> None:
         """Match the mailbox's messages against this generation's recvs.
@@ -423,45 +444,44 @@ class Engine:
         Messages for past generations are dropped, future generations wait,
         duplicates of consumed ops are discarded, and activation-phase
         messages are skipped while the hold policy rejects the current
-        generation.  Loops until no further progress: one match can complete
-        the generation and replicate, making held-back messages current.
+        generation.  The scan restarts from the front after every match,
+        until a scan matches nothing: one match can complete the generation
+        and replicate, making held-back messages current.
         """
         if not self.committed:
             return
         with self.lock:
             box = self.mailbox
             recv_index = self._recv_index
-            progressed = True
-            while progressed:
-                progressed = False
-                gen = self.generation
-                i = 0
-                while i < len(box):
-                    _, _, (_, rnd, phase, step), payload = box[i]
-                    if rnd < gen:
-                        box.pop(i)
-                        continue
-                    if rnd > gen:
-                        i += 1
-                        continue
-                    oid = recv_index.get((phase, step))
-                    if oid is None:
-                        i += 1
-                        continue
-                    if self.consumed[oid]:
-                        box.pop(i)  # duplicate for a consumable op: ignore
-                        continue
-                    if (phase == PHASE_ACT and self.hold_policy is not None
-                            and self.hold_policy(gen)):
-                        i += 1
-                        continue
-                    if self._waiting[oid]:
-                        i += 1
-                        continue
-                    box.pop(i)
-                    self._fire_recv(oid, payload)
-                    progressed = True
-                    if self.generation != gen and self.defer_fn is not None:
+            gen = self.generation
+            i = 0
+            while i < len(box):
+                _, _, (_, rnd, phase, step), payload = box[i]
+                if rnd < gen:
+                    del box[i]
+                    continue
+                if rnd > gen:
+                    i += 1
+                    continue
+                oid = recv_index.get((phase, step))
+                if oid is None:
+                    i += 1
+                    continue
+                if self.consumed[oid]:
+                    del box[i]  # duplicate for a consumable op: ignore
+                    continue
+                if (phase == PHASE_ACT and self.hold_policy is not None
+                        and self.hold_policy(gen)):
+                    i += 1
+                    continue
+                if self._waiting[oid]:
+                    i += 1
+                    continue
+                del box[i]
+                self._fire_recv(oid, payload)
+                if self.generation != gen:
+                    if self.defer_fn is not None:
                         self.defer_fn(self.pump)
                         return
-                    break
+                    gen = self.generation
+                i = 0

@@ -17,7 +17,10 @@ that engine's mailbox and pumps that engine alone.  Messages between one
 (src, dst, tag-stream) triple are delivered in FIFO order; the simulated
 backend orders simultaneous events by (time, priority, sequence) with
 process resumption ahead of message delivery, which keeps zero-skew runs
-exactly synchronous.
+exactly synchronous.  Each of its events is a heap entry (time, priority,
+sequence, handler, arg) that carries its own handler, which the event loop
+calls as handler(arg); the sequence number is unique, so handlers are never
+compared.
 """
 
 from __future__ import annotations
@@ -166,6 +169,10 @@ _PRIO_RESUME = 0  # process resumptions run before message deliveries
 _PRIO_DELIVER = 1
 
 
+def _call(fn) -> None:
+    fn()
+
+
 class SimTransport:
     """Deterministic discrete-event transport.
 
@@ -204,21 +211,21 @@ class SimTransport:
     def defer(self, fn) -> None:
         """Run fn at the current virtual time, after any pending same-time
         process resumes (delivery priority)."""
-        self._push(self._now_us, _PRIO_DELIVER, ("call", fn))
+        self._push(self._now_us, _PRIO_DELIVER, _call, fn)
 
     def spawn(self, rank: Rank, proc) -> None:
         self._check_rank(rank)
         if rank in self._procs:
             raise ValueError(f"rank {rank} already has a process")
         self._procs[rank] = proc
-        self._push(self._now_us, _PRIO_RESUME, ("resume", rank, None))
+        self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, None))
 
     def _check_rank(self, rank: Rank) -> None:
         if not (0 <= rank < self.p):
             raise UnknownRank(f"rank {rank} outside [0, {self.p})")
 
-    def _push(self, t: int, prio: int, item) -> None:
-        heapq.heappush(self._heap, (t, prio, self._seq, item))
+    def _push(self, t: int, prio: int, handler, arg) -> None:
+        heapq.heappush(self._heap, (t, prio, self._seq, handler, arg))
         self._seq += 1
 
     # -- sending ------------------------------------------------------------
@@ -226,9 +233,13 @@ class SimTransport:
     def send(self, msg: Message) -> None:
         if not self._open:
             raise TransportClosed("send on closed transport")
-        self._check_rank(msg.src)
-        self._check_rank(msg.dst)
-        self._push(self._now_us + self.link_latency_us, _PRIO_DELIVER, ("deliver", msg))
+        src, dst = msg.src, msg.dst
+        if not (0 <= src < self.p and 0 <= dst < self.p):
+            self._check_rank(src)
+            self._check_rank(dst)
+        heapq.heappush(self._heap, (self._now_us + self.link_latency_us, _PRIO_DELIVER,
+                                    self._seq, self._deliver, msg))
+        self._seq += 1
 
     # -- event loop ---------------------------------------------------------
 
@@ -239,33 +250,31 @@ class SimTransport:
         blocked on WaitRound: with no pending events nothing can ever wake
         them.
         """
-        while self._heap:
-            t, prio, _, item = self._heap[0]
-            if until_us is not None and t > until_us:
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            if until_us is not None and heap[0][0] > until_us:
                 return
-            heapq.heappop(self._heap)
+            t, _, _, handler, arg = pop(heap)
             if t < self._now_us:  # e.g. a process yielded a negative Sleep
                 raise ValueError("clock may not move backwards")
             self._now_us = t
             self.events_processed += 1
             if self.events_processed > max_events:
                 raise RuntimeError("event budget exceeded; likely livelock")
-            if item[0] == "deliver":
-                self._deliver(item[1])
-            elif item[0] == "call":
-                item[1]()
-            else:
-                self._step_proc(item[1], item[2])
+            handler(arg)
         if self._parked_round:
             raise DeadlockError(
                 f"ranks {sorted(self._parked_round)} blocked with no pending events")
 
     def _deliver(self, msg: Message) -> None:
-        eng = _engine_for(self._engines[msg.dst], msg)
+        eng = self._engines[msg.dst].get(msg.tag.cid)
+        if eng is None:
+            _engine_for(self._engines[msg.dst], msg)  # raises UnroutedMessage
         eng.mailbox.append(msg)
         eng.pump()
 
-    def _step_proc(self, rank: Rank, value) -> None:
+    def _step_proc(self, resume: tuple) -> None:
+        rank, value = resume
         proc = self._procs.get(rank)
         if proc is None:
             return
@@ -275,11 +284,12 @@ class SimTransport:
             del self._procs[rank]
             return
         if isinstance(cmd, Sleep):
-            self._push(self._now_us + int(cmd.us), _PRIO_RESUME, ("resume", rank, None))
+            self._push(self._now_us + int(cmd.us), _PRIO_RESUME, self._step_proc, (rank, None))
         elif isinstance(cmd, WaitRound):
             h, g = cmd.handle, cmd.generation
             if h.done_generation >= g:
-                self._push(self._now_us, _PRIO_RESUME, ("resume", rank, h.latest_result()))
+                self._push(self._now_us, _PRIO_RESUME, self._step_proc,
+                           (rank, h.latest_result()))
             else:
                 self._parked_round[rank] = (h, g)
                 h.add_waiter(g, rank, self._wake_round)
@@ -289,7 +299,7 @@ class SimTransport:
     def _wake_round(self, rank: Rank, result) -> None:
         if rank in self._parked_round:
             del self._parked_round[rank]
-            self._push(self._now_us, _PRIO_RESUME, ("resume", rank, result))
+            self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, result))
 
     def close(self) -> None:
         self._open = False
@@ -300,6 +310,7 @@ class SimTransport:
 
 _FRAME = struct.Struct("<iiiqiiI")  # src, dst, cid, rnd, phase, step, paylen
 _JOIN_TIMEOUT_S = 2.0  # close() waits no longer than this for its threads
+_POLL_S = 0.05  # run_processes checks for reader errors this often
 
 
 class SocketTransport:
@@ -375,13 +386,16 @@ class SocketTransport:
 
     @staticmethod
     def _read_exact(conn: socket.socket, n: int) -> bytes | None:
-        buf = b""
-        while len(buf) < n:
-            chunk = conn.recv(n - len(buf))
-            if not chunk:
+        """The next n bytes of the stream, or None at end-of-stream."""
+        buf = bytearray(n)
+        view = memoryview(buf)
+        got = 0
+        while got < n:
+            k = conn.recv_into(view[got:])
+            if not k:
                 return None
-            buf += chunk
-        return buf
+            got += k
+        return bytes(buf)
 
     def _deliver(self, msg: Message) -> None:
         eng = _engine_for(self._engines[msg.dst], msg)
@@ -434,11 +448,15 @@ class SocketTransport:
         ]
         for th in threads:
             th.start()
+        # join in short slices: a failed reader starves the ranks it fed, so
+        # its error is raised as soon as it is recorded, as the root cause
+        deadline = time.monotonic() + timeout
         for th in threads:
-            th.join(timeout)
-            if th.is_alive():
-                break
-        # a failed reader starves the ranks it fed, so it is the root cause
+            while th.is_alive() and not self._reader_errors:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                th.join(min(_POLL_S, left))
         if self._reader_errors:
             rank, err = self._reader_errors[0]
             raise RuntimeError(f"reader for rank {rank} failed: {err!r}") from err

@@ -190,6 +190,54 @@ def test_persistent_replication_resets_state_and_buffers():
     assert eng.done_generation == 1
 
 
+@pytest.mark.parametrize("sizes", [
+    {"send": 24, "acc": 24, "land_fold": 24, "land0": 24, "land1": 24},  # allreduce, p=5
+    {"a": 5, "send": 3, "b": 16, "c": 1, "d": 0},  # odd sizes, so slices pad
+])
+def test_replication_zeroes_every_scratch_buffer_and_keeps_send(sizes):
+    """Scratch buffers share one arena: each holds its own bytes, and a
+    replication zeroes all of them but leaves the preserved buffer alone."""
+    ops = [OpSpec(0, K_NOP, entry=True), OpSpec(1, K_NOP, deps=(0,), publish=True)]
+    tpl = ScheduleTemplate(ops=ops, buffers=sizes, entry_id=0,
+                           persistent=True, preserve=("send",))
+    eng = make_engine(tpl)
+    eng.commit()
+    for i, name in enumerate(sizes):
+        eng.buffer(name)[:] = 0x11 * (i + 1)
+    for i, name in enumerate(sizes):
+        assert eng.buffer(name).tobytes() == bytes([0x11 * (i + 1)]) * sizes[name]
+    eng.activate_internal()
+    assert eng.generation == 1
+    for i, name in enumerate(sizes):
+        want = bytes([0x11 * (i + 1)]) * sizes[name] if name == "send" else bytes(sizes[name])
+        assert eng.buffer(name).tobytes() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_bor_matches_a_word_wise_or(offset_words, data):
+    """The engine ors u8 views byte by byte; the bits match np.bitwise_or
+    over the same uint64 words."""
+    words = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
+    a = np.array(data.draw(words), dtype=np.uint64)
+    b = np.array(data.draw(st.lists(st.integers(0, 2**64 - 1),
+                                    min_size=len(a), max_size=len(a))), dtype=np.uint64)
+    off = 8 * offset_words
+    size = off + a.nbytes
+    ops = [
+        OpSpec(0, K_NOP, entry=True),
+        OpSpec(1, K_COMPUTE, deps=(0,), fn="bor",
+               dst=BufView("a", "u8", off, len(a)), src=BufView("b", "u8", off, len(a))),
+    ]
+    eng = make_engine(ScheduleTemplate(ops=ops, buffers={"a": size, "b": size}, entry_id=0))
+    eng.commit()
+    eng.buffer("a")[off:].view(np.uint64)[:] = a
+    eng.buffer("b")[off:].view(np.uint64)[:] = b
+    eng.activate_internal()
+    assert eng.buffer("a")[off:].view(np.uint64).tolist() == np.bitwise_or(a, b).tolist()
+    assert not eng.buffer("a")[:off].any()
+
+
 def test_future_generation_messages_wait_in_mailbox():
     """A message tagged for generation 1 does nothing while gen 0 runs."""
     tpl = chain_template()
@@ -380,10 +428,11 @@ _KIND_CHOICES = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
 
 @st.composite
 def random_schedules(draw):
-    """A valid one-generation schedule: an entry NOP, then ops of every kind
-    with and/or deps on earlier ops only, then a publishing NOP; plus the
-    events to feed it (activation, one message per recv, some duplicates
-    and a message no recv matches) in a random order."""
+    """A valid one-generation schedule, its ops listed in a random order: an
+    entry NOP, then ops of every kind with and/or deps on earlier ops only,
+    then a publishing NOP; plus the events to feed it (activation, one
+    message per recv, some duplicates and a message no recv matches) in a
+    random order."""
     n = draw(st.integers(2, 12))
     buffers = {"a": 8, "b": 8}
     ops = [OpSpec(0, K_NOP, entry=True)]
@@ -410,7 +459,8 @@ def random_schedules(draw):
                               dst=BufView("a", dtype, 0, 1), src=BufView("b", dtype, 0, 1)))
         else:
             ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps))
-    tpl = ScheduleTemplate(ops=ops, buffers=buffers, entry_id=0)
+    # listed in any order: the engine compiles the oid order regardless
+    tpl = ScheduleTemplate(ops=draw(st.permutations(ops)), buffers=buffers, entry_id=0)
     dups = draw(st.lists(st.sampled_from(streams), max_size=2)) if streams else []
     events = [("activate",)] + [("msg", ph, stp) for ph, stp in streams + dups]
     events.append(("msg", PHASE_RED, n + 1))  # matches no recv: waits forever

@@ -5,6 +5,9 @@ protocol outcomes (results agree, rounds complete), never latencies.
 """
 
 import gc
+import socket
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -95,6 +98,66 @@ def test_reader_failure_is_raised_from_run_processes():
         net.close()
     err = info.value
     assert "UnroutedMessage" in str(err) or isinstance(err.__cause__, UnroutedMessage)
+
+
+def test_reader_failure_is_raised_at_once():
+    """run_processes raises a reader's error as soon as it is recorded, not
+    after the ranks it starved have waited out their timeout."""
+    net = SocketTransport(2)
+    try:
+        bodies = _sync_pair(net)
+        net.send(Message(0, 1, Tag(5, 0, PHASE_RED, 0), b""))
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="UnroutedMessage"):
+            net.run_processes(bodies, timeout=10)
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        net.close()
+
+
+def test_read_exact_reassembles_a_chunked_frame():
+    frame = np.random.default_rng(3).integers(0, 256, 5 * 2**20, dtype=np.uint8).tobytes()
+    a, b = socket.socketpair()
+    with a, b:
+        def write():
+            for i in range(0, len(frame), 100_003):  # odd chunks, never frame-aligned
+                a.sendall(frame[i:i + 100_003])
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        got = SocketTransport._read_exact(b, len(frame))
+        writer.join(10)
+        assert not writer.is_alive()
+    assert got == frame
+
+
+def test_read_exact_returns_none_at_end_of_stream_mid_frame():
+    a, b = socket.socketpair()
+    with b:
+        with a:
+            a.sendall(b"x" * 10)
+        assert SocketTransport._read_exact(b, 100) is None
+
+
+def test_socket_round_with_multi_mib_payloads():
+    p, vlen = 2, 2**19  # 4 MiB of values per message
+    cfg = CollectiveConfig(p=p, flavor="sync", vector_len=vlen)
+    contrib = np.random.default_rng(8).standard_normal((p, vlen))
+    net = SocketTransport(p)
+    try:
+        handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(p)]
+        results = {}
+
+        def body(rank):
+            results[rank] = yield from handles[rank].call_round(0, contrib[rank])
+
+        net.run_processes({r: body(r) for r in range(p)}, timeout=30)
+    finally:
+        net.close()
+    want = (tree_order_sum(list(contrib)) / p).tobytes()
+    for r in range(p):
+        assert results[r].nap == p
+        assert results[r].u.tobytes() == want
 
 
 def test_close_joins_readers_and_leaves_no_open_sockets():

@@ -215,6 +215,112 @@ def test_defer_runs_after_same_instant_resumes():
 
 
 # ---------------------------------------------------------------------------
+# event order
+
+
+@st.composite
+def event_programs(draw):
+    """p ranks, a link latency, and per rank a list of steps: a Sleep of
+    0..3 us, then actions run on resume, each a send to a rank or a defer.
+    Small times force ties between resumes, deliveries and defers."""
+    p = draw(st.integers(1, 3))
+    action = st.one_of(st.tuples(st.just("send"), st.integers(0, p - 1)),
+                       st.just(("defer",)))
+    step = st.tuples(st.integers(0, 3), st.lists(action, max_size=3))
+    return p, draw(st.integers(0, 2)), [draw(st.lists(step, max_size=4)) for _ in range(p)]
+
+
+class EventLog:
+    """Runs event programs on a SimTransport and records every event they
+    cause twice: when it was pushed, as (due time, priority, push index),
+    and when its handler ran.  It is also the engine every delivery pumps."""
+
+    cid = 0
+
+    def __init__(self, p, latency):
+        self.sim = SimTransport(p, link_latency_us=latency)
+        self.latency = latency
+        self.mailbox = []
+        self.pushed = []  # indexed by event id
+        self.ran = []     # (event id, virtual time), in handler order
+        for rank in range(p):
+            self.sim.register_engine(rank, self)
+
+    def push(self, t, prio):
+        self.pushed.append((t, prio, len(self.pushed)))
+        return len(self.pushed) - 1
+
+    def pump(self):
+        for m in self.mailbox:
+            self.ran.append((int.from_bytes(m.payload, "little"), self.sim.now_us()))
+        self.mailbox.clear()
+
+    def spawn_all(self, programs, cid=0, negative_at=None):
+        for rank, steps in enumerate(programs):
+            self.sim.spawn(rank, self._body(rank, steps, self.push(0, 0), cid, negative_at))
+
+    def _body(self, rank, steps, eid, cid, negative_at):
+        sim = self.sim
+        self.ran.append((eid, sim.now_us()))
+        for i, (us, actions) in enumerate(steps):
+            if (rank, i) == negative_at:
+                us = -1
+            eid = self.push(sim.now_us() + us, 0)
+            yield Sleep(us)  # the transport pushes this resume as it yields
+            self.ran.append((eid, sim.now_us()))
+            for act in actions:
+                if act[0] == "send":
+                    eid = self.push(sim.now_us() + self.latency, 1)
+                    sim.send(Message(rank, act[1], Tag(cid, 0, PHASE_RED, 0),
+                                     eid.to_bytes(4, "little")))
+                else:
+                    eid = self.push(sim.now_us(), 1)
+                    sim.defer(lambda eid=eid: self.ran.append((eid, sim.now_us())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_programs())
+def test_handlers_run_in_time_priority_push_order(case):
+    p, latency, programs = case
+    ev = EventLog(p, latency)
+    ev.spawn_all(programs)
+    ev.sim.run()
+    ran = [eid for eid, _ in ev.ran]
+    assert sorted(ran) == list(range(len(ev.pushed)))  # each event ran once
+    assert ran == sorted(ran, key=lambda eid: ev.pushed[eid])
+    assert all(t == ev.pushed[eid][0] for eid, t in ev.ran)
+    assert ev.sim.events_processed == len(ev.pushed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(event_programs(), st.data())
+def test_event_loop_faults_raise_from_run(case, data):
+    """One event over budget, a negative Sleep and a send to an unrouted cid
+    each raise out of run()."""
+    p, latency, programs = case
+    ev = EventLog(p, latency)
+    ev.spawn_all(programs)
+    ev.sim.run()
+    budget = ev.sim.events_processed - 1
+    ev = EventLog(p, latency)
+    ev.spawn_all(programs)
+    with pytest.raises(RuntimeError, match="event budget"):
+        ev.sim.run(max_events=budget)
+
+    steps = [(r, i) for r in range(p) for i in range(len(programs[r]))]
+    if steps:
+        ev = EventLog(p, latency)
+        ev.spawn_all(programs, negative_at=data.draw(st.sampled_from(steps)))
+        with pytest.raises(ValueError, match="backwards"):
+            ev.sim.run()
+    if any(act[0] == "send" for steps in programs for _, acts in steps for act in acts):
+        ev = EventLog(p, latency)
+        ev.spawn_all(programs, cid=7)
+        with pytest.raises(UnroutedMessage, match="cid 7"):
+            ev.sim.run()
+
+
+# ---------------------------------------------------------------------------
 # delay models
 
 
