@@ -25,7 +25,6 @@ read-out and always divides by the full world size, included or not.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,7 +244,6 @@ class AllreduceHandle:
         self.contributed_round = -1
         self._last: CollectiveResult | None = None
         self._waiters: list[tuple[int, int, object]] = []
-        self._cv = threading.Condition()
         tpl = build_allreduce_template(rank, cfg)
         self.engine = Engine(tpl, rank, cid, transport.send, transport.now_us,
                              recorder=recorder, on_snapshot=self._snap_cb,
@@ -280,8 +278,6 @@ class AllreduceHandle:
             self._waiters = [w for w in self._waiters if w[0] > rnd]
             for _, wrank, cb in ready:
                 cb(wrank, self.latest_result())
-        with self._cv:
-            self._cv.notify_all()
 
     # -- app protocol -------------------------------------------------------
 
@@ -293,6 +289,7 @@ class AllreduceHandle:
         return self.engine.done_generation, self._last
 
     def add_waiter(self, generation: int, rank: int, cb) -> None:
+        """cb(rank, latest_result()) runs once a round >= `generation` publishes."""
         self._waiters.append((generation, rank, cb))
 
     def round_done(self, t: int) -> bool:
@@ -331,13 +328,6 @@ class AllreduceHandle:
             return self.latest_result()
         value = yield WaitRound(self, t)
         return value
-
-    def wait_blocking(self, t: int, timeout: float = 30.0):
-        with self._cv:
-            ok = self._cv.wait_for(lambda: self.engine.done_generation >= t, timeout)
-        if not ok:
-            raise TimeoutError(f"rank {self.rank} round {t} did not complete")
-        return self.latest_result()
 
     def call_round(self, t: int, vec: np.ndarray):
         """One full bench round: contribute if the bus is still here, start

@@ -189,7 +189,7 @@ def resync_step(state: TrainState, resync_handle, k: int):
 def training_process(rank: int, state: TrainState, handle, resync_handle,
                      dataset, *, epochs: int, steps_per_epoch: int,
                      batch_per_rank: int, data_seed: int, delay_fn=None,
-                     metrics=None, transport=None, guard: bool = True,
+                     metrics=None, transport=None,
                      ledger=None, val_out=None):
     """Full per-rank training loop (generator process body).
 
@@ -199,8 +199,7 @@ def training_process(rank: int, state: TrainState, handle, resync_handle,
     """
     from .models import mse, sample_batch
 
-    if guard:
-        staleness_guard(handle, state)
+    staleness_guard(handle, state)
     attach_delivery_tracking(handle, state, ledger)
     resyncs = 0
     for epoch in range(epochs):

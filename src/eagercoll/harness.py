@@ -108,9 +108,6 @@ class RunConfig:
             raise ConfigError("tau must be >= 1 (or unset for no guard)")
 
 
-_BOOLS = {"true": True, "false": False, "1": True, "0": False}
-
-
 def _coerce(name: str, raw: str, typ):
     raw = raw.strip()
     try:
@@ -118,9 +115,7 @@ def _coerce(name: str, raw: str, typ):
             return int(raw)
         if typ is float:
             return float(raw)
-        if typ is bool:
-            return _BOOLS[raw.lower()]
-    except (ValueError, KeyError):
+    except ValueError:
         raise ConfigError(f"bad value for {name}: {raw!r}") from None
     return raw
 
@@ -312,7 +307,7 @@ def run_training(cfg: RunConfig) -> TrainReport:
                 epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch,
                 batch_per_rank=cfg.batch_per_rank, data_seed=cfg.data_seed,
                 delay_fn=use_delay, metrics=metrics, transport=sim,
-                guard=cfg.tau is not None, ledger=ledger, val_out=fval))
+                ledger=ledger, val_out=fval))
         try:
             sim.run()
         except DivergenceError as e:
@@ -498,7 +493,7 @@ def _cfg_from_args(args: argparse.Namespace, mode: str) -> RunConfig:
         base = dataclasses.replace(base, mode=mode)
     pairs = {}
     for key, v in vars(args).items():
-        if key in ("cmd", "config", "fn", "infile") or v is None:
+        if key in ("cmd", "config", "fn", "infile", "sweep") or v is None:
             continue
         pairs[key] = str(v)
     return config_from_pairs(pairs, base)
@@ -534,7 +529,8 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     """Run the invariant suites at a small scale: the round-contract checker
     over fresh bench traces, exhaustive interleavings, and the reference-
-    trajectory drift check over a short training run."""
+    trajectory drift check over a short training run; --sweep N adds the
+    contract sweep over N random training configs drawn from --seed."""
     cfg = _cfg_from_args(args, "bench")
     cfg = dataclasses.replace(cfg, p=min(cfg.p, 8), rounds=min(cfg.rounds, 16))
     failures: dict[str, object] = {}
@@ -571,6 +567,13 @@ def cmd_verify(args) -> int:
     if audit:
         failures["delivery_ledger"] = [dataclasses.asdict(v) for v in audit[:5]]
 
+    if args.sweep:
+        bad = [(i, c.p, c.flavors[0], rep.by_kind())
+               for i, (c, rep) in enumerate(contract_sweep(args.sweep, cfg.seed))
+               if not rep.ok]
+        if bad:
+            failures["contract_sweep"] = bad
+
     print(json.dumps({"ok": not failures, "failures": failures},
                      indent=2, sort_keys=True, default=str))
     return 0 if not failures else 3
@@ -601,6 +604,8 @@ def build_cli() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the invariant suites")
     _add_common(v)
     v.add_argument("--rounds", type=int)
+    v.add_argument("--sweep", type=int, metavar="N",
+                   help="also audit N random training configs drawn from --seed")
     _add_train_flags(v)
     v.set_defaults(fn=cmd_verify)
 

@@ -3,8 +3,9 @@
 The simulated backend runs logical processes as generators over a virtual
 clock (integer microseconds) and delivers messages through a single global
 event queue, so a run is a deterministic function of its inputs.  The socket
-backend runs the same process bodies on OS threads over localhost TCP and is
-used to demonstrate that nothing in the upper layers depends on simulation.
+backend runs the same process bodies on OS threads over kernel socketpairs,
+one link with its own writer queue per directed rank pair, and is used to
+demonstrate that nothing in the upper layers depends on simulation.
 
 A logical process is a generator that yields command objects:
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import queue
 import socket
 import struct
 import threading
@@ -309,44 +311,38 @@ class SimTransport:
 # socket backend
 
 _FRAME = struct.Struct("<iiiqiiI")  # src, dst, cid, rnd, phase, step, paylen
-_JOIN_TIMEOUT_S = 2.0  # close() waits no longer than this for its threads
-_POLL_S = 0.05  # run_processes checks for reader errors this often
+_JOIN_TIMEOUT_S = 2.0  # a join of a thread set waits no longer than this in all
+
+
+def _join_all(threads) -> None:
+    deadline = time.monotonic() + _JOIN_TIMEOUT_S
+    for th in threads:
+        th.join(max(0.0, deadline - time.monotonic()))
 
 
 class SocketTransport:
-    """Localhost TCP backend running the same process bodies on threads.
+    """The same process bodies on threads over kernel byte streams.
 
-    Timing comes from the wall clock, so nothing here is deterministic; the
-    point is that schedules, collectives and training only ever talk to the
-    transport interface.
+    Each directed (src, dst) pair gets a link on its first send: a socketpair,
+    a queue, a writer thread that sendalls the queued frames in order and a
+    reader thread that delivers them.  send() only enqueues, so no engine lock
+    is held across socket I/O, and one queue per writer keeps streams FIFO.
+    Timing comes from the wall clock, so nothing here is deterministic.
     """
 
-    def __init__(self, p: int, host: str = "127.0.0.1"):
+    def __init__(self, p: int):
         if p < 1:
             raise ValueError("p must be >= 1")
         self.p = p
-        self.host = host
         self._t0 = time.monotonic_ns()
         self._engines: list[dict] = [{} for _ in range(p)]
-        self._listeners: list[socket.socket] = []
-        self.ports: list[int] = []
-        self._conns: dict[tuple[int, int], socket.socket] = {}
-        self._conn_lock = threading.Lock()
+        self._queues: dict[tuple[int, int], queue.SimpleQueue] = {}
+        self._socks: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
-        # (rank, exception) of each reader a delivery error stopped
-        self._reader_errors: list[tuple[int, BaseException]] = []
+        self._link_lock = threading.Lock()
+        self._reader_errors: list = []  # (rank, error) of each reader an error stopped
+        self._progress = threading.Condition()  # reader errors, finished drivers
         self._open = True
-        for _ in range(p):
-            srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            srv.bind((host, 0))
-            srv.listen(p)
-            self._listeners.append(srv)
-            self.ports.append(srv.getsockname()[1])
-        for rank in range(p):
-            th = threading.Thread(target=self._accept_loop, args=(rank,), daemon=True)
-            th.start()
-            self._threads.append(th)
 
     def now_us(self) -> int:
         return (time.monotonic_ns() - self._t0) // 1000
@@ -354,16 +350,26 @@ class SocketTransport:
     def register_engine(self, rank: Rank, engine) -> None:
         _add_engine(self._engines[rank], rank, engine)
 
-    def _accept_loop(self, rank: int) -> None:
-        srv = self._listeners[rank]
-        while self._open:
-            try:
-                conn, _ = srv.accept()
-            except OSError:
-                return
-            th = threading.Thread(target=self._reader, args=(rank, conn), daemon=True)
-            th.start()
-            self._threads.append(th)
+    def _link(self, src: Rank, dst: Rank) -> queue.SimpleQueue:
+        with self._link_lock:
+            q = self._queues.get((src, dst))
+            if q is None:
+                if not self._open:
+                    raise TransportClosed("send on closed transport")
+                q = self._queues[(src, dst)] = queue.SimpleQueue()
+                w, r = socket.socketpair()
+                self._socks += (w, r)
+                for target, args in ((self._writer, (w, q)), (self._reader, (dst, r))):
+                    th = threading.Thread(target=target, args=args, daemon=True)
+                    th.start()
+                    self._threads.append(th)
+            return q
+
+    @staticmethod
+    def _writer(sock: socket.socket, q: queue.SimpleQueue) -> None:
+        with contextlib.suppress(OSError):  # close() shut the socket down
+            for frame in iter(q.get, None):  # close() enqueues None
+                sock.sendall(frame)
 
     def _reader(self, rank: int, conn: socket.socket) -> None:
         try:
@@ -372,17 +378,20 @@ class SocketTransport:
                 if hdr is None:
                     return
                 src, dst, cid, rnd, phase, step, n = _FRAME.unpack(hdr)
-                payload = self._read_exact(conn, n) if n else b""
-                if n and payload is None:
+                payload = self._read_exact(conn, n)
+                if payload is None:
                     return
-                msg = Message(src, dst, Tag(cid, rnd, phase, step), payload or b"")
-                self._deliver(msg)
+                msg = Message(src, dst, Tag(cid, rnd, phase, step), payload)
+                eng = _engine_for(self._engines[dst], msg)
+                with eng.lock:
+                    eng.mailbox.append(msg)
+                    eng.pump()
         except OSError:
             return
         except Exception as e:  # e.g. UnroutedMessage; run_processes raises it
-            self._reader_errors.append((rank, e))
-        finally:
-            conn.close()
+            with self._progress:
+                self._reader_errors.append((rank, e))
+                self._progress.notify_all()
 
     @staticmethod
     def _read_exact(conn: socket.socket, n: int) -> bytes | None:
@@ -397,91 +406,91 @@ class SocketTransport:
             got += k
         return bytes(buf)
 
-    def _deliver(self, msg: Message) -> None:
-        eng = _engine_for(self._engines[msg.dst], msg)
-        with eng.lock:
-            eng.mailbox.append(msg)
-            eng.pump()
-
     def send(self, msg: Message) -> None:
         if not self._open:
             raise TransportClosed("send on closed transport")
         if not (0 <= msg.dst < self.p):
             raise UnknownRank(str(msg.dst))
-        key = (msg.src, msg.dst)
-        with self._conn_lock:
-            conn = self._conns.get(key)
-            if conn is None:
-                conn = socket.create_connection((self.host, self.ports[msg.dst]))
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._conns[key] = conn
+        q = self._queues.get((msg.src, msg.dst)) or self._link(msg.src, msg.dst)
         t = msg.tag
-        frame = _FRAME.pack(msg.src, msg.dst, t.cid, t.rnd, t.phase, t.step, len(msg.payload))
-        with self._conn_lock:
-            conn.sendall(frame + msg.payload)
+        q.put(_FRAME.pack(msg.src, msg.dst, t.cid, t.rnd, t.phase, t.step,
+                          len(msg.payload)) + msg.payload)
 
     def run_processes(self, bodies: dict[int, object], timeout: float = 60.0) -> None:
-        """Drive generator process bodies to completion, one thread per rank."""
+        """Drive generator process bodies to completion, one thread per rank.
+
+        A rank parked on WaitRound registers a waiter on its handle, as in the
+        simulator, under the engine's lock that readers publish rounds under.
+        A reader error or the timeout fails the run and wakes every parked
+        rank, so all drivers are joined before the error is raised."""
         errors: list = []
+        finished: list = []
+        inbox = {rank: queue.SimpleQueue() for rank in bodies}
+        failed = threading.Event()
+
+        def wake(rank: int, result) -> None:
+            inbox[rank].put(result)
 
         def driver(rank: int, proc) -> None:
             value = None
             try:
-                while True:
+                while not failed.is_set():
                     try:
                         cmd = proc.send(value)
                     except StopIteration:
                         return
                     if isinstance(cmd, Sleep):
-                        time.sleep(cmd.us / 1e6)
+                        failed.wait(cmd.us / 1e6)
                         value = None
                     elif isinstance(cmd, WaitRound):
-                        value = cmd.handle.wait_blocking(cmd.generation, timeout)
+                        h, g = cmd.handle, cmd.generation
+                        with h.engine.lock:
+                            if h.done_generation >= g:
+                                wake(rank, h.latest_result())
+                            else:
+                                h.add_waiter(g, rank, wake)
+                        value = inbox[rank].get()
                     else:
                         raise TypeError(f"process yielded {cmd!r}")
             except Exception as e:  # surfaced after join
                 errors.append((rank, e))
+            finally:
+                with self._progress:
+                    finished.append(rank)
+                    self._progress.notify_all()
 
-        threads = [
-            threading.Thread(target=driver, args=(rank, proc), daemon=True)
-            for rank, proc in bodies.items()
-        ]
+        threads = [threading.Thread(target=driver, args=item, daemon=True)
+                   for item in bodies.items()]
         for th in threads:
             th.start()
-        # join in short slices: a failed reader starves the ranks it fed, so
-        # its error is raised as soon as it is recorded, as the root cause
-        deadline = time.monotonic() + timeout
-        for th in threads:
-            while th.is_alive() and not self._reader_errors:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    break
-                th.join(min(_POLL_S, left))
+        with self._progress:
+            self._progress.wait_for(
+                lambda: len(finished) == len(threads) or self._reader_errors, timeout)
+            stuck = len(finished) < len(threads)
+        if stuck:
+            failed.set()
+            for q in inbox.values():
+                q.put(None)
+        _join_all(threads)
         if self._reader_errors:
             rank, err = self._reader_errors[0]
             raise RuntimeError(f"reader for rank {rank} failed: {err!r}") from err
-        if any(th.is_alive() for th in threads):
+        if stuck:
             raise TimeoutError("process thread did not finish")
         if errors:
             rank, err = errors[0]
             raise RuntimeError(f"rank {rank} failed: {err!r}") from err
 
     def close(self) -> None:
-        """Close every socket, then wait up to _JOIN_TIMEOUT_S in all for the
-        accept and reader threads to exit."""
-        self._open = False
-        for s in self._listeners:
+        """Stop the writers, shut every socket down, which wakes a blocked
+        sendall or recv, join the link threads, then close the sockets."""
+        with self._link_lock:
+            self._open = False
+        for q in self._queues.values():
+            q.put(None)
+        for s in self._socks:
             with contextlib.suppress(OSError):
-                s.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked in accept
-            with contextlib.suppress(OSError):
-                s.close()
-        with self._conn_lock:
-            for c in self._conns.values():
-                try:
-                    c.close()  # its reader sees end-of-stream and closes its end
-                except OSError:
-                    pass
-            self._conns.clear()
-        deadline = time.monotonic() + _JOIN_TIMEOUT_S
-        for th in list(self._threads):
-            th.join(max(0.0, deadline - time.monotonic()))
+                s.shutdown(socket.SHUT_RDWR)
+        _join_all(self._threads)
+        for s in self._socks:
+            s.close()

@@ -137,8 +137,7 @@ def test_gradient_conservation_under_random_skew():
         sim.spawn(r, training_process(
             r, states[r], handles[r], None, ds, epochs=epochs,
             steps_per_epoch=steps, batch_per_rank=4, data_seed=21,
-            delay_fn=lambda rank, t: int(delays[rank, t]),
-            guard=False, ledger=ledger))
+            delay_fn=lambda rank, t: int(delays[rank, t]), ledger=ledger))
     sim.run()
 
     by_gen = {}

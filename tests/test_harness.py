@@ -168,7 +168,7 @@ def test_bench_csv_roundtrip_and_determinism(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_bench_csv(records, p1)
     write_bench_csv(bench_collectives(cfg), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     assert read_bench_csv(p1) == records
 
 
@@ -186,7 +186,7 @@ def test_jsonl_mirrors_csv_rows(tmp_path):
     write_jsonl(jl_path, "eagercoll-bench-v1",
                 [{"flavor": "sync", "round": 0, "rank": 1, "latency_us": 42,
                   "nap": 2, "initiator": -1}])
-    lines = open(jl_path).read().splitlines()
+    lines = Path(jl_path).read_text().splitlines()
     assert json.loads(lines[0]) == {"schema": "eagercoll-bench-v1"}
     row = json.loads(lines[1])
     csv_rows = read_bench_csv(csv_path)
@@ -306,3 +306,10 @@ def test_cli_verify_violation_exits_three(monkeypatch, capsys):
     assert rc == 3
     assert out["ok"] is False
     assert out["failures"] == {"contracts[solo]": {"mismatch": 1}}
+
+    rc = main(VERIFY_ARGS + ["--sweep", "2"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    sweep = out["failures"]["contract_sweep"]
+    assert [row[0] for row in sweep] == [0, 1]
+    assert all(row[3] == {"mismatch": 1} for row in sweep)

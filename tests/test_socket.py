@@ -1,11 +1,14 @@
-"""Localhost TCP backend: same process bodies, real sockets and threads.
+"""Socket backend: same process bodies, kernel socketpairs and threads.
 
 Wall-clock timing makes nothing here deterministic, so these tests assert
 protocol outcomes (results agree, rounds complete), never latencies.
 """
 
 import gc
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -13,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+import eagercoll
 from eagercoll.collectives import AllreduceHandle, CollectiveConfig, tree_order_sum
 from eagercoll.transport import (
     PHASE_RED, Message, SocketTransport, Tag, UnroutedMessage,
@@ -98,6 +102,88 @@ def test_reader_failure_is_raised_from_run_processes():
         net.close()
     err = info.value
     assert "UnroutedMessage" in str(err) or isinstance(err.__cause__, UnroutedMessage)
+
+
+def _failed_run(net):
+    """The _sync_pair round after a cid-5 message has stopped rank 1's reader."""
+    bodies = _sync_pair(net)
+    net.send(Message(0, 1, Tag(5, 0, PHASE_RED, 0), b""))
+    with pytest.raises(RuntimeError, match="UnroutedMessage"):
+        net.run_processes(bodies, timeout=10)
+
+
+def test_failed_run_joins_the_drivers_it_starved():
+    before = set(threading.enumerate())
+    net = SocketTransport(2)
+    try:
+        _failed_run(net)
+        drivers = set(threading.enumerate()) - before - set(net._threads)
+        assert not [th for th in drivers if th.is_alive()]
+    finally:
+        net.close()
+
+
+def test_close_after_a_failed_run_is_prompt_and_leaves_no_thread():
+    before = set(threading.enumerate())
+    net = SocketTransport(2)
+    try:
+        _failed_run(net)
+    finally:
+        t0 = time.monotonic()
+        net.close()
+        took = time.monotonic() - t0
+    assert took < 2.0
+    assert not [th for th in set(threading.enumerate()) - before if th.is_alive()]
+
+
+# Runs in a child interpreter, so a send path that deadlocks fails this test
+# at its timeout instead of wedging the suite.
+_EIGHT_MIB_SOLO = """
+import numpy as np
+from eagercoll.collectives import AllreduceHandle, CollectiveConfig, tree_order_sum
+from eagercoll.transport import SocketTransport
+
+p, vlen, rounds = 8, 2**20, 2
+
+
+def contrib(rank, t):
+    return np.random.default_rng([rank, t]).standard_normal(vlen)
+
+
+cfg = CollectiveConfig(p=p, flavor="solo", vector_len=vlen, seed=3)
+net = SocketTransport(p)
+try:
+    handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(p)]
+    results = {}
+
+    def body(rank):
+        for t in range(rounds):
+            res = yield from handles[rank].call_round(t, contrib(rank, t))
+            results.setdefault(res.rnd, {})[rank] = res
+
+    net.run_processes({r: body(r) for r in range(p)}, timeout=40)
+finally:
+    net.close()
+
+assert sorted(results) == list(range(rounds)), sorted(results)
+for t in range(rounds):
+    ref = next(iter(results[t].values()))
+    aboard = [contrib(r, t) if (ref.included >> r) & 1 else np.zeros(vlen)
+              for r in range(p)]
+    assert ref.u.tobytes() == (tree_order_sum(aboard) / p).tobytes(), t
+    for res in results[t].values():
+        assert res.included == ref.included and res.u.tobytes() == ref.u.tobytes()
+print("ok")
+"""
+
+
+def test_socket_solo_with_eight_mib_payloads_completes():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(eagercoll.__file__)))
+    done = subprocess.run([sys.executable, "-c", _EIGHT_MIB_SOLO], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "ok"
 
 
 def test_reader_failure_is_raised_at_once():

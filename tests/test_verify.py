@@ -148,7 +148,7 @@ def run_training_trace(p=2, rounds=6, flavor="sync", alpha=0.05, delay_fn=None,
         sim.spawn(r, training_process(
             r, states[r], handles[r], None, ds, epochs=1,
             steps_per_epoch=rounds, batch_per_rank=4, data_seed=13,
-            delay_fn=delay_fn, guard=tau is not None))
+            delay_fn=delay_fn))
     sim.run()
     return rec
 
