@@ -32,7 +32,7 @@ import numpy as np
 from .schedule import (
     BufView, Engine, K_COMPUTE, K_NOP, K_RECV, K_SEND, OpSpec, ScheduleTemplate,
 )
-from .trace import LatencyRecord, RoundRecord, SnapshotRecord, TraceRecorder
+from .trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from .transport import PHASE_ACT, PHASE_RED, Sleep, SimTransport, WaitRound
 
 SOLO, MAJORITY, SYNC = "solo", "majority", "sync"
@@ -40,7 +40,8 @@ FLAVORS = (SOLO, MAJORITY, SYNC)
 
 
 class RoundOrderError(RuntimeError):
-    """The application offered a value for a round other than the current one."""
+    """The application offered a value for, or got the result of, a round
+    other than the one it drives."""
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,12 @@ class CollectiveConfig:
 
 
 def write_payload(buf: np.ndarray, cfg: CollectiveConfig, rank: int,
-                  vec: np.ndarray, fresh: bool = True) -> None:
-    """Store `vec` as rank's contribution in the payload bytes `buf`; fresh
-    also sets rank's bit in the inclusion mask."""
+                  vec: np.ndarray) -> None:
+    """Store `vec` as rank's fresh contribution in the payload bytes `buf`:
+    the values, plus rank's bit in the inclusion mask."""
     np.copyto(buf[:8 * cfg.vector_len].view(np.float64), vec)
-    if fresh:
-        mask = buf[8 * cfg.vector_len:].view(np.uint64)
-        mask[rank // 64] |= np.uint64(1 << (rank % 64))
+    mask = buf[8 * cfg.vector_len:].view(np.uint64)
+    mask[rank // 64] |= np.uint64(1 << (rank % 64))
 
 
 def parse_payload(raw: np.ndarray, cfg: CollectiveConfig) -> tuple[np.ndarray, int]:
@@ -82,14 +82,6 @@ def parse_payload(raw: np.ndarray, cfg: CollectiveConfig) -> tuple[np.ndarray, i
     values are a view into raw."""
     mask = int.from_bytes(raw[8 * cfg.vector_len:].tobytes(), "little")
     return raw[:8 * cfg.vector_len].view(np.float64), mask
-
-
-@dataclass
-class CollectiveResult:
-    u: np.ndarray        # reduced vector, divided by p
-    included: int        # bitmask: bit r set iff rank r's fresh value is in u
-    nap: int             # popcount of included
-    rnd: int = 0
 
 
 def initiator_for_round(seed: int, t: int, p: int) -> int:
@@ -228,9 +220,11 @@ class AllreduceHandle:
     The application drives rounds in order: try_contribute(t, vec) offers a
     value (refused once round t's snapshot has consumed the buffer), then
     activate(t) starts the round per the flavor's rule, then wait_done(t)
-    (a generator step) parks until round >= t has published.  The engine
-    itself runs passively under transport deliveries, so the schedule serves
-    rounds this rank never actively joins.
+    (a generator step) parks until round >= t has published and returns
+    the latest published round's CollectiveResult.  The engine itself runs
+    passively under transport deliveries, so the schedule serves rounds this
+    rank never actively joins; each published round's result also goes to
+    the recorder, if there is one.
     """
 
     def __init__(self, cfg: CollectiveConfig, rank: int, transport, cid: int = 0,
@@ -257,27 +251,21 @@ class AllreduceHandle:
         data, mask = parse_payload(taken, self.cfg)
         fresh = bool((mask >> self.rank) & 1)
         if self.recorder is not None:
-            self.recorder.snapshot(SnapshotRecord(
-                self.rank, rnd, data.copy(), fresh, self.transport.now_us()))
+            self.recorder.snapshot(SnapshotRecord(self.rank, rnd, data.copy(), fresh))
         if self.user_snapshot_cb is not None:
             self.user_snapshot_cb(rnd, data, fresh)
 
     def _done_cb(self, rnd: int) -> None:
         data, mask = parse_payload(self.engine.recv_buffer, self.cfg)
-        res = CollectiveResult(u=data / self.cfg.p, included=mask,
-                               nap=mask.bit_count(), rnd=rnd)
+        res = CollectiveResult(self.rank, rnd, data / self.cfg.p, mask, mask.bit_count())
         self._last = res
         if self.recorder is not None:
-            init = (initiator_for_round(self.cfg.seed, rnd, self.cfg.p)
-                    if self.cfg.flavor == MAJORITY else -1)
-            self.recorder.round_done(RoundRecord(
-                self.rank, rnd, res.u, res.included, res.nap,
-                self.cfg.flavor, init, self.transport.now_us()))
+            self.recorder.round_done(res)
         if self._waiters:
             ready = [w for w in self._waiters if w[0] <= rnd]
             self._waiters = [w for w in self._waiters if w[0] > rnd]
             for _, wrank, cb in ready:
-                cb(wrank, self.latest_result())
+                cb(wrank, res)
 
     # -- app protocol -------------------------------------------------------
 
@@ -285,17 +273,18 @@ class AllreduceHandle:
     def done_generation(self) -> int:
         return self.engine.done_generation
 
-    def latest_result(self) -> tuple[int, CollectiveResult]:
-        return self.engine.done_generation, self._last
+    def latest_result(self) -> CollectiveResult | None:
+        """The result of the latest published round; None before the first."""
+        return self._last
 
     def add_waiter(self, generation: int, rank: int, cb) -> None:
-        """cb(rank, latest_result()) runs once a round >= `generation` publishes."""
+        """cb(rank, result) runs once a round >= `generation` publishes."""
         self._waiters.append((generation, rank, cb))
 
     def round_done(self, t: int) -> bool:
         return self.engine.done_generation >= t
 
-    def try_contribute(self, t: int, vec: np.ndarray, fresh: bool = True) -> bool:
+    def try_contribute(self, t: int, vec: np.ndarray) -> bool:
         """Offer this rank's value for round t.  False once the round's
         snapshot has already consumed the buffer (the value missed the bus)."""
         eng = self.engine
@@ -308,7 +297,7 @@ class AllreduceHandle:
                     f"{eng.generation} is current; rounds must be driven in order")
             if eng.consumed[eng.template.snapshot_last]:
                 return False
-            write_payload(eng.buffer("send"), self.cfg, self.rank, vec, fresh)
+            write_payload(eng.buffer("send"), self.cfg, self.rank, vec)
             self.contributed_round = t
         eng.pump()
         return True
@@ -323,24 +312,20 @@ class AllreduceHandle:
 
     def wait_done(self, t: int):
         """Generator step: parks until some round >= t has published, then
-        returns (generation, CollectiveResult) for the latest round."""
+        returns the CollectiveResult of the latest published round, whose
+        rnd exceeds t when later rounds published before this rank woke."""
         if self.engine.done_generation >= t:
-            return self.latest_result()
-        value = yield WaitRound(self, t)
-        return value
+            return self._last
+        return (yield WaitRound(self, t))
 
     def call_round(self, t: int, vec: np.ndarray):
         """One full bench round: contribute if the bus is still here, start
         the round, wait for the result.  Returns this round's result (or the
         latest one, if the schedule has already moved past t)."""
-        t0 = self.transport.now_us()
         if not self.round_done(t):
             self.try_contribute(t, vec)
             self.activate(t)
-        gen, res = yield from self.wait_done(t)
-        if self.recorder is not None:
-            self.recorder.latency(LatencyRecord(self.rank, t, t0, self.transport.now_us()))
-        return res
+        return (yield from self.wait_done(t))
 
 
 def run_allreduce(cfg: CollectiveConfig, contributions, *, rounds: int = 1,

@@ -132,9 +132,9 @@ def train_step(state: TrainState, batch, handle):
     Computes the local gradient, folds it into the stash, offers the stash
     to round t if the round hasn't already consumed this rank's slot, starts
     the round per the flavor's rule, waits for a published result, and
-    applies w <- w - lr * u.  Returns (loss, result, result_generation);
-    the generation exceeds t when this rank lagged so far behind that later
-    rounds overwrote the receive buffer before it caught up.
+    applies w <- w - lr * u.  Returns (loss, result); result.rnd exceeds t
+    when this rank lagged so far behind that later rounds overwrote the
+    receive buffer before it caught up.
     """
     t = state.t
     x, y = batch
@@ -157,13 +157,13 @@ def train_step(state: TrainState, batch, handle):
     with handle.engine.lock:
         state.send_buf.fold(grad, t)
         offered = (not handle.round_done(t)) and \
-            handle.try_contribute(t, state.send_buf.data, fresh=True)
+            handle.try_contribute(t, state.send_buf.data)
     if offered:
         handle.activate(t)
-    gen, res = yield from handle.wait_done(t)
+    res = yield from handle.wait_done(t)
     state.w = state.w - state.lr * res.u
     state.t = t + 1
-    return loss, res, gen
+    return loss, res
 
 
 def resync_models(weights: list[np.ndarray]) -> np.ndarray:
@@ -175,27 +175,28 @@ def resync_models(weights: list[np.ndarray]) -> np.ndarray:
 
 def resync_step(state: TrainState, resync_handle, k: int):
     """Distributed model averaging round k on a dedicated sync collective."""
-    if not resync_handle.try_contribute(k, state.w, fresh=True):
+    if not resync_handle.try_contribute(k, state.w):
         raise ResyncError(f"rank {state.rank} missed resync round {k}; "
                           "resync rounds are synchronous")
     resync_handle.activate(k)
-    gen, res = yield from resync_handle.wait_done(k)
-    if gen != k:
+    res = yield from resync_handle.wait_done(k)
+    if res.rnd != k:
         raise ResyncError(f"rank {state.rank} resync round {k} returned "
-                          f"generation {gen}")
+                          f"round {res.rnd}")
     state.w = res.u.copy()
 
 
 def training_process(rank: int, state: TrainState, handle, resync_handle,
                      dataset, *, epochs: int, steps_per_epoch: int,
                      batch_per_rank: int, data_seed: int, delay_fn=None,
-                     metrics=None, transport=None,
-                     ledger=None, val_out=None):
+                     metrics=None, ledger=None, val_out=None):
     """Full per-rank training loop (generator process body).
 
     delay_fn(rank, round) -> us of injected computation delay before the
-    gradient; metrics, if given, collects one dict per round; val_out, if
-    given, gets val_out[(rank, epoch)] = validation MSE at each epoch end.
+    gradient; metrics, if given, collects one train-CSV row dict per round,
+    t_us being the transport clock when the round's result was applied;
+    val_out, if given, gets val_out[(rank, epoch)] = validation MSE at each
+    epoch end.
     """
     from .models import mse, sample_batch
 
@@ -213,12 +214,13 @@ def training_process(rank: int, state: TrainState, handle, resync_handle,
             if ledger is not None:
                 ledger.generated(rank, t)
             batch = sample_batch(dataset, data_seed, rank, t, batch_per_rank)
-            loss, res, gen = yield from train_step(state, batch, handle)
+            loss, res = yield from train_step(state, batch, handle)
             if metrics is not None:
                 metrics.append({
-                    "round": t, "epoch": epoch, "rank": rank, "loss": loss,
-                    "nap": res.nap, "staleness_max": state.staleness_max(),
-                    "wall_or_sim_time": transport.now_us() if transport else 0,
+                    "flavor": handle.cfg.flavor, "round": t, "epoch": epoch,
+                    "rank": rank, "loss": loss, "nap": res.nap,
+                    "staleness_max": state.staleness_max(),
+                    "t_us": handle.transport.now_us(),
                 })
         if resync_handle is not None and (epoch + 1) % state.resync_period == 0:
             yield from resync_step(state, resync_handle, resyncs)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collectives import MAJORITY, SOLO, SYNC, AllreduceHandle, CollectiveConfig
+from .collectives import RoundOrderError, initiator_for_round
 from .eagersgd import DivergenceError, TrainState, training_process
 from .models import LinearModel, gen_dataset
 from .trace import TraceRecorder
@@ -100,8 +101,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.link_latency_us < 0:
             raise ConfigError("link_latency_us must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
         if self.resync_period < 1:
             raise ConfigError("resync_period must be >= 1")
         if self.tau is not None and self.tau < 1:
@@ -165,8 +166,16 @@ def config_from_pairs(pairs: dict[str, str], base: RunConfig | None = None) -> R
     return RunConfig(**kw)
 
 
+def _open_input(path: str):
+    """open(path) for reading; a file that cannot be opened is a ConfigError."""
+    try:
+        return open(path)
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror}") from None
+
+
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    with open(path) as f:
+    with _open_input(path) as f:
         return config_from_pairs(parse_config_text(f.read()), base)
 
 
@@ -190,17 +199,10 @@ class BenchRecord:
             raise ValueError("nap < 1")
 
 
-def _bench_delays(cfg: RunConfig) -> np.ndarray:
-    d = np.zeros((cfg.p, cfg.rounds), dtype=np.int64)
-    for t in range(cfg.rounds):
-        for r in range(cfg.p):
-            d[r, t] = inject_delay(r, t, cfg.delay, cfg.p)
-    return d
-
-
 def bench_flavor(cfg: RunConfig, flavor: str):
     """One flavor's full bench run.  Returns (records, recorder, sim)."""
-    delays = _bench_delays(cfg)
+    delays = np.array([[inject_delay(r, t, cfg.delay, cfg.p) for t in range(cfg.rounds)]
+                       for r in range(cfg.p)], dtype=np.int64)
     # Cadence: every round fits in its slot, so the skew pattern per round is
     # exactly the configured one (see module docstring).
     hops = max(1, math.ceil(math.log2(cfg.p)))
@@ -212,6 +214,7 @@ def bench_flavor(cfg: RunConfig, flavor: str):
                             seed=cfg.seed)
     handles = [AllreduceHandle(ccfg, r, sim, cid=0, recorder=rec)
                for r in range(cfg.p)]
+    records: list[BenchRecord] = []
 
     def body(rank: int):
         vec = np.full(cfg.vector_len, float(rank + 1))
@@ -220,18 +223,17 @@ def bench_flavor(cfg: RunConfig, flavor: str):
             dt = target - sim.now_us()
             if dt > 0:
                 yield Sleep(dt)
-            yield from handles[rank].call_round(t, vec)
+            t0 = sim.now_us()
+            res = yield from handles[rank].call_round(t, vec)
+            if res.rnd != t:
+                raise RoundOrderError(f"rank {rank} called round {t} but got round "
+                                      f"{res.rnd}; each round must fit its slot")
+            init = initiator_for_round(cfg.seed, t, cfg.p) if flavor == MAJORITY else -1
+            records.append(BenchRecord(flavor, t, rank, sim.now_us() - t0, res.nap, init))
 
     for r in range(cfg.p):
         sim.spawn(r, body(r))
     sim.run()
-
-    rounds = rec.rounds_by_key()
-    records = []
-    for lat in rec.latencies:
-        rr = rounds[(lat.rank, lat.rnd)]
-        records.append(BenchRecord(flavor, lat.rnd, lat.rank, lat.latency_us,
-                                   rr.nap, rr.initiator))
     records.sort(key=lambda b: (b.round, b.rank))
     return records, rec, sim
 
@@ -273,11 +275,6 @@ def run_training(cfg: RunConfig) -> TrainReport:
     ds = gen_dataset(cfg.dim, cfg.n_samples, seed=cfg.data_seed)
     w0 = LinearModel.init(cfg.dim, seed=cfg.seed).w
 
-    def delay_fn(rank, t):
-        return inject_delay(rank, t, cfg.delay, cfg.p)
-
-    use_delay = None if cfg.delay.kind == "none" else delay_fn
-
     rows: list[dict] = []
     val: dict = {}
     sim_time: dict[str, int] = {}
@@ -293,7 +290,6 @@ def run_training(cfg: RunConfig) -> TrainReport:
         sync_cfg = CollectiveConfig(p=cfg.p, flavor=SYNC, vector_len=cfg.dim,
                                     seed=cfg.seed)
         ledger = DeliveryLedger()
-        metrics: list[dict] = []
         fval: dict = {}
         states = []
         for r in range(cfg.p):
@@ -306,19 +302,13 @@ def run_training(cfg: RunConfig) -> TrainReport:
                 r, st, handle, resync, ds,
                 epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch,
                 batch_per_rank=cfg.batch_per_rank, data_seed=cfg.data_seed,
-                delay_fn=use_delay, metrics=metrics, transport=sim,
-                ledger=ledger, val_out=fval))
+                delay_fn=lambda rank, t: inject_delay(rank, t, cfg.delay, cfg.p),
+                metrics=rows, ledger=ledger, val_out=fval))
         try:
             sim.run()
         except DivergenceError as e:
             raise DivergenceError(f"flavor {flavor}: {e}") from e
 
-        for row in metrics:
-            rows.append({"flavor": flavor, "round": row["round"],
-                         "epoch": row["epoch"], "rank": row["rank"],
-                         "loss": row["loss"], "nap": row["nap"],
-                         "staleness_max": row["staleness_max"],
-                         "t_us": row["wall_or_sim_time"]})
         for (r, e), v in fval.items():
             val[(flavor, r, e)] = v
         sim_time[flavor] = sim.now_us()
@@ -433,7 +423,8 @@ def write_jsonl(path: str, schema: str, dicts: list[dict]) -> None:
 
 
 def read_bench_csv(path: str) -> list[BenchRecord]:
-    with open(path) as f:
+    """The records of a bench CSV; a malformed file raises ConfigError."""
+    with _open_input(path) as f:
         header = f.readline().strip()
         if header != f"# {BENCH_SCHEMA}":
             raise ConfigError(f"{path}: unknown schema {header!r}")
@@ -441,18 +432,18 @@ def read_bench_csv(path: str) -> list[BenchRecord]:
         if tuple(names) != _BENCH_FIELDS:
             raise ConfigError(f"{path}: unexpected columns {names}")
         out = []
-        for line in f:
+        for lineno, line in enumerate(f, 3):
             vals = line.strip().split(",")
-            out.append(BenchRecord(vals[0], int(vals[1]), int(vals[2]),
-                                   int(vals[3]), int(vals[4]), int(vals[5])))
+            if len(vals) != len(_BENCH_FIELDS):
+                raise ConfigError(f"{path}:{lineno}: expected {len(_BENCH_FIELDS)} "
+                                  f"fields, got {len(vals)}")
+            try:
+                out.append(BenchRecord(vals[0], *map(int, vals[1:])))
+            except ValueError as e:
+                raise ConfigError(f"{path}:{lineno}: {e}") from None
+    if not out:
+        raise ConfigError(f"{path}: no records")
     return out
-
-
-def _emit_bench(cfg: RunConfig, records: list[BenchRecord]) -> None:
-    if cfg.out:
-        write_bench_csv(records, cfg.out + ".csv")
-        write_jsonl(cfg.out + ".jsonl", BENCH_SCHEMA,
-                    [dataclasses.asdict(b) for b in records])
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +462,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--delay-k", type=int, dest="delay.k")
     sp.add_argument("--delay-seed", type=int, dest="delay.seed")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", help="output stem; writes <stem>.csv and <stem>.jsonl")
 
 
 def _add_train_flags(sp: argparse.ArgumentParser) -> None:
@@ -502,7 +492,10 @@ def _cfg_from_args(args: argparse.Namespace, mode: str) -> RunConfig:
 def cmd_bench(args) -> int:
     cfg = _cfg_from_args(args, "bench")
     records = bench_collectives(cfg)
-    _emit_bench(cfg, records)
+    if cfg.out:
+        write_bench_csv(records, cfg.out + ".csv")
+        write_jsonl(cfg.out + ".jsonl", BENCH_SCHEMA,
+                    [dataclasses.asdict(b) for b in records])
     print(json.dumps(summarize(records), indent=2, sort_keys=True))
     return 0
 
@@ -552,7 +545,8 @@ def cmd_verify(args) -> int:
     # gradient deep, the regime the operational drift bound is stated for.
     tcfg = dataclasses.replace(
         cfg, mode="train", flavors=(SOLO,), epochs=4, steps_per_epoch=4,
-        dim=8, n_samples=256, lr=0.01, tau=1,
+        dim=8, n_samples=256, batch_per_rank=8, lr=0.01, resync_period=10,
+        tau=1, data_seed=99,
         delay=DelayModel("random_subset", unit_ms=1.0, k=1, seed=cfg.seed))
     report = run_training(tcfg)
     shadow = track_shadow(report.recorders[SOLO], tcfg.lr, tcfg.p, tcfg.tau)
@@ -600,13 +594,14 @@ def build_cli() -> argparse.ArgumentParser:
     _add_common(t)
     _add_train_flags(t)
     t.set_defaults(fn=cmd_train)
+    for sp in (b, t):
+        sp.add_argument("--out", help="output stem; writes <stem>.csv and <stem>.jsonl")
 
     v = sub.add_parser("verify", help="run the invariant suites")
     _add_common(v)
     v.add_argument("--rounds", type=int)
     v.add_argument("--sweep", type=int, metavar="N",
                    help="also audit N random training configs drawn from --seed")
-    _add_train_flags(v)
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("report", help="summarize an existing bench CSV")

@@ -10,7 +10,9 @@ demonstrate that nothing in the upper layers depends on simulation.
 A logical process is a generator that yields command objects:
 
     Sleep(us)            suspend for a duration (virtual or wall time)
-    WaitRound(handle, t) block until `handle` has completed round >= t
+    WaitRound(handle, t) block until `handle` has completed round >= t; the
+                         process resumes with the CollectiveResult of the
+                         latest round the handle has published
 
 Processes never receive messages themselves.  Each message goes to the
 schedule engine registered for (dst, tag.cid): the delivery appends it to
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import math
 import queue
 import socket
 import struct
@@ -116,8 +119,8 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in DELAY_KINDS:
             raise ValueError(f"unknown delay kind {self.kind!r}")
-        if self.unit_ms < 0:
-            raise ValueError("unit_ms must be >= 0")
+        if not 0 <= self.unit_ms < math.inf:
+            raise ValueError("unit_ms must be finite and >= 0")
         if self.k < 0:
             raise ValueError("k must be >= 0")
 
@@ -245,8 +248,8 @@ class SimTransport:
 
     # -- event loop ---------------------------------------------------------
 
-    def run(self, until_us: int | None = None, max_events: int = 50_000_000) -> None:
-        """Drain the event queue (optionally up to a virtual time bound).
+    def run(self, max_events: int = 50_000_000) -> None:
+        """Drain the event queue.
 
         Raises DeadlockError if the queue empties while processes are still
         blocked on WaitRound: with no pending events nothing can ever wake
@@ -254,8 +257,6 @@ class SimTransport:
         """
         heap, pop = self._heap, heapq.heappop
         while heap:
-            if until_us is not None and heap[0][0] > until_us:
-                return
             t, _, _, handler, arg = pop(heap)
             if t < self._now_us:  # e.g. a process yielded a negative Sleep
                 raise ValueError("clock may not move backwards")

@@ -21,6 +21,8 @@ from .schedule import Engine
 from .trace import TraceRecorder
 from .transport import Message
 
+_SERIAL_RTOL = 1e-12  # relative tolerance of u*p against a serial re-sum
+
 
 class IncompleteTrace(ValueError):
     pass
@@ -133,15 +135,14 @@ class RoundContractReport:
 def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = None,
                  ledger: DeliveryLedger | None = None,
                  expect_rounds: int | None = None,
-                 allow_pending_after: int | None = None,
-                 rel_tol: float = 1e-12) -> RoundContractReport:
+                 allow_pending_after: int | None = None) -> RoundContractReport:
     """Audit a completed run against the partial-collective contracts:
 
     1. every rank returned a result for every round (liveness);
     2. all ranks' (u, included) for a round are bit-identical;
     3. u*p equals the sum of exactly the contributions the mask flags,
-       bit-exact in the reduction-tree order and within rel_tol of a serial
-       recomputation;
+       bit-exact in the reduction-tree order and within _SERIAL_RTOL of a
+       serial recomputation;
     4. at least one fresh contribution per round;
     5. with a ledger and tau: delivery ages within bound, exactly-once.
     """
@@ -188,8 +189,8 @@ def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = 
                                 "u does not equal the tree-ordered contribution sum / p"))
         serial = np.sum(np.stack(contributions), axis=0)
         err = np.abs(ref.u * p - serial)
-        tol = rel_tol * np.maximum(np.abs(serial), 1e-300)
-        if np.any(err > np.maximum(tol, rel_tol)):
+        tol = _SERIAL_RTOL * np.maximum(np.abs(serial), 1e-300)
+        if np.any(err > np.maximum(tol, _SERIAL_RTOL)):
             vs.append(Violation("subset-sum", rnd, None,
                                 "u*p deviates from the serial contribution sum"))
         if ref.nap < 1:
@@ -247,18 +248,17 @@ class ShadowReport:
         return self.max_drift <= self.bound * (1 + self.slack) + 1e-300
 
 
-def track_shadow(recorder: TraceRecorder, alpha: float, p: int, tau: int,
-                 rounds: int | None = None, slack: float = 0.5) -> ShadowReport:
-    """Replay the all-gradients-applied reference trajectory and measure how
-    far each rank's actual parameter view drifted from it.
+def track_shadow(recorder: TraceRecorder, alpha: float, p: int, tau: int) -> ShadowReport:
+    """Replay the all-gradients-applied reference trajectory over every
+    recorded round and measure how far each rank's actual parameter view
+    drifted from it.
 
     The bound uses the empirically measured second moment and the worst
-    observed quorum, with a configurable slack on top.
+    observed quorum; the report allows a slack of half the bound on top.
     """
-    if rounds is None:
-        if not recorder.weights:
-            raise IncompleteTrace("no weight records")
-        rounds = max(t for _, t in recorder.weights) + 1
+    if not recorder.weights:
+        raise IncompleteTrace("no weight records")
+    rounds = max(t for _, t in recorder.weights) + 1
     for i in range(p):
         for t in range(rounds):
             if (i, t) not in recorder.gradients or (i, t) not in recorder.weights:
@@ -286,7 +286,7 @@ def track_shadow(recorder: TraceRecorder, alpha: float, p: int, tau: int,
     naps = [r.nap for r in recorder.rounds if r.rnd < rounds]
     q_hat = min(naps) if naps else 0
     bound = alpha * alpha * tau * m2 * (p - q_hat) / (p * p)
-    return ShadowReport(drift, max(drift), bound, m2, q_hat, slack)
+    return ShadowReport(drift, max(drift), bound, m2, q_hat, slack=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +310,7 @@ class InterleavingReport:
         return not self.violations and self.terminals > 0
 
 
-def explore_interleavings(cfg: CollectiveConfig | None = None, *,
-                          contributions=None, arrive_ranks=None,
+def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=None,
                           arrivals_first: bool = False,
                           max_states: int = 250_000) -> InterleavingReport:
     """Enumerate every reachable event order of one collective round.
@@ -332,9 +331,8 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *,
     if cfg is None:
         cfg = CollectiveConfig(p=2, flavor=SOLO, vector_len=2)
     p = cfg.p
-    if contributions is None:
-        contributions = [np.arange(1, cfg.vector_len + 1, dtype=np.float64) * (r + 1)
-                         for r in range(p)]
+    contributions = [np.arange(1, cfg.vector_len + 1, dtype=np.float64) * (r + 1)
+                     for r in range(p)]
     if arrive_ranks is None:
         arrive_ranks = tuple(range(p))
 

@@ -94,8 +94,7 @@ def drift_runs():
                         delay=DelayModel("random_subset", unit_ms=0.5, k=1, seed=5),
                         link_latency_us=10, seed=42, data_seed=7)
         rep = run_training(cfg)
-        out[alpha] = track_shadow(rep.recorders["solo"], alpha, 4, tau=1,
-                                  rounds=25 * 8)
+        out[alpha] = track_shadow(rep.recorders["solo"], alpha, 4, tau=1)
     return out, time.perf_counter() - t0
 
 

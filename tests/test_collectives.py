@@ -130,7 +130,7 @@ def test_majority_multiround_agreement_and_initiator_freshness():
         ref = rows[0]
         assert (ref.included >> init) & 1, "initiator's own data must board"
         assert 1 <= ref.nap == ref.included.bit_count() <= p
-        assert all(row.initiator == init for row in rows)
+        assert sorted(row.rank for row in rows) == list(range(p))
         assert all(row.included == ref.included for row in rows)
         assert all(row.u.tobytes() == ref.u.tobytes() for row in rows)
     for r in range(p):
@@ -167,8 +167,8 @@ def test_late_contribution_is_refused():
     sim.run()
     assert handles[0].round_done(0)
     assert not handles[1].try_contribute(0, contrib[1])
-    gen, res = handles[1].latest_result()
-    assert gen == 0 and res.included == 0b01
+    res = handles[1].latest_result()
+    assert res.rnd == 0 and res.rank == 1 and res.included == 0b01
 
 
 def test_out_of_order_contribution_raises():
@@ -185,8 +185,8 @@ def test_wait_done_fast_path_returns_latest():
     g = handles[0].wait_done(1)
     with pytest.raises(StopIteration) as ei:
         next(g)
-    gen, res = ei.value.value
-    assert gen == 2 and res.nap == 2
+    res = ei.value.value
+    assert res.rnd == 2 and res.rank == 0 and res.nap == 2
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +267,8 @@ def test_payload_layout():
     assert wide.mask_words == 2
     buf = np.zeros(wide.payload_nbytes, dtype=np.uint8)
     write_payload(buf, wide, 64, np.array([2.5]))
-    write_payload(buf, wide, 3, np.array([-1.0]), fresh=False)
     data, mask = parse_payload(buf, wide)
-    assert data.tolist() == [-1.0] and mask == 1 << 64
+    assert data.tolist() == [2.5] and mask == 1 << 64
     assert buf[8:].view(np.uint64).tolist() == [0, 1]  # mask words after the values
 
 

@@ -89,7 +89,7 @@ def test_missed_round_folds_into_the_next_sum():
             if t:
                 yield Sleep(500)
             offer(0, t, gf[t])
-            _, res = yield from handles[0].wait_done(t)
+            res = yield from handles[0].wait_done(t)
             seen[(0, t)] = res
 
     def slow():
@@ -98,7 +98,7 @@ def test_missed_round_folds_into_the_next_sum():
             if t:
                 yield Sleep(300)
             offer(1, t, gs[t])
-            _, res = yield from handles[1].wait_done(t)
+            res = yield from handles[1].wait_done(t)
             seen[(1, t)] = res
 
     sim.spawn(0, fast())

@@ -313,3 +313,51 @@ def test_cli_verify_violation_exits_three(monkeypatch, capsys):
     sweep = out["failures"]["contract_sweep"]
     assert [row[0] for row in sweep] == [0, 1]
     assert all(row[3] == {"mismatch": 1} for row in sweep)
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "3"], ["--lr", "5"], ["--out", "x"]])
+def test_cli_verify_rejects_flags_it_would_ignore(flags, capsys):
+    """verify fixes its own training run and writes no file, so it does not
+    accept the training flags or --out."""
+    with pytest.raises(SystemExit) as e:
+        main(["verify", *flags])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--rounds", "1", "--delay-unit-ms", "nan"],
+    ["bench", "--rounds", "1", "--delay-unit-ms", "inf"],
+    ["train", "--epochs", "1", "--lr", "nan"],
+    ["train", "--epochs", "1", "--lr", "inf"],
+])
+def test_cli_rejects_non_finite_floats(argv, capsys):
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_cli_report_bad_files_are_config_errors(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    write_bench_csv([BenchRecord("sync", 0, 1, 42, 2, -1)], str(good))
+    assert main(["report", str(good)]) == 0
+    capsys.readouterr()
+
+    assert main(["report", str(tmp_path / "missing.csv")]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+
+    short = tmp_path / "short.csv"
+    short.write_text(good.read_text() + "sync,1,1\n")
+    assert main(["report", str(short)]) == 2
+    assert f"{short}:4:" in capsys.readouterr().err
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text(good.read_text().replace(",42,", ",x,"))
+    assert main(["report", str(bad)]) == 2
+    assert f"{bad}:3:" in capsys.readouterr().err
+
+    empty = tmp_path / "empty.csv"
+    empty.write_text("".join(good.read_text().splitlines(keepends=True)[:2]))
+    assert main(["report", str(empty)]) == 2
+
+    assert main(["bench", "--config", str(tmp_path / "nope.conf")]) == 2
+    assert "nope.conf" in capsys.readouterr().err

@@ -148,20 +148,6 @@ def test_unknown_rank_rejected():
         sim.send(_msg(0, 5))
 
 
-def test_run_until_bound_stops_the_clock():
-    sim = SimTransport(1)
-
-    def body():
-        yield Sleep(100)
-        yield Sleep(100)
-
-    sim.spawn(0, body())
-    sim.run(until_us=150)
-    assert sim.now_us() == 100
-    sim.run()
-    assert sim.now_us() == 200
-
-
 def test_negative_sleep_is_rejected():
     """A process cannot move virtual time backwards."""
     sim = SimTransport(1)
