@@ -273,13 +273,13 @@ class AllreduceHandle:
     def done_generation(self) -> int:
         return self.engine.done_generation
 
-    def latest_result(self) -> CollectiveResult | None:
-        """The result of the latest published round; None before the first."""
-        return self._last
-
     def add_waiter(self, generation: int, rank: int, cb) -> None:
-        """cb(rank, result) runs once a round >= `generation` publishes."""
-        self._waiters.append((generation, rank, cb))
+        """cb(rank, result) runs once a round >= `generation` has published:
+        at once if one already has, with the latest published round's result."""
+        if self.engine.done_generation >= generation:
+            cb(rank, self._last)
+        else:
+            self._waiters.append((generation, rank, cb))
 
     def round_done(self, t: int) -> bool:
         return self.engine.done_generation >= t
@@ -328,6 +328,27 @@ class AllreduceHandle:
         return (yield from self.wait_done(t))
 
 
+def simulate(configs, body, *, link_latency_us: int = 0,
+             recorder: TraceRecorder | None = None):
+    """Run one process per rank over a fresh simulated transport.
+
+    configs: one CollectiveConfig per collective, all of one world size;
+    config i gets cid i, and only cid 0's rounds go to `recorder`.  Each
+    rank runs body(rank, *its handles, one per config), a generator process.
+
+    Returns (handles, sim) where handles[i][rank] is config i's handle.
+    """
+    p = configs[0].p
+    sim = SimTransport(p, link_latency_us=link_latency_us)
+    handles = [[AllreduceHandle(cfg, r, sim, cid=cid,
+                                recorder=recorder if cid == 0 else None)
+                for r in range(p)] for cid, cfg in enumerate(configs)]
+    for r in range(p):
+        sim.spawn(r, body(r, *(hs[r] for hs in handles)))
+    sim.run()
+    return handles, sim
+
+
 def run_allreduce(cfg: CollectiveConfig, contributions, *, rounds: int = 1,
                   delay_us=None, link_latency_us: int = 0,
                   recorder: TraceRecorder | None = None):
@@ -340,9 +361,6 @@ def run_allreduce(cfg: CollectiveConfig, contributions, *, rounds: int = 1,
     Returns (results, handles, sim) where results[(rank, t)] is the
     CollectiveResult the application observed for its round t call.
     """
-    sim = SimTransport(cfg.p, link_latency_us=link_latency_us)
-    handles = [AllreduceHandle(cfg, r, sim, cid=0, recorder=recorder)
-               for r in range(cfg.p)]
     results: dict[tuple[int, int], CollectiveResult] = {}
 
     def contribution(rank: int, t: int) -> np.ndarray:
@@ -350,18 +368,16 @@ def run_allreduce(cfg: CollectiveConfig, contributions, *, rounds: int = 1,
             return np.asarray(contributions(rank, t))
         return np.asarray(contributions[rank])
 
-    def body(rank: int):
+    def body(rank: int, handle: AllreduceHandle):
         for t in range(rounds):
             if delay_us is not None:
                 d = delay_us(rank, t)
                 if d:
                     yield Sleep(int(d))
-            res = yield from handles[rank].call_round(t, contribution(rank, t))
-            results[(rank, t)] = res
+            results[(rank, t)] = yield from handle.call_round(t, contribution(rank, t))
 
-    for r in range(cfg.p):
-        sim.spawn(r, body(r))
-    sim.run()
+    (handles,), sim = simulate([cfg], body, link_latency_us=link_latency_us,
+                               recorder=recorder)
     return results, handles, sim
 
 

@@ -156,8 +156,7 @@ def train_step(state: TrainState, batch, handle):
     # two would reset the stash and silently drop this round's gradient.
     with handle.engine.lock:
         state.send_buf.fold(grad, t)
-        offered = (not handle.round_done(t)) and \
-            handle.try_contribute(t, state.send_buf.data)
+        offered = handle.try_contribute(t, state.send_buf.data)
     if offered:
         handle.activate(t)
     res = yield from handle.wait_done(t)

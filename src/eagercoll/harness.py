@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collectives import MAJORITY, SOLO, SYNC, AllreduceHandle, CollectiveConfig
-from .collectives import RoundOrderError, initiator_for_round
+from .collectives import MAJORITY, SOLO, SYNC, CollectiveConfig, RoundOrderError
+from .collectives import initiator_for_round, simulate
 from .eagersgd import DivergenceError, TrainState, training_process
 from .models import LinearModel, gen_dataset
 from .trace import TraceRecorder
-from .transport import DelayModel, SimTransport, Sleep, inject_delay
+from .transport import DelayModel, Sleep, inject_delay
 from .verify import DeliveryLedger, check_round_contracts, explore_interleavings, track_shadow
 
 BENCH_SCHEMA = "eagercoll-bench-v1"
@@ -109,16 +109,19 @@ class RunConfig:
             raise ConfigError("tau must be >= 1 (or unset for no guard)")
 
 
+# The type of each key, from its default; delay.* keys are DelayModel fields.
+# flavors, tau (which may be none) and out are parsed apart.
+_KEY_TYPES = {
+    **{k: type(v) for k, v in vars(RunConfig()).items() if isinstance(v, (str, int, float))},
+    **{f"delay.{k}": type(v) for k, v in vars(DelayModel()).items()},
+}
+
+
 def _coerce(name: str, raw: str, typ):
-    raw = raw.strip()
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
+        return typ(raw.strip())
     except ValueError:
         raise ConfigError(f"bad value for {name}: {raw!r}") from None
-    return raw
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -136,26 +139,20 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def config_from_pairs(pairs: dict[str, str], base: RunConfig | None = None) -> RunConfig:
-    kw = dataclasses.asdict(base) if base else dataclasses.asdict(RunConfig())
+    """`base` (default RunConfig()) with each `key = value` pair applied.
+    Config-file lines and CLI flags both take this path."""
+    kw = dataclasses.asdict(base or RunConfig())
     delay_kw = kw.pop("delay")
-    field_types = {"mode": str, "p": int, "rounds": int, "vector_len": int,
-                   "link_latency_us": int, "epochs": int, "steps_per_epoch": int,
-                   "dim": int, "n_samples": int, "batch_per_rank": int,
-                   "lr": float, "resync_period": int, "seed": int,
-                   "data_seed": int, "out": str}
-    delay_types = {"kind": str, "unit_ms": float, "k": int, "seed": int}
     for key, raw in pairs.items():
         if key == "flavors":
             kw["flavors"] = tuple(f.strip() for f in raw.split(",") if f.strip())
         elif key == "tau":
             kw["tau"] = None if raw.lower() in ("none", "") else _coerce(key, raw, int)
-        elif key.startswith("delay."):
-            sub = key[len("delay."):]
-            if sub not in delay_types:
-                raise ConfigError(f"unknown config key {key!r}")
-            delay_kw[sub] = _coerce(key, raw, delay_types[sub])
-        elif key in field_types:
-            kw[key] = _coerce(key, raw, field_types[key])
+        elif key == "out":
+            kw["out"] = _coerce(key, raw, str)
+        elif key in _KEY_TYPES:
+            target = delay_kw if key.startswith("delay.") else kw
+            target[key.removeprefix("delay.")] = _coerce(key, raw, _KEY_TYPES[key])
         else:
             raise ConfigError(f"unknown config key {key!r}")
     kw["flavors"] = tuple(kw["flavors"])
@@ -208,32 +205,28 @@ def bench_flavor(cfg: RunConfig, flavor: str):
     hops = max(1, math.ceil(math.log2(cfg.p)))
     period = int(delays.max()) + (3 * hops + 4) * cfg.link_latency_us + 1000
 
-    sim = SimTransport(cfg.p, link_latency_us=cfg.link_latency_us)
     rec = TraceRecorder()
-    ccfg = CollectiveConfig(p=cfg.p, flavor=flavor, vector_len=cfg.vector_len,
-                            seed=cfg.seed)
-    handles = [AllreduceHandle(ccfg, r, sim, cid=0, recorder=rec)
-               for r in range(cfg.p)]
     records: list[BenchRecord] = []
 
-    def body(rank: int):
+    def body(rank: int, handle):
+        now = handle.transport.now_us
         vec = np.full(cfg.vector_len, float(rank + 1))
         for t in range(cfg.rounds):
             target = t * period + int(delays[rank, t])
-            dt = target - sim.now_us()
+            dt = target - now()
             if dt > 0:
                 yield Sleep(dt)
-            t0 = sim.now_us()
-            res = yield from handles[rank].call_round(t, vec)
+            t0 = now()
+            res = yield from handle.call_round(t, vec)
             if res.rnd != t:
                 raise RoundOrderError(f"rank {rank} called round {t} but got round "
                                       f"{res.rnd}; each round must fit its slot")
             init = initiator_for_round(cfg.seed, t, cfg.p) if flavor == MAJORITY else -1
-            records.append(BenchRecord(flavor, t, rank, sim.now_us() - t0, res.nap, init))
+            records.append(BenchRecord(flavor, t, rank, now() - t0, res.nap, init))
 
-    for r in range(cfg.p):
-        sim.spawn(r, body(r))
-    sim.run()
+    ccfg = CollectiveConfig(p=cfg.p, flavor=flavor, vector_len=cfg.vector_len,
+                            seed=cfg.seed)
+    _, sim = simulate([ccfg], body, link_latency_us=cfg.link_latency_us, recorder=rec)
     records.sort(key=lambda b: (b.round, b.rank))
     return records, rec, sim
 
@@ -283,29 +276,25 @@ def run_training(cfg: RunConfig) -> TrainReport:
     recorders: dict[str, TraceRecorder] = {}
 
     for flavor in cfg.flavors:
-        sim = SimTransport(cfg.p, link_latency_us=cfg.link_latency_us)
         rec = TraceRecorder()
-        main_cfg = CollectiveConfig(p=cfg.p, flavor=flavor, vector_len=cfg.dim,
-                                    seed=cfg.seed)
-        sync_cfg = CollectiveConfig(p=cfg.p, flavor=SYNC, vector_len=cfg.dim,
-                                    seed=cfg.seed)
         ledger = DeliveryLedger()
         fval: dict = {}
-        states = []
-        for r in range(cfg.p):
-            handle = AllreduceHandle(main_cfg, r, sim, cid=0, recorder=rec)
-            resync = AllreduceHandle(sync_cfg, r, sim, cid=1)
-            st = TrainState.fresh(w0, cfg.lr, rank=r,
-                                  resync_period=cfg.resync_period, tau=cfg.tau)
-            states.append(st)
-            sim.spawn(r, training_process(
-                r, st, handle, resync, ds,
+        states = [TrainState.fresh(w0, cfg.lr, rank=r, resync_period=cfg.resync_period,
+                                   tau=cfg.tau) for r in range(cfg.p)]
+
+        def body(rank: int, handle, resync):
+            return training_process(
+                rank, states[rank], handle, resync, ds,
                 epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch,
                 batch_per_rank=cfg.batch_per_rank, data_seed=cfg.data_seed,
-                delay_fn=lambda rank, t: inject_delay(rank, t, cfg.delay, cfg.p),
-                metrics=rows, ledger=ledger, val_out=fval))
+                delay_fn=lambda r, t: inject_delay(r, t, cfg.delay, cfg.p),
+                metrics=rows, ledger=ledger, val_out=fval)
+
+        configs = [CollectiveConfig(p=cfg.p, flavor=f, vector_len=cfg.dim, seed=cfg.seed)
+                   for f in (flavor, SYNC)]
         try:
-            sim.run()
+            _, sim = simulate(configs, body, link_latency_us=cfg.link_latency_us,
+                              recorder=rec)
         except DivergenceError as e:
             raise DivergenceError(f"flavor {flavor}: {e}") from e
 
@@ -450,42 +439,32 @@ def read_bench_csv(path: str) -> list[BenchRecord]:
 # CLI
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+# The config keys each subcommand takes as flags: key a_b or a.b is --a-b.
+_COMMON_KEYS = ("p", "flavors", "vector_len", "link_latency_us", "delay.kind",
+                "delay.unit_ms", "delay.k", "delay.seed", "seed")
+_BENCH_KEYS = _COMMON_KEYS + ("rounds", "out")
+_TRAIN_KEYS = _COMMON_KEYS + ("epochs", "steps_per_epoch", "dim", "n_samples",
+                              "batch_per_rank", "lr", "resync_period", "tau",
+                              "data_seed", "out")
+_VERIFY_KEYS = _COMMON_KEYS + ("rounds",)
+_FLAG_HELP = {"flavors": "comma-separated subset of sync,solo,majority",
+              "out": "output stem; writes <stem>.csv and <stem>.jsonl"}
+
+
+def _add_keys(sp: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    """--config plus one string flag per key; config_from_pairs parses them."""
     sp.add_argument("--config", help="key = value config file")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--flavors", help="comma-separated subset of sync,solo,majority")
-    sp.add_argument("--vector-len", type=int, dest="vector_len")
-    sp.add_argument("--link-latency-us", type=int, dest="link_latency_us")
-    sp.add_argument("--delay-kind", dest="delay.kind",
-                    choices=("none", "constant", "linear_skew", "random_subset"))
-    sp.add_argument("--delay-unit-ms", type=float, dest="delay.unit_ms")
-    sp.add_argument("--delay-k", type=int, dest="delay.k")
-    sp.add_argument("--delay-seed", type=int, dest="delay.seed")
-    sp.add_argument("--seed", type=int)
-
-
-def _add_train_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--steps-per-epoch", type=int, dest="steps_per_epoch")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--n-samples", type=int, dest="n_samples")
-    sp.add_argument("--batch-per-rank", type=int, dest="batch_per_rank")
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--resync-period", type=int, dest="resync_period")
-    sp.add_argument("--tau")
-    sp.add_argument("--data-seed", type=int, dest="data_seed")
+    for key in keys:
+        sp.add_argument("--" + key.replace("_", "-").replace(".", "-"), dest=key,
+                        help=_FLAG_HELP.get(key))
+    sp.set_defaults(keys=keys)
 
 
 def _cfg_from_args(args: argparse.Namespace, mode: str) -> RunConfig:
     base = RunConfig(mode=mode)
     if args.config:
-        base = load_config(args.config, base)
-        base = dataclasses.replace(base, mode=mode)
-    pairs = {}
-    for key, v in vars(args).items():
-        if key in ("cmd", "config", "fn", "infile", "sweep") or v is None:
-            continue
-        pairs[key] = str(v)
+        base = dataclasses.replace(load_config(args.config, base), mode=mode)
+    pairs = {key: v for key in args.keys if (v := getattr(args, key)) is not None}
     return config_from_pairs(pairs, base)
 
 
@@ -586,20 +565,15 @@ def build_cli() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("bench", help="latency/NAP microbenchmark (simulated)")
-    _add_common(b)
-    b.add_argument("--rounds", type=int)
+    _add_keys(b, _BENCH_KEYS)
     b.set_defaults(fn=cmd_bench)
 
     t = sub.add_parser("train", help="hyperplane-regression training comparison")
-    _add_common(t)
-    _add_train_flags(t)
+    _add_keys(t, _TRAIN_KEYS)
     t.set_defaults(fn=cmd_train)
-    for sp in (b, t):
-        sp.add_argument("--out", help="output stem; writes <stem>.csv and <stem>.jsonl")
 
     v = sub.add_parser("verify", help="run the invariant suites")
-    _add_common(v)
-    v.add_argument("--rounds", type=int)
+    _add_keys(v, _VERIFY_KEYS)
     v.add_argument("--sweep", type=int, metavar="N",
                    help="also audit N random training configs drawn from --seed")
     v.set_defaults(fn=cmd_verify)

@@ -172,6 +172,7 @@ def _engine_for(engines: dict, msg: Message):
 
 _PRIO_RESUME = 0  # process resumptions run before message deliveries
 _PRIO_DELIVER = 1
+_MAX_EVENTS = 50_000_000  # a run past this many events is taken for a livelock
 
 
 def _call(fn) -> None:
@@ -198,7 +199,6 @@ class SimTransport:
         self._engines: list[dict] = [{} for _ in range(p)]
         self._procs: dict[int, object] = {}
         self._parked_round: dict[int, tuple] = {}
-        self._open = True
         self.events_processed = 0
 
     # -- time ---------------------------------------------------------------
@@ -236,8 +236,6 @@ class SimTransport:
     # -- sending ------------------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        if not self._open:
-            raise TransportClosed("send on closed transport")
         src, dst = msg.src, msg.dst
         if not (0 <= src < self.p and 0 <= dst < self.p):
             self._check_rank(src)
@@ -248,14 +246,14 @@ class SimTransport:
 
     # -- event loop ---------------------------------------------------------
 
-    def run(self, max_events: int = 50_000_000) -> None:
+    def run(self) -> None:
         """Drain the event queue.
 
         Raises DeadlockError if the queue empties while processes are still
         blocked on WaitRound: with no pending events nothing can ever wake
         them.
         """
-        heap, pop = self._heap, heapq.heappop
+        heap, pop, max_events = self._heap, heapq.heappop, _MAX_EVENTS
         while heap:
             t, _, _, handler, arg = pop(heap)
             if t < self._now_us:  # e.g. a process yielded a negative Sleep
@@ -289,13 +287,8 @@ class SimTransport:
         if isinstance(cmd, Sleep):
             self._push(self._now_us + int(cmd.us), _PRIO_RESUME, self._step_proc, (rank, None))
         elif isinstance(cmd, WaitRound):
-            h, g = cmd.handle, cmd.generation
-            if h.done_generation >= g:
-                self._push(self._now_us, _PRIO_RESUME, self._step_proc,
-                           (rank, h.latest_result()))
-            else:
-                self._parked_round[rank] = (h, g)
-                h.add_waiter(g, rank, self._wake_round)
+            self._parked_round[rank] = (cmd.handle, cmd.generation)
+            cmd.handle.add_waiter(cmd.generation, rank, self._wake_round)
         else:
             raise TypeError(f"process yielded {cmd!r}")
 
@@ -303,9 +296,6 @@ class SimTransport:
         if rank in self._parked_round:
             del self._parked_round[rank]
             self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, result))
-
-    def close(self) -> None:
-        self._open = False
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +434,8 @@ class SocketTransport:
                         failed.wait(cmd.us / 1e6)
                         value = None
                     elif isinstance(cmd, WaitRound):
-                        h, g = cmd.handle, cmd.generation
-                        with h.engine.lock:
-                            if h.done_generation >= g:
-                                wake(rank, h.latest_result())
-                            else:
-                                h.add_waiter(g, rank, wake)
+                        with cmd.handle.engine.lock:
+                            cmd.handle.add_waiter(cmd.generation, rank, wake)
                         value = inbox[rank].get()
                     else:
                         raise TypeError(f"process yielded {cmd!r}")

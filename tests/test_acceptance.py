@@ -22,6 +22,7 @@ from eagercoll.harness import (
     bench_collectives,
     contract_sweep,
     load_config,
+    main,
     run_training,
     summarize,
     write_bench_csv,
@@ -333,3 +334,15 @@ def test_golden_csv_digests(bench32, hyperplane_run, zero_skew_run, tmp_path):
         path = tmp_path / f"run{i}.csv"
         write(rows, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, path.name
+
+
+@pytest.mark.parametrize("cmd, preset, want", [
+    ("bench", "microbench.conf", GOLDEN_BENCH_SHA256),
+    ("train", "hyperplane.conf", GOLDEN_TRAIN_SHA256),
+], ids=["bench", "train"])
+def test_cli_preset_run_writes_the_golden_csv(cmd, preset, want, tmp_path, capsys):
+    """The same pinned runs through argv: flag parsing, the config file and
+    the CSV writer of the CLI path."""
+    stem = tmp_path / cmd
+    assert main([cmd, "--config", str(CONFIGS / preset), "--out", str(stem)]) == 0
+    assert hashlib.sha256(Path(f"{stem}.csv").read_bytes()).hexdigest() == want

@@ -167,8 +167,19 @@ def test_late_contribution_is_refused():
     sim.run()
     assert handles[0].round_done(0)
     assert not handles[1].try_contribute(0, contrib[1])
-    res = handles[1].latest_result()
+    with pytest.raises(StopIteration) as ei:
+        next(handles[1].wait_done(0))
+    res = ei.value.value
     assert res.rnd == 0 and res.rank == 1 and res.included == 0b01
+
+
+def test_add_waiter_on_a_published_round_calls_back_at_once():
+    cfg = CollectiveConfig(p=2, flavor="sync", vector_len=2)
+    _, handles, _ = run_allreduce(cfg, np.ones((2, 2)), rounds=2)
+    got = []
+    for g in (0, 1, 2):
+        handles[1].add_waiter(g, 7, lambda rank, res: got.append((rank, res.rnd)))
+    assert got == [(7, 1), (7, 1)]  # round 2 has not published yet
 
 
 def test_out_of_order_contribution_raises():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eagercoll.collectives import AllreduceHandle, CollectiveConfig, tree_order_sum
+from eagercoll.collectives import (
+    AllreduceHandle, CollectiveConfig, simulate, tree_order_sum,
+)
 from eagercoll.eagersgd import (
     AlphaTooLarge,
     GradientBuffer,
@@ -64,46 +66,40 @@ def test_missed_round_folds_into_the_next_sum():
     window before the activation message crosses the link, so both ranks'
     fresh flags board the same round."""
     cfg = CollectiveConfig(p=2, flavor="solo", vector_len=3)
-    sim = SimTransport(2, link_latency_us=200)
-    handles = [AllreduceHandle(cfg, r, sim) for r in range(2)]
     gf = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]   # fast rank
     gs = [np.array([0.0, 0.0, 4.0]), np.array([8.0, 0.0, 0.0])]   # slow rank
     states = [TrainState.fresh(np.zeros(3), lr=1.0, rank=r) for r in range(2)]
     ledger = DeliveryLedger()
-    for r in range(2):
-        attach_delivery_tracking(handles[r], states[r], ledger)
     seen = {}
 
-    def offer(rank, t, g):
-        ledger.generated(rank, t)
-        h = handles[rank]
+    def offer(h, t, g):
+        ledger.generated(h.rank, t)
         with h.engine.lock:
-            states[rank].send_buf.fold(g, t)
-            offered = (not h.round_done(t)) and h.try_contribute(
-                t, states[rank].send_buf.data)
+            states[h.rank].send_buf.fold(g, t)
+            offered = h.try_contribute(t, states[h.rank].send_buf.data)
         if offered:
             h.activate(t)
 
-    def fast():
+    def fast(h):
         for t in range(2):
             if t:
                 yield Sleep(500)
-            offer(0, t, gf[t])
-            res = yield from handles[0].wait_done(t)
-            seen[(0, t)] = res
+            offer(h, t, gf[t])
+            seen[(0, t)] = yield from h.wait_done(t)
 
-    def slow():
+    def slow(h):
         yield Sleep(500)  # round 0 completed at t=400; the bus is gone
         for t in range(2):
             if t:
                 yield Sleep(300)
-            offer(1, t, gs[t])
-            res = yield from handles[1].wait_done(t)
-            seen[(1, t)] = res
+            offer(h, t, gs[t])
+            seen[(1, t)] = yield from h.wait_done(t)
 
-    sim.spawn(0, fast())
-    sim.spawn(1, slow())
-    sim.run()
+    def body(rank, h):
+        attach_delivery_tracking(h, states[rank], ledger)
+        return (fast, slow)[rank](h)
+
+    simulate([cfg], body, link_latency_us=200)
 
     r0 = seen[(0, 0)]
     assert r0.included == 0b01 and np.array_equal(r0.u * 2, gf[0])
@@ -123,9 +119,7 @@ def test_gradient_conservation_under_random_skew():
     u_t * p recovers the total of all delivered gradients."""
     p, epochs, steps = 4, 2, 4
     cfg = CollectiveConfig(p=p, flavor="solo", vector_len=6)
-    sim = SimTransport(p, link_latency_us=5)
     rec = TraceRecorder()
-    handles = [AllreduceHandle(cfg, r, sim, recorder=rec) for r in range(p)]
     ds = gen_dataset(dim=6, n=128, seed=3)
     ledger = DeliveryLedger()
     states = [TrainState.fresh(np.zeros(6), lr=0.05, rank=r, tau=None)
@@ -133,12 +127,13 @@ def test_gradient_conservation_under_random_skew():
     rng = np.random.default_rng(8)
     delays = rng.integers(0, 2000, size=(p, epochs * steps))
 
-    for r in range(p):
-        sim.spawn(r, training_process(
-            r, states[r], handles[r], None, ds, epochs=epochs,
+    def body(r, handle):
+        return training_process(
+            r, states[r], handle, None, ds, epochs=epochs,
             steps_per_epoch=steps, batch_per_rank=4, data_seed=21,
-            delay_fn=lambda rank, t: int(delays[rank, t]), ledger=ledger))
-    sim.run()
+            delay_fn=lambda rank, t: int(delays[rank, t]), ledger=ledger)
+
+    simulate([cfg], body, link_latency_us=5, recorder=rec)
 
     by_gen = {}
     for row in rec.rounds:
@@ -170,19 +165,15 @@ def test_resync_models_uses_the_fixed_tree_order():
 def test_resync_step_restores_bitwise_agreement():
     p = 2
     cfg = CollectiveConfig(p=p, flavor="sync", vector_len=4, seed=1)
-    sim = SimTransport(p, link_latency_us=7)
-    handles = [AllreduceHandle(cfg, r, sim, cid=1) for r in range(p)]
     # two ranks that drifted apart (as after a stretch of partial rounds)
     states = [TrainState.fresh(np.arange(4.0) * (r + 1), lr=0.1, rank=r)
               for r in range(p)]
     assert np.abs(states[0].w - states[1].w).max() > 0
 
-    def body(r):
-        yield from resync_step(states[r], handles[r], 0)
+    def body(r, handle):
+        yield from resync_step(states[r], handle, 0)
 
-    for r in range(p):
-        sim.spawn(r, body(r))
-    sim.run()
+    simulate([cfg], body, link_latency_us=7)
     assert states[0].w.tobytes() == states[1].w.tobytes()
     want = resync_models([np.arange(4.0), np.arange(4.0) * 2])
     assert states[0].w.tobytes() == want.tobytes()

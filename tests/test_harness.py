@@ -275,6 +275,53 @@ def test_cli_bench_writes_csv_and_exits_zero(tmp_path, capsys):
 
 def test_cli_rejects_bad_config(capsys):
     assert main(["bench", "--p", "0"]) == 2
+    assert main(["bench", "--p", "x"]) == 2
+    assert "config error: bad value for p" in capsys.readouterr().err
+
+
+# A non-default value for every key bench or train takes as a flag.
+FLAG_VALUES = {
+    "p": "6", "flavors": "solo,sync", "vector_len": "3", "link_latency_us": "7",
+    "delay.kind": "random_subset", "delay.unit_ms": "0.25", "delay.k": "2",
+    "delay.seed": "5", "seed": "9", "rounds": "5", "out": "stem", "epochs": "2",
+    "steps_per_epoch": "3", "dim": "5", "n_samples": "40", "batch_per_rank": "2",
+    "lr": "0.125", "resync_period": "4", "tau": "none", "data_seed": "8",
+}
+
+
+def _flag_config(cmd, pairs):
+    argv = [cmd]
+    for key, value in pairs.items():
+        argv += ["--" + key.replace("_", "-").replace(".", "-"), value]
+    return harness._cfg_from_args(harness.build_cli().parse_args(argv), cmd)
+
+
+@pytest.mark.parametrize("cmd", ["bench", "train"])
+def test_a_flag_and_a_config_line_build_the_same_config(cmd, tmp_path):
+    keys = harness.build_cli().parse_args([cmd]).keys
+    path = tmp_path / "run.conf"
+    for pairs in [{k: FLAG_VALUES[k]} for k in keys] + [{k: FLAG_VALUES[k] for k in keys}]:
+        path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        from_file = load_config(str(path), RunConfig(mode=cmd))
+        assert _flag_config(cmd, pairs) == from_file, pairs
+        assert from_file != RunConfig(mode=cmd), pairs
+
+
+def test_cli_option_strings_are_pinned():
+    common = ["--config", "--p", "--flavors", "--vector-len", "--link-latency-us",
+              "--delay-kind", "--delay-unit-ms", "--delay-k", "--delay-seed", "--seed"]
+    want = {
+        "bench": common + ["--rounds", "--out"],
+        "train": common + ["--epochs", "--steps-per-epoch", "--dim", "--n-samples",
+                           "--batch-per-rank", "--lr", "--resync-period", "--tau",
+                           "--data-seed", "--out"],
+        "verify": common + ["--rounds", "--sweep"],
+        "report": [],
+    }
+    sub = next(a for a in harness.build_cli()._actions if a.dest == "cmd")
+    got = {cmd: [s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help")]
+           for cmd, sp in sub.choices.items()}
+    assert got == want
 
 
 def test_cli_train_smoke(tmp_path):

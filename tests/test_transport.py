@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eagercoll import transport
 from eagercoll.collectives import AllreduceHandle, CollectiveConfig
 from eagercoll.transport import (
     DeadlockError,
@@ -290,8 +291,10 @@ def test_event_loop_faults_raise_from_run(case, data):
     budget = ev.sim.events_processed - 1
     ev = EventLog(p, latency)
     ev.spawn_all(programs)
-    with pytest.raises(RuntimeError, match="event budget"):
-        ev.sim.run(max_events=budget)
+    with pytest.MonkeyPatch.context() as mp, \
+            pytest.raises(RuntimeError, match="event budget"):
+        mp.setattr(transport, "_MAX_EVENTS", budget)
+        ev.sim.run()
 
     steps = [(r, i) for r in range(p) for i in range(len(programs[r]))]
     if steps:

@@ -132,24 +132,23 @@ def test_ledger_trailing_exemption():
 
 def run_training_trace(p=2, rounds=6, flavor="sync", alpha=0.05, delay_fn=None,
                        tau=None):
-    from eagercoll.collectives import AllreduceHandle
+    from eagercoll.collectives import simulate
     from eagercoll.eagersgd import TrainState, training_process
     from eagercoll.models import gen_dataset
-    from eagercoll.transport import SimTransport
 
     cfg = CollectiveConfig(p=p, flavor=flavor, vector_len=4, seed=3)
-    sim = SimTransport(p, link_latency_us=10)
     rec = TraceRecorder()
-    handles = [AllreduceHandle(cfg, r, sim, recorder=rec) for r in range(p)]
     ds = gen_dataset(dim=4, n=64, seed=6)
     w0 = np.zeros(4)
-    states = [TrainState.fresh(w0, lr=alpha, rank=r, tau=tau) for r in range(p)]
-    for r in range(p):
-        sim.spawn(r, training_process(
-            r, states[r], handles[r], None, ds, epochs=1,
+
+    def body(r, handle):
+        state = TrainState.fresh(w0, lr=alpha, rank=r, tau=tau)
+        return training_process(
+            r, state, handle, None, ds, epochs=1,
             steps_per_epoch=rounds, batch_per_rank=4, data_seed=13,
-            delay_fn=delay_fn))
-    sim.run()
+            delay_fn=delay_fn)
+
+    simulate([cfg], body, link_latency_us=10, recorder=rec)
     return rec
 
 
