@@ -9,10 +9,11 @@ majority  one rank per round, drawn by a counter-based PRNG every rank can
 
 The wire payload is the float64 value vector followed by an inclusion
 bitmask (one bit per rank, packed in 64-bit words at byte 8*vector_len);
-write_payload and parse_payload are its only writer and parser.  Reduction
-combines payloads elementwise: sum over the vector, bitwise-or over the
-mask, so the result always says exactly which ranks' fresh contributions it
-contains.
+write_payload and parse_payload are its only writer and parser, and the
+template states the split once, as its mask_offset.  Each reduction step is
+one schedule op that combines payloads elementwise: sum over the vector,
+bitwise-or over the mask, so the result always says exactly which ranks'
+fresh contributions it contains.
 
 The reduction is a recursive-doubling butterfly over the largest power of
 two p2 <= p; ranks beyond p2 fold their contribution into a base partner
@@ -29,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import (
-    BufView, Engine, K_COMPUTE, K_NOP, K_RECV, K_SEND, OpSpec, ScheduleTemplate,
-)
+from .schedule import Engine, K_COMPUTE, K_NOP, K_RECV, K_SEND, OpSpec, ScheduleTemplate
 from .trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from .transport import PHASE_ACT, PHASE_RED, Sleep, SimTransport, WaitRound
 
@@ -127,14 +126,6 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     the contribution buffer -> fold/butterfly/final -> publishing NOP.
     """
     p, nbytes = cfg.p, cfg.payload_nbytes
-    vlen, mw = cfg.vector_len, cfg.mask_words
-
-    def dv(buf: str) -> BufView:
-        return BufView(buf, "f8", 0, vlen)
-
-    def mv(buf: str) -> BufView:
-        return BufView(buf, "u8", 8 * vlen, mw)
-
     ops: list[OpSpec] = []
     buffers: dict[str, int] = {"send": nbytes, "acc": nbytes}
 
@@ -161,33 +152,28 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     else:
         gate = n0
 
-    snap_sum = add(K_COMPUTE, deps=(gate,), fn="sum", dst=dv("acc"), src=dv("send"),
-                   label="snap_sum")
-    snap_or = add(K_COMPUTE, deps=(snap_sum,), fn="bor", dst=mv("acc"), src=mv("send"),
-                  label="snap_or")
+    snap = add(K_COMPUTE, deps=(gate,), src_buf="send", dst_buf="acc", label="snap")
 
     p2 = floor_pow2(p)
     m2 = p2.bit_length() - 1
     if rank >= p2:
         # fold into the base partner, then wait for the finished result
         buffers["land_final"] = nbytes
-        fold = add(K_SEND, deps=(snap_or,), peer=rank - p2, phase=PHASE_RED,
+        fold = add(K_SEND, deps=(snap,), peer=rank - p2, phase=PHASE_RED,
                    step=_fold_step(m2), send_buf="acc", label="fold_send")
         fin = add(K_RECV, phase=PHASE_RED, step=_final_step(m2),
                   recv_buf="land_final", label="final_recv")
         add(K_NOP, deps=(fold, fin), publish=True, label="done")
         publish_from = "land_final"
     else:
-        prev = snap_or
+        prev = snap
         has_extra = rank + p2 < p
         if has_extra:
             buffers["land_fold"] = nbytes
             rf = add(K_RECV, phase=PHASE_RED, step=_fold_step(m2),
                      recv_buf="land_fold", label="fold_recv")
-            fs = add(K_COMPUTE, deps=(rf, prev), fn="sum", dst=dv("acc"),
-                     src=dv("land_fold"), label="fold_sum")
-            prev = add(K_COMPUTE, deps=(fs,), fn="bor", dst=mv("acc"),
-                       src=mv("land_fold"), label="fold_or")
+            prev = add(K_COMPUTE, deps=(rf, prev), src_buf="land_fold", dst_buf="acc",
+                       label="fold_reduce")
         for k in range(m2):
             peer = rank ^ (1 << k)
             buffers[f"land{k}"] = nbytes
@@ -195,10 +181,8 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
                      send_buf="acc", label=f"bf_send{k}")
             rk = add(K_RECV, phase=PHASE_RED, step=k, recv_buf=f"land{k}",
                      label=f"bf_recv{k}")
-            ck = add(K_COMPUTE, deps=(rk, sk), fn="sum", dst=dv("acc"),
-                     src=dv(f"land{k}"), label=f"bf_sum{k}")
-            prev = add(K_COMPUTE, deps=(ck,), fn="bor", dst=mv("acc"),
-                       src=mv(f"land{k}"), label=f"bf_or{k}")
+            prev = add(K_COMPUTE, deps=(rk, sk), src_buf=f"land{k}", dst_buf="acc",
+                       label=f"bf_reduce{k}")
         if has_extra:
             fin = add(K_SEND, deps=(prev,), peer=rank + p2, phase=PHASE_RED,
                       step=_final_step(m2), send_buf="acc", label="final_send")
@@ -208,9 +192,9 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
         publish_from = "acc"
 
     return ScheduleTemplate(
-        ops=ops, buffers=buffers, entry_id=n0, publish_from=publish_from,
-        snapshot_last=snap_or, snapshot_src="send", persistent=True,
-        preserve=("send",),
+        ops=ops, buffers=buffers, mask_offset=8 * cfg.vector_len,
+        publish_from=publish_from, snapshot_last=snap, snapshot_src="send",
+        persistent=True,
     )
 
 

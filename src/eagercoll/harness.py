@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collectives import MAJORITY, SOLO, SYNC, CollectiveConfig, RoundOrderError
-from .collectives import initiator_for_round, simulate
+from .collectives import ceil_log2, initiator_for_round, simulate
 from .eagersgd import DivergenceError, TrainState, training_process
 from .models import LinearModel, gen_dataset
 from .trace import TraceRecorder
@@ -202,7 +202,7 @@ def bench_flavor(cfg: RunConfig, flavor: str):
                        for r in range(cfg.p)], dtype=np.int64)
     # Cadence: every round fits in its slot, so the skew pattern per round is
     # exactly the configured one (see module docstring).
-    hops = max(1, math.ceil(math.log2(cfg.p)))
+    hops = max(1, ceil_log2(cfg.p))
     period = int(delays.max()) + (3 * hops + 4) * cfg.link_latency_us + 1000
 
     rec = TraceRecorder()
@@ -460,8 +460,8 @@ def _add_keys(sp: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
     sp.set_defaults(keys=keys)
 
 
-def _cfg_from_args(args: argparse.Namespace, mode: str) -> RunConfig:
-    base = RunConfig(mode=mode)
+def _cfg_from_args(args: argparse.Namespace, mode: str, **defaults) -> RunConfig:
+    base = RunConfig(mode=mode, **defaults)
     if args.config:
         base = dataclasses.replace(load_config(args.config, base), mode=mode)
     pairs = {key: v for key in args.keys if (v := getattr(args, key)) is not None}
@@ -502,9 +502,9 @@ def cmd_verify(args) -> int:
     """Run the invariant suites at a small scale: the round-contract checker
     over fresh bench traces, exhaustive interleavings, and the reference-
     trajectory drift check over a short training run; --sweep N adds the
-    contract sweep over N random training configs drawn from --seed."""
-    cfg = _cfg_from_args(args, "bench")
-    cfg = dataclasses.replace(cfg, p=min(cfg.p, 8), rounds=min(cfg.rounds, 16))
+    contract sweep over N random training configs drawn from --seed.
+    Without flags it checks p=8 and 16 rounds per flavor."""
+    cfg = _cfg_from_args(args, "bench", p=8, rounds=16)
     failures: dict[str, object] = {}
 
     for flavor in cfg.flavors:

@@ -6,19 +6,23 @@ most once per generation; firing an already-consumed op is a silent no-op,
 which is what lets several concurrent initiators race on one schedule
 without double-executing anything.
 
+The one compute op is a reduction, as in a triggered-op schedule: it
+combines a payload buffer into an accumulator of the same size, adding the
+float64 values below the template's mask_offset and or-ing the mask bytes
+from there on (or-ing bytes gives the same bits as or-ing 64-bit words).
+
 The engine compiles its template once, at construction, into a flat program
 in the manner of an offloaded NIC's triggered operations: each op has a
 counter of dependencies it still waits for (its dep count under and-logic,
 1 under or-logic, 0 with none), firing an op counts down its dependents,
 and an op is ready when its counter reaches 0.  The data each fire needs
-(peers, tags, buffer views, ufuncs, the seeds of a fresh generation) is
-resolved then too, so the hot path reads only flat per-op arrays.  One fire
-loop, _cascade, fires every op, recvs included: it binds those arrays to
-locals once and runs a LIFO stack of candidates until it empties or the
-generation moves on.  Every scratch buffer (each buffer not in the
-template's preserve list) is a slice of one byte arena, so a replication
-zeroes them all with a single fill; bitwise-or views are resolved as bytes,
-since or-ing bytes gives the same bits as or-ing 64-bit words.
+(peers, tags, the value and mask views of a reduction, the seeds of a fresh
+generation) is resolved then too, so the hot path reads only flat per-op
+arrays.  One fire loop, _cascade, fires every op, recvs included: it binds
+those arrays to locals once and runs a LIFO stack of candidates until it
+empties or the generation moves on.  Every buffer but the snapshot source
+is a slice of one byte arena, so a replication zeroes them all with a
+single fill.
 
 The engine is passive: it is driven by whoever owns the transport (the
 simulator's delivery loop, a socket reader thread, or the interleaving
@@ -47,9 +51,6 @@ from .transport import Message, Tag, PHASE_ACT
 K_SEND, K_RECV, K_COMPUTE, K_NOP = "send", "recv", "compute", "nop"
 _KINDS = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
 
-_DTYPES = {"f8": np.float64, "u8": np.uint64}
-_ITEMSIZE = {k: np.dtype(t).itemsize for k, t in _DTYPES.items()}
-
 
 class ScheduleError(Exception):
     pass
@@ -61,18 +62,6 @@ class CycleError(ScheduleError):
 
 class DuplicateOpError(ScheduleError):
     pass
-
-
-class BufView(NamedTuple):
-    """A typed element range inside a named byte buffer."""
-
-    buf: str
-    dtype: str
-    offset: int  # bytes
-    count: int   # elements
-
-    def nbytes(self) -> int:
-        return self.count * _ITEMSIZE[self.dtype]
 
 
 class OpSpec(NamedTuple):
@@ -87,10 +76,9 @@ class OpSpec(NamedTuple):
     step: int | None = None
     send_buf: str | None = None    # None sends an empty payload
     recv_buf: str | None = None
-    # compute
-    fn: str | None = None          # "sum" | "bor"
-    dst: BufView | None = None
-    src: BufView | None = None
+    # compute: reduce src_buf into dst_buf
+    src_buf: str | None = None
+    dst_buf: str | None = None
     # markers
     entry: bool = False
     publish: bool = False
@@ -100,19 +88,19 @@ class OpSpec(NamedTuple):
 class ScheduleTemplate:
     """Static description of one rank's schedule.
 
-    preserve lists buffers whose contents survive replication (the
-    contribution send buffer: it belongs to the application, not to any one
-    generation).  Everything else zeroes when the schedule replicates.
+    The op flagged entry is the one activation fires.  snapshot_src is the
+    one buffer whose contents survive replication (the contribution send
+    buffer: it belongs to the application, not to any one generation).
+    Everything else zeroes when the schedule replicates.
     """
 
     ops: list[OpSpec]
     buffers: dict[str, int]              # name -> size in bytes
-    entry_id: int
+    mask_offset: int = 0                 # reductions add f8 below, or bytes from here
     publish_from: str | None = None
     snapshot_last: int | None = None     # op after which the send buffer is consumed
     snapshot_src: str | None = None      # the send buffer name
     persistent: bool = False
-    preserve: tuple[str, ...] = ()
 
     def validate(self) -> list[list[int]]:
         """Raise ScheduleError on a malformed template; return each op's
@@ -126,8 +114,6 @@ class ScheduleTemplate:
         entries = [op for op in self.ops if op.entry]
         if len(entries) != 1 or entries[0].kind != K_NOP:
             raise ScheduleError("schedule needs exactly one entry NOP")
-        if entries[0].oid != self.entry_id:
-            raise ScheduleError("entry_id does not match the entry op")
         for op in self.ops:
             if op.kind not in _KINDS:
                 raise ScheduleError(f"unknown op kind {op.kind!r}")
@@ -141,19 +127,15 @@ class ScheduleTemplate:
             if op.kind == K_RECV and (op.recv_buf is not None) and op.recv_buf not in self.buffers:
                 raise ScheduleError(f"recv op {op.oid} names unknown buffer")
             if op.kind == K_COMPUTE:
-                if op.fn not in ("sum", "bor"):
-                    raise ScheduleError(f"compute op {op.oid} has unknown fn {op.fn!r}")
-                for v in (op.dst, op.src):
-                    if v is None or v.buf not in self.buffers:
-                        raise ScheduleError(f"compute op {op.oid} has bad views")
-                    if v.dtype not in _DTYPES:
-                        raise ScheduleError(f"unknown dtype {v.dtype!r}")
-                    if v.offset + v.nbytes() > self.buffers[v.buf]:
-                        raise ScheduleError(f"compute op {op.oid} view out of range")
-                if op.fn == "bor" and op.dst.dtype != "u8":
-                    raise ScheduleError("bor requires the u8 dtype")
-                if op.dst.count != op.src.count or op.dst.dtype != op.src.dtype:
-                    raise ScheduleError(f"compute op {op.oid} view shape mismatch")
+                if op.src_buf not in self.buffers or op.dst_buf not in self.buffers:
+                    raise ScheduleError(f"compute op {op.oid} names unknown buffer")
+                size = self.buffers[op.dst_buf]
+                if self.buffers[op.src_buf] != size:
+                    raise ScheduleError(f"compute op {op.oid} buffer sizes differ")
+                if self.mask_offset % 8 or not 0 <= self.mask_offset <= size:
+                    raise ScheduleError(
+                        f"mask_offset {self.mask_offset} is not a multiple of 8 "
+                        f"within compute op {op.oid}'s {size}B buffers")
         # Kahn's algorithm: every op must be reachable through its deps
         byid = sorted(self.ops, key=lambda op: op.oid)
         dependents: list[list[int]] = [[] for _ in oids]
@@ -217,11 +199,11 @@ class Engine:
         # uncontended in the simulator
         self.lock = threading.RLock()
 
-        # every buffer not preserved is an 8-byte-aligned slice of one arena,
-        # so a replication zeroes them all with one fill
+        # every buffer but the snapshot source is an 8-byte-aligned slice of
+        # one arena, so a replication zeroes them all with one fill
         start, end = {}, 0
         for name, size in template.buffers.items():
-            if name not in template.preserve:
+            if name != template.snapshot_src:
                 start[name], end = end, end + -(-size // 8) * 8
         self._arena = np.zeros(end, dtype=np.uint8)
         self._buf: dict[str, np.ndarray] = {
@@ -251,7 +233,8 @@ class Engine:
         recv_index: dict[tuple[int, int], int] = {}
         recv_dst: list[np.ndarray | None] = [None] * n
         sends: list[tuple | None] = [None] * n     # (peer, phase, step, buffer)
-        computes: list[tuple | None] = [None] * n  # (ufunc, dst view, src view)
+        computes: list[tuple | None] = [None] * n  # (dst f8, src f8, dst mask, src mask)
+        mo = tpl.mask_offset
         tails = bytearray(n)  # bit 1: takes the snapshot; bit 2: publishes
         for op in ops:
             oid, kind = op.oid, op.kind
@@ -274,12 +257,11 @@ class Engine:
                 sends[oid] = (op.peer, op.phase, op.step,
                               bufs[op.send_buf] if op.send_buf else None)
             elif kind == K_COMPUTE:
-                # bor views are u8 words, and or-ing their bytes is cheaper
-                bor = op.fn == "bor"
-                dt = np.uint8 if bor else _DTYPES[op.dst.dtype]
-                computes[oid] = (np.bitwise_or if bor else np.add,
-                                 self._resolve(op.dst, dt), self._resolve(op.src, dt))
+                dst, src = bufs[op.dst_buf], bufs[op.src_buf]
+                computes[oid] = (dst[:mo].view(np.float64), src[:mo].view(np.float64),
+                                 dst[mo:], src[mo:])
             tails[oid] = (oid == tpl.snapshot_last) | (op.publish << 1)
+        self._entry = next(op.oid for op in ops if op.entry)
         self._labels = [op.label for op in ops]
         self._seeds = seeds
         self._recv_index = recv_index
@@ -295,10 +277,6 @@ class Engine:
         self._snap_buf = bufs[tpl.snapshot_src] if tpl.snapshot_src else None
         self._publish_buf = bufs[tpl.publish_from] if tpl.publish_from else None
         self._persistent = tpl.persistent
-
-    def _resolve(self, view: BufView, dtype) -> np.ndarray:
-        raw = self._buf[view.buf]
-        return raw[view.offset:view.offset + view.nbytes()].view(dtype)
 
     def buffer(self, name: str) -> np.ndarray:
         return self._buf[name]
@@ -346,7 +324,7 @@ class Engine:
                 raise ScheduleError("activate before commit")
             if expected_generation is not None and self.generation != expected_generation:
                 return
-            self._cascade([self.template.entry_id])
+            self._cascade([self._entry])
         self.pump()
 
     def _replicate(self) -> None:
@@ -367,6 +345,7 @@ class Engine:
         consumed, waiting = self.consumed, self._waiting
         dependents, cascade_to = self._dependents, self._cascade_to
         sends, computes, tails = self._send, self._compute, self._tail
+        add, bor = np.add, np.bitwise_or
         send_fn, rank, cid = self.send_fn, self.rank, self.cid
         op_fired = None if self.recorder is None else self.recorder.op_fired
         if op_fired is not None:
@@ -394,8 +373,9 @@ class Engine:
             else:
                 compute = computes[oid]
                 if compute is not None:
-                    fn, dst, src = compute
-                    fn(dst, src, out=dst)
+                    dst, src, dst_mask, src_mask = compute
+                    add(dst, src, out=dst)
+                    bor(dst_mask, src_mask, out=dst_mask)
             tail = tails[oid]
             if tail:
                 if tail & 1:

@@ -241,6 +241,7 @@ def test_template_wires_the_forwarding_rule(p):
     m = ceil_log2(p)
     for rank in range(p):
         tpl = build_allreduce_template(rank, cfg)
+        (entry,) = [op.oid for op in tpl.ops if op.entry]
         acts = [op for op in tpl.ops if op.kind == K_SEND and op.phase == PHASE_ACT]
         assert len(acts) == m
         recv_ids = {op.step: op.oid for op in tpl.ops
@@ -249,7 +250,7 @@ def test_template_wires_the_forwarding_rule(p):
             k = op.step
             assert op.peer == (rank + (1 << k)) % p
             assert op.logic == "or"
-            assert set(op.deps) == {tpl.entry_id} | {recv_ids[j] for j in range(k + 1, m)}
+            assert set(op.deps) == {entry} | {recv_ids[j] for j in range(k + 1, m)}
 
 
 def test_sync_has_no_activation_messages():

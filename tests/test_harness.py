@@ -362,6 +362,22 @@ def test_cli_verify_violation_exits_three(monkeypatch, capsys):
     assert all(row[3] == {"mismatch": 1} for row in sweep)
 
 
+def test_cli_verify_checks_the_run_it_was_given(monkeypatch, capsys):
+    """--p and --rounds size the checked bench run as given, not clamped to
+    p=8 and 16 rounds; without them verify checks exactly that default."""
+    seen = []
+
+    def capture(recorder, p, *, tau, expect_rounds):
+        seen.append((p, expect_rounds))
+        return RoundContractReport([], expect_rounds, p)
+
+    monkeypatch.setattr(harness, "check_round_contracts", capture)
+    assert main(["verify", "--flavors", "solo", "--p", "12", "--rounds", "20"]) == 0
+    assert main(["verify", "--flavors", "solo"]) == 0
+    capsys.readouterr()
+    assert seen == [(12, 20), (8, 16)]
+
+
 @pytest.mark.parametrize("flags", [["--epochs", "3"], ["--lr", "5"], ["--out", "x"]])
 def test_cli_verify_rejects_flags_it_would_ignore(flags, capsys):
     """verify fixes its own training run and writes no file, so it does not

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eagercoll.schedule import (
-    BufView,
     CycleError,
     DuplicateOpError,
     Engine,
@@ -49,11 +48,10 @@ def chain_template():
         OpSpec(0, K_NOP, entry=True, label="N0"),
         OpSpec(1, K_SEND, deps=(0,), peer=1, phase=PHASE_RED, step=0, send_buf="acc"),
         OpSpec(2, K_RECV, deps=(1,), peer=1, phase=PHASE_RED, step=1, recv_buf="inbox"),
-        OpSpec(3, K_COMPUTE, deps=(2,), fn="sum",
-               dst=BufView("acc", "f8", 0, 2), src=BufView("inbox", "f8", 0, 2)),
+        OpSpec(3, K_COMPUTE, deps=(2,), src_buf="inbox", dst_buf="acc"),
         OpSpec(4, K_NOP, deps=(3,), publish=True, label="done"),
     ]
-    return ScheduleTemplate(ops=ops, buffers=buffers, entry_id=0,
+    return ScheduleTemplate(ops=ops, buffers=buffers, mask_offset=16,
                             publish_from="acc")
 
 
@@ -80,35 +78,24 @@ def test_chain_runs_to_completion_on_matching_recv():
 
 
 def test_compute_fns():
+    """One fire adds the f8 values below mask_offset and ors the mask
+    bytes from there on."""
     ops = [
         OpSpec(0, K_NOP, entry=True),
-        OpSpec(1, K_COMPUTE, deps=(0,), fn="sum",
-               dst=BufView("a", "f8", 0, 2), src=BufView("b", "f8", 0, 2)),
+        OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="a"),
         OpSpec(2, K_NOP, deps=(1,), publish=True),
     ]
-    tpl = ScheduleTemplate(ops=ops, buffers={"a": 16, "b": 16}, entry_id=0,
+    tpl = ScheduleTemplate(ops=ops, buffers={"a": 24, "b": 24}, mask_offset=16,
                            publish_from="a")
     eng = make_engine(tpl)
     eng.commit()
-    eng.buffer("a").view(np.float64)[:] = [1.0, 2.0]
-    eng.buffer("b").view(np.float64)[:] = [10.0, 20.0]
+    eng.buffer("a")[:16].view(np.float64)[:] = [1.0, 2.0]
+    eng.buffer("b")[:16].view(np.float64)[:] = [10.0, 20.0]
+    eng.buffer("a")[16:].view(np.uint64)[:] = 0b0101
+    eng.buffer("b")[16:].view(np.uint64)[:] = 0b0011
     eng.activate_internal()
-    assert eng.buffer("a").view(np.float64).tolist() == [11.0, 22.0]
-
-
-def test_bor_on_integer_view():
-    ops = [
-        OpSpec(0, K_NOP, entry=True),
-        OpSpec(1, K_COMPUTE, deps=(0,), fn="bor",
-               dst=BufView("a", "u8", 0, 1), src=BufView("b", "u8", 0, 1)),
-    ]
-    tpl = ScheduleTemplate(ops=ops, buffers={"a": 8, "b": 8}, entry_id=0)
-    eng = make_engine(tpl)
-    eng.commit()
-    eng.buffer("a").view(np.uint64)[:] = 0b0101
-    eng.buffer("b").view(np.uint64)[:] = 0b0011
-    eng.activate_internal()
-    assert eng.buffer("a").view(np.uint64)[0] == 0b0111
+    assert eng.buffer("a")[:16].view(np.float64).tolist() == [11.0, 22.0]
+    assert eng.buffer("a")[16:].view(np.uint64)[0] == 0b0111
 
 
 def test_fire_twice_is_silent_noop():
@@ -159,7 +146,7 @@ def test_or_logic_fires_on_first_dep():
         OpSpec(2, K_RECV, peer=1, phase=PHASE_ACT, step=0),
         OpSpec(3, K_NOP, logic="or", deps=(1, 2), publish=True),
     ]
-    tpl = ScheduleTemplate(ops=ops, buffers={}, entry_id=0)
+    tpl = ScheduleTemplate(ops=ops, buffers={})
     eng = make_engine(tpl)
     eng.commit()
     eng.activate_internal()  # fires 0 -> 1 -> (or) 3; recv 2 never fires
@@ -173,8 +160,8 @@ def test_persistent_replication_resets_state_and_buffers():
         OpSpec(0, K_NOP, entry=True),
         OpSpec(1, K_NOP, deps=(0,), publish=True),
     ]
-    tpl = ScheduleTemplate(ops=ops, buffers=buffers, entry_id=0,
-                           persistent=True, preserve=("keep",))
+    tpl = ScheduleTemplate(ops=ops, buffers=buffers, persistent=True,
+                           snapshot_src="keep")
     eng = make_engine(tpl)
     eng.commit()
     eng.buffer("acc").view(np.float64)[:] = 3.5
@@ -184,7 +171,7 @@ def test_persistent_replication_resets_state_and_buffers():
     # persistent schedules replicate on completion: generation already bumped
     assert eng.generation == 1
     assert eng.buffer("acc").view(np.float64)[0] == 0.0   # scratch zeroed
-    assert eng.buffer("keep").view(np.float64)[0] == 9.0  # preserved survives
+    assert eng.buffer("keep").view(np.float64)[0] == 9.0  # snapshot source survives
     assert bytes(eng.consumed) == b"\0\0"
     eng.activate_internal()
     assert eng.done_generation == 1
@@ -196,10 +183,10 @@ def test_persistent_replication_resets_state_and_buffers():
 ])
 def test_replication_zeroes_every_scratch_buffer_and_keeps_send(sizes):
     """Scratch buffers share one arena: each holds its own bytes, and a
-    replication zeroes all of them but leaves the preserved buffer alone."""
+    replication zeroes all of them but leaves the snapshot source alone."""
     ops = [OpSpec(0, K_NOP, entry=True), OpSpec(1, K_NOP, deps=(0,), publish=True)]
-    tpl = ScheduleTemplate(ops=ops, buffers=sizes, entry_id=0,
-                           persistent=True, preserve=("send",))
+    tpl = ScheduleTemplate(ops=ops, buffers=sizes, persistent=True,
+                           snapshot_src="send")
     eng = make_engine(tpl)
     eng.commit()
     for i, name in enumerate(sizes):
@@ -216,8 +203,9 @@ def test_replication_zeroes_every_scratch_buffer_and_keeps_send(sizes):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 3), st.data())
 def test_bor_matches_a_word_wise_or(offset_words, data):
-    """The engine ors u8 views byte by byte; the bits match np.bitwise_or
-    over the same uint64 words."""
+    """The engine ors the mask bytes from mask_offset on; the bits match
+    np.bitwise_or over the same uint64 words, and the f8 values below the
+    offset are added."""
     words = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
     a = np.array(data.draw(words), dtype=np.uint64)
     b = np.array(data.draw(st.lists(st.integers(0, 2**64 - 1),
@@ -226,16 +214,19 @@ def test_bor_matches_a_word_wise_or(offset_words, data):
     size = off + a.nbytes
     ops = [
         OpSpec(0, K_NOP, entry=True),
-        OpSpec(1, K_COMPUTE, deps=(0,), fn="bor",
-               dst=BufView("a", "u8", off, len(a)), src=BufView("b", "u8", off, len(a))),
+        OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="a"),
     ]
-    eng = make_engine(ScheduleTemplate(ops=ops, buffers={"a": size, "b": size}, entry_id=0))
+    eng = make_engine(ScheduleTemplate(ops=ops, buffers={"a": size, "b": size},
+                                       mask_offset=off))
     eng.commit()
+    eng.buffer("a")[:off].view(np.float64)[:] = np.arange(offset_words)
+    eng.buffer("b")[:off].view(np.float64)[:] = 0.5
     eng.buffer("a")[off:].view(np.uint64)[:] = a
     eng.buffer("b")[off:].view(np.uint64)[:] = b
     eng.activate_internal()
     assert eng.buffer("a")[off:].view(np.uint64).tolist() == np.bitwise_or(a, b).tolist()
-    assert not eng.buffer("a")[:off].any()
+    assert eng.buffer("a")[:off].view(np.float64).tolist() == [
+        i + 0.5 for i in range(offset_words)]
 
 
 def test_future_generation_messages_wait_in_mailbox():
@@ -256,7 +247,7 @@ def test_future_generation_messages_wait_in_mailbox():
 
 def test_stale_activation_is_ignored():
     ops = [OpSpec(0, K_NOP, entry=True), OpSpec(1, K_NOP, deps=(0,), publish=True)]
-    tpl = ScheduleTemplate(ops=ops, buffers={}, entry_id=0, persistent=True)
+    tpl = ScheduleTemplate(ops=ops, buffers={}, persistent=True)
     eng = make_engine(tpl)
     eng.commit()
     eng.activate_internal(expected_generation=0)
@@ -271,7 +262,7 @@ def test_hold_policy_defers_activation_messages():
         OpSpec(1, K_RECV, logic="or", deps=(), peer=1, phase=PHASE_ACT, step=0),
         OpSpec(2, K_NOP, logic="or", deps=(0, 1), publish=True),
     ]
-    tpl = ScheduleTemplate(ops=ops, buffers={}, entry_id=0)
+    tpl = ScheduleTemplate(ops=ops, buffers={})
     eng = make_engine(tpl)
     eng.commit()
     held = {"on": True}
@@ -290,7 +281,7 @@ def test_hold_policy_defers_activation_messages():
 def test_validate_rejects_duplicate_ids():
     ops = [OpSpec(0, K_NOP, entry=True), OpSpec(0, K_NOP)]
     with pytest.raises(DuplicateOpError):
-        ScheduleTemplate(ops=ops, buffers={}, entry_id=0).validate()
+        ScheduleTemplate(ops=ops, buffers={}).validate()
 
 
 def test_validate_rejects_cycles():
@@ -300,36 +291,36 @@ def test_validate_rejects_cycles():
         OpSpec(2, K_NOP, deps=(1,)),
     ]
     with pytest.raises(CycleError):
-        ScheduleTemplate(ops=ops, buffers={}, entry_id=0).validate()
+        ScheduleTemplate(ops=ops, buffers={}).validate()
 
 
 def test_validate_rejects_missing_entry_and_double_publish():
     with pytest.raises(ScheduleError):
-        ScheduleTemplate(ops=[OpSpec(0, K_NOP)], buffers={}, entry_id=0).validate()
+        ScheduleTemplate(ops=[OpSpec(0, K_NOP)], buffers={}).validate()
     ops = [
         OpSpec(0, K_NOP, entry=True),
         OpSpec(1, K_NOP, deps=(0,), publish=True),
         OpSpec(2, K_NOP, deps=(0,), publish=True),
     ]
     with pytest.raises(ScheduleError):
-        ScheduleTemplate(ops=ops, buffers={}, entry_id=0).validate()
+        ScheduleTemplate(ops=ops, buffers={}).validate()
 
 
 def test_validate_rejects_bad_views():
-    ops = [
-        OpSpec(0, K_NOP, entry=True),
-        OpSpec(1, K_COMPUTE, deps=(0,), fn="sum",
-               dst=BufView("a", "f8", 0, 4), src=BufView("a", "f8", 0, 4)),
-    ]
-    with pytest.raises(ScheduleError):  # 32 bytes of view in an 8-byte buffer
-        ScheduleTemplate(ops=ops, buffers={"a": 8}, entry_id=0).validate()
-    ops_bor = [
-        OpSpec(0, K_NOP, entry=True),
-        OpSpec(1, K_COMPUTE, deps=(0,), fn="bor",
-               dst=BufView("a", "f8", 0, 1), src=BufView("a", "f8", 0, 1)),
-    ]
-    with pytest.raises(ScheduleError):  # bitwise-or needs an integer dtype
-        ScheduleTemplate(ops=ops_bor, buffers={"a": 8}, entry_id=0).validate()
+    for src, dst, sizes, mask_offset, why in [
+        ("b", "zz", {"a": 8, "b": 8}, 0, "unknown buffer"),
+        (None, "a", {"a": 8, "b": 8}, 0, "unknown buffer"),
+        ("b", "a", {"a": 8, "b": 16}, 0, "sizes differ"),
+        ("b", "a", {"a": 16, "b": 16}, 4, "multiple of 8"),    # misaligned
+        ("b", "a", {"a": 16, "b": 16}, 24, "multiple of 8"),   # past the end
+        ("b", "a", {"a": 16, "b": 16}, -8, "multiple of 8"),   # before the start
+    ]:
+        ops = [
+            OpSpec(0, K_NOP, entry=True),
+            OpSpec(1, K_COMPUTE, deps=(0,), src_buf=src, dst_buf=dst),
+        ]
+        with pytest.raises(ScheduleError, match=why):
+            ScheduleTemplate(ops=ops, buffers=sizes, mask_offset=mask_offset).validate()
 
 
 def test_two_recvs_on_one_stream_rejected():
@@ -338,7 +329,7 @@ def test_two_recvs_on_one_stream_rejected():
         OpSpec(1, K_RECV, deps=(0,), peer=1, phase=PHASE_RED, step=0),
         OpSpec(2, K_RECV, deps=(0,), peer=2, phase=PHASE_RED, step=0),
     ]
-    tpl = ScheduleTemplate(ops=ops, buffers={}, entry_id=0)
+    tpl = ScheduleTemplate(ops=ops, buffers={})
     with pytest.raises(ScheduleError):
         make_engine(tpl)
 
@@ -356,7 +347,7 @@ class ReferenceCascade:
 
     def __init__(self, tpl):
         self.ops = sorted(tpl.ops, key=lambda o: o.oid)
-        self.entry = tpl.entry_id
+        self.entry = next(op.oid for op in tpl.ops if op.entry)
         self.consumed = [0] * len(self.ops)
         self.dependents = [[] for _ in self.ops]
         for op in self.ops:
@@ -454,13 +445,13 @@ def random_schedules(draw):
                               step=oid, recv_buf=draw(st.sampled_from((None, "b")))))
             streams.append((phase, oid))
         elif kind == K_COMPUTE:
-            dtype, fn = draw(st.sampled_from((("f8", "sum"), ("u8", "bor"))))
-            ops.append(OpSpec(oid, K_COMPUTE, logic=logic, deps=deps, fn=fn,
-                              dst=BufView("a", dtype, 0, 1), src=BufView("b", dtype, 0, 1)))
+            ops.append(OpSpec(oid, K_COMPUTE, logic=logic, deps=deps,
+                              src_buf="b", dst_buf="a"))
         else:
             ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps))
     # listed in any order: the engine compiles the oid order regardless
-    tpl = ScheduleTemplate(ops=draw(st.permutations(ops)), buffers=buffers, entry_id=0)
+    tpl = ScheduleTemplate(ops=draw(st.permutations(ops)), buffers=buffers,
+                           mask_offset=draw(st.sampled_from((0, 8))))
     dups = draw(st.lists(st.sampled_from(streams), max_size=2)) if streams else []
     events = [("activate",)] + [("msg", ph, stp) for ph, stp in streams + dups]
     events.append(("msg", PHASE_RED, n + 1))  # matches no recv: waits forever

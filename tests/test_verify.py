@@ -229,6 +229,20 @@ def test_explorer_p3_race_of_two_initiators():
     assert rep.unique_results == 1
 
 
+@pytest.mark.parametrize("cfg, arrivals_first, counts", [
+    (CollectiveConfig(p=3, flavor="solo", vector_len=2, seed=1234), False, (3545, 7, 7)),
+    (CollectiveConfig(p=3, flavor="majority", vector_len=2, seed=1234), False, (3545, 7, 7)),
+    (CollectiveConfig(p=2, flavor="solo", vector_len=2), False, (45, 3, 3)),
+    (CollectiveConfig(p=2, flavor="solo", vector_len=2), True, (16, 1, 1)),
+], ids=["p3-solo", "p3-majority", "p2-free", "p2-arrivals-first"])
+def test_explorer_counts_are_pinned(cfg, arrivals_first, counts):
+    """(states, terminals, unique results): a change to the schedule that
+    adds or loses an observable state moves these."""
+    rep = explore_interleavings(cfg, arrivals_first=arrivals_first)
+    assert rep.ok
+    assert (rep.states, rep.terminals, rep.unique_results) == counts
+
+
 def test_explorer_state_budget():
     cfg = CollectiveConfig(p=3, flavor="solo", vector_len=1)
     with pytest.raises(StateSpaceTooLarge):
