@@ -98,6 +98,22 @@ def test_compute_fns():
     assert eng.buffer("a")[16:].view(np.uint64)[0] == 0b0111
 
 
+def test_bor_on_integer_view():
+    """With mask_offset 0 the whole buffer is mask bytes: the reduce op is
+    a plain bitwise or, with no float prefix to add."""
+    ops = [
+        OpSpec(0, K_NOP, entry=True),
+        OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="a"),
+    ]
+    tpl = ScheduleTemplate(ops=ops, buffers={"a": 8, "b": 8}, mask_offset=0)
+    eng = make_engine(tpl)
+    eng.commit()
+    eng.buffer("a").view(np.uint64)[:] = 0b0101
+    eng.buffer("b").view(np.uint64)[:] = 0b0011
+    eng.activate_internal()
+    assert eng.buffer("a").view(np.uint64)[0] == 0b0111
+
+
 def test_fire_twice_is_silent_noop():
     sent = []
     eng = make_engine(chain_template(), sent)
