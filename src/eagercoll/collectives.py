@@ -218,7 +218,8 @@ class AllreduceHandle:
         self.transport = transport
         self.cid = cid
         self.recorder = recorder
-        self.user_snapshot_cb = None      # callable(rnd, data_vec, fresh)
+        # callable(rnd, data, fresh); data is a view valid only during the call
+        self.user_snapshot_cb = None
         self.contributed_round = -1
         self._last: CollectiveResult | None = None
         self._waiters: list[tuple[int, int, object]] = []
@@ -239,8 +240,8 @@ class AllreduceHandle:
         if self.user_snapshot_cb is not None:
             self.user_snapshot_cb(rnd, data, fresh)
 
-    def _done_cb(self, rnd: int) -> None:
-        data, mask = parse_payload(self.engine.recv_buffer, self.cfg)
+    def _done_cb(self, rnd: int, published: np.ndarray) -> None:
+        data, mask = parse_payload(published, self.cfg)
         res = CollectiveResult(self.rank, rnd, data / self.cfg.p, mask, mask.bit_count())
         self._last = res
         if self.recorder is not None:
@@ -264,9 +265,6 @@ class AllreduceHandle:
             cb(rank, self._last)
         else:
             self._waiters.append((generation, rank, cb))
-
-    def round_done(self, t: int) -> bool:
-        return self.engine.done_generation >= t
 
     def try_contribute(self, t: int, vec: np.ndarray) -> bool:
         """Offer this rank's value for round t.  False once the round's
@@ -303,11 +301,10 @@ class AllreduceHandle:
         return (yield WaitRound(self, t))
 
     def call_round(self, t: int, vec: np.ndarray):
-        """One full bench round: contribute if the bus is still here, start
-        the round, wait for the result.  Returns this round's result (or the
-        latest one, if the schedule has already moved past t)."""
-        if not self.round_done(t):
-            self.try_contribute(t, vec)
+        """One full bench round: start the round only if the offer boarded
+        (as train_step does), then wait for the result.  Returns this round's
+        result (or the latest one, if the schedule has already moved past t)."""
+        if self.try_contribute(t, vec):
             self.activate(t)
         return (yield from self.wait_done(t))
 

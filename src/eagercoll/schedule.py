@@ -22,7 +22,10 @@ arrays.  One fire loop, _cascade, fires every op, recvs included: it binds
 those arrays to locals once and runs a LIFO stack of candidates until it
 empties or the generation moves on.  Every buffer but the snapshot source
 is a slice of one byte arena, so a replication zeroes them all with a
-single fill.
+single fill, and the arena plus the snapshot source is the engine's whole
+payload state.  No payload is copied to hand it out: the owner reads the
+send buffer in on_snapshot and the publish buffer in on_done, where the
+chain left them, before the engine zeroes them.
 
 The engine is passive: it is driven by whoever owns the transport (the
 simulator's delivery loop, a socket reader thread, or the interleaving
@@ -173,7 +176,9 @@ class Engine:
     Public surface: commit(), activate_internal(), pump(), buffer(),
     state()/restore(), the mailbox the transport appends this collective's
     messages to, plus read-only state (generation, done_generation,
-    consumed, recv_buffer).
+    consumed).  on_snapshot(generation, send buffer) and
+    on_done(generation, publish buffer) get live views that are valid only
+    during the call: a callback that keeps the bytes copies them.
     """
 
     def __init__(self, template: ScheduleTemplate, rank: int, cid: int,
@@ -211,10 +216,6 @@ class Engine:
                    else np.zeros(size, dtype=np.uint8))
             for name, size in template.buffers.items()
         }
-        self.recv_buffer = (
-            np.zeros(template.buffers[template.publish_from], dtype=np.uint8)
-            if template.publish_from else None
-        )
         self._compile(template, dependents)
         self.consumed = bytearray(len(self.ops))
         self._waiting = bytearray(self._waiting0)
@@ -283,24 +284,22 @@ class Engine:
 
     def state(self) -> tuple:
         """Everything a run changes (op states and dependency counters,
-        generations, buffers, the mailbox) as a hashable value; restore()
-        puts it back."""
+        generations, the arena and the send buffer, the mailbox) as a
+        hashable value; restore() puts it back."""
+        snap = self._snap_buf
         return (bytes(self.consumed) + self._waiting,
-                self.generation, self.done_generation,
-                tuple((k, v.tobytes()) for k, v in sorted(self._buf.items())),
-                None if self.recv_buffer is None else self.recv_buffer.tobytes(),
-                tuple(self.mailbox))
+                self.generation, self.done_generation, self._arena.tobytes(),
+                b"" if snap is None else snap.tobytes(), tuple(self.mailbox))
 
     def restore(self, state: tuple) -> None:
-        ops, self.generation, self.done_generation, bufs, recv, box = state
+        ops, self.generation, self.done_generation, arena, snap, box = state
         n = len(self.ops)
         self.consumed = bytearray(ops[:n])
         self._waiting = bytearray(ops[n:])
         self.mailbox[:] = box
-        for name, raw in bufs:
-            self._buf[name][:] = np.frombuffer(raw, dtype=np.uint8)
-        if recv is not None:
-            self.recv_buffer[:] = np.frombuffer(recv, dtype=np.uint8)
+        self._arena.data[:] = arena
+        if self._snap_buf is not None:
+            self._snap_buf.data[:] = snap
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -394,16 +393,13 @@ class Engine:
         if buf is None:
             return
         if self.on_snapshot is not None:
-            self.on_snapshot(self.generation, buf.copy())
+            self.on_snapshot(self.generation, buf)
         buf[:] = 0  # contribution consumed; the stash starts empty again
 
     def _complete(self) -> None:
-        g = self.generation
-        if self.recv_buffer is not None:
-            np.copyto(self.recv_buffer, self._publish_buf)
-        self.done_generation = g
+        g = self.done_generation = self.generation
         if self.on_done is not None:
-            self.on_done(g)
+            self.on_done(g, self._publish_buf)
         if self._persistent:
             self._replicate()
 

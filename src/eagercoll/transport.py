@@ -151,13 +151,20 @@ def inject_delay(rank: Rank, rnd: int, model: DelayModel, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# engine routing (both backends)
+# rank checks and engine routing (both backends)
 
 
-def _add_engine(engines: dict, rank: Rank, engine) -> None:
-    if engine.cid in engines:
+def _check_ranks(p: int, *ranks: Rank) -> None:
+    for rank in ranks:
+        if not 0 <= rank < p:
+            raise UnknownRank(f"rank {rank} outside [0, {p})")
+
+
+def _add_engine(engines: list[dict], rank: Rank, engine) -> None:
+    _check_ranks(len(engines), rank)
+    if engine.cid in engines[rank]:
         raise ValueError(f"rank {rank} already has an engine for cid {engine.cid}")
-    engines[engine.cid] = engine
+    engines[rank][engine.cid] = engine
 
 
 def _engine_for(engines: dict, msg: Message):
@@ -209,8 +216,7 @@ class SimTransport:
     # -- wiring -------------------------------------------------------------
 
     def register_engine(self, rank: Rank, engine) -> None:
-        self._check_rank(rank)
-        _add_engine(self._engines[rank], rank, engine)
+        _add_engine(self._engines, rank, engine)
         engine.defer_fn = self.defer
 
     def defer(self, fn) -> None:
@@ -219,15 +225,11 @@ class SimTransport:
         self._push(self._now_us, _PRIO_DELIVER, _call, fn)
 
     def spawn(self, rank: Rank, proc) -> None:
-        self._check_rank(rank)
+        _check_ranks(self.p, rank)
         if rank in self._procs:
             raise ValueError(f"rank {rank} already has a process")
         self._procs[rank] = proc
         self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, None))
-
-    def _check_rank(self, rank: Rank) -> None:
-        if not (0 <= rank < self.p):
-            raise UnknownRank(f"rank {rank} outside [0, {self.p})")
 
     def _push(self, t: int, prio: int, handler, arg) -> None:
         heapq.heappush(self._heap, (t, prio, self._seq, handler, arg))
@@ -238,8 +240,7 @@ class SimTransport:
     def send(self, msg: Message) -> None:
         src, dst = msg.src, msg.dst
         if not (0 <= src < self.p and 0 <= dst < self.p):
-            self._check_rank(src)
-            self._check_rank(dst)
+            _check_ranks(self.p, src, dst)
         heapq.heappush(self._heap, (self._now_us + self.link_latency_us, _PRIO_DELIVER,
                                     self._seq, self._deliver, msg))
         self._seq += 1
@@ -339,7 +340,7 @@ class SocketTransport:
         return (time.monotonic_ns() - self._t0) // 1000
 
     def register_engine(self, rank: Rank, engine) -> None:
-        _add_engine(self._engines[rank], rank, engine)
+        _add_engine(self._engines, rank, engine)
 
     def _link(self, src: Rank, dst: Rank) -> queue.SimpleQueue:
         with self._link_lock:
@@ -385,8 +386,9 @@ class SocketTransport:
                 self._progress.notify_all()
 
     @staticmethod
-    def _read_exact(conn: socket.socket, n: int) -> bytes | None:
-        """The next n bytes of the stream, or None at end-of-stream."""
+    def _read_exact(conn: socket.socket, n: int) -> bytearray | None:
+        """The next n bytes of the stream, in the buffer they were read
+        into, or None at end-of-stream."""
         buf = bytearray(n)
         view = memoryview(buf)
         got = 0
@@ -395,13 +397,12 @@ class SocketTransport:
             if not k:
                 return None
             got += k
-        return bytes(buf)
+        return buf
 
     def send(self, msg: Message) -> None:
         if not self._open:
             raise TransportClosed("send on closed transport")
-        if not (0 <= msg.dst < self.p):
-            raise UnknownRank(str(msg.dst))
+        _check_ranks(self.p, msg.src, msg.dst)
         q = self._queues.get((msg.src, msg.dst)) or self._link(msg.src, msg.dst)
         t = msg.tag
         q.put(_FRAME.pack(msg.src, msg.dst, t.cid, t.rnd, t.phase, t.step,

@@ -349,6 +349,8 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
         eng = Engine(tpl, r, 0, send_fn, lambda: 0)
         eng.commit()
         engines.append(eng)
+    # each rank's result, read where its chain left it; restore() writes in place
+    published = [e.buffer(e.template.publish_from) for e in engines]
 
     def contribute(rank: int) -> None:
         eng = engines[rank]
@@ -415,11 +417,11 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
             done = [e.done_generation == 0 and e.generation == 0 for e in engines]
             if not all(done):
                 violations.append(f"terminal state with incomplete round: {done} via {path}")
-            res = tuple(e.recv_buffer.tobytes() for e in engines)
+            res = tuple(b.tobytes() for b in published)
             if len(set(res)) != 1:
                 violations.append(f"ranks disagree at terminal via {path}")
             results.add(res[0])
-            data, mask = parse_payload(engines[0].recv_buffer, cfg)
+            data, mask = parse_payload(published[0], cfg)
             vecs = [contributions[r] if (mask >> r) & 1
                     else np.zeros_like(contributions[r]) for r in range(p)]
             if tree_order_sum(vecs).tobytes() != data.tobytes():

@@ -165,7 +165,7 @@ def test_late_contribution_is_refused():
     assert handles[0].try_contribute(0, contrib[0])
     handles[0].activate(0)
     sim.run()
-    assert handles[0].round_done(0)
+    assert handles[0].done_generation == 0
     assert not handles[1].try_contribute(0, contrib[1])
     with pytest.raises(StopIteration) as ei:
         next(handles[1].wait_done(0))

@@ -291,7 +291,7 @@ def test_resync_step_raises_when_the_round_is_already_done():
     h = AllreduceHandle(cfg, 0, SimTransport(1))
     assert h.try_contribute(0, np.ones(2))
     h.activate(0)
-    assert h.round_done(0)
+    assert h.done_generation == 0
     s = TrainState.fresh(np.zeros(2), lr=0.1)
     with pytest.raises(ResyncError):
         next(resync_step(s, h, 0))

@@ -151,7 +151,7 @@ def test_state_restore_round_trip():
     assert not any(eng.consumed)
     eng.restore(after)
     assert eng.state() == after
-    assert eng.recv_buffer.view(np.float64)[0] == 5.0
+    assert eng.buffer("acc").view(np.float64)[0] == 5.0
 
 
 def test_or_logic_fires_on_first_dep():
@@ -199,7 +199,9 @@ def test_persistent_replication_resets_state_and_buffers():
 ])
 def test_replication_zeroes_every_scratch_buffer_and_keeps_send(sizes):
     """Scratch buffers share one arena: each holds its own bytes, and a
-    replication zeroes all of them but leaves the snapshot source alone."""
+    replication zeroes all of them but leaves the snapshot source alone.
+    state()/restore() brings back every byte, in the arena (padding
+    included) and in the snapshot source outside it."""
     ops = [OpSpec(0, K_NOP, entry=True), OpSpec(1, K_NOP, deps=(0,), publish=True)]
     tpl = ScheduleTemplate(ops=ops, buffers=sizes, persistent=True,
                            snapshot_src="send")
@@ -207,13 +209,20 @@ def test_replication_zeroes_every_scratch_buffer_and_keeps_send(sizes):
     eng.commit()
     for i, name in enumerate(sizes):
         eng.buffer(name)[:] = 0x11 * (i + 1)
-    for i, name in enumerate(sizes):
-        assert eng.buffer(name).tobytes() == bytes([0x11 * (i + 1)]) * sizes[name]
+    filled = {name: bytes([0x11 * (i + 1)]) * size for i, (name, size) in enumerate(sizes.items())}
+    for name in sizes:
+        assert eng.buffer(name).tobytes() == filled[name]
+    before = eng.state()
     eng.activate_internal()
     assert eng.generation == 1
-    for i, name in enumerate(sizes):
-        want = bytes([0x11 * (i + 1)]) * sizes[name] if name == "send" else bytes(sizes[name])
+    for name in sizes:
+        want = filled[name] if name == "send" else bytes(sizes[name])
         assert eng.buffer(name).tobytes() == want
+    eng.buffer("send")[:] = 0xEE
+    eng.restore(before)
+    assert eng.state() == before and eng.generation == 0
+    for name in sizes:
+        assert eng.buffer(name).tobytes() == filled[name]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,5 @@
 """Simulated transport: delivery timing, ordering, routing by collective id,
-delay models, deadlock."""
+delay models, deadlock; rank checks on both backends."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from eagercoll.transport import (
     DelayModel,
     Message,
     SimTransport,
+    SocketTransport,
     Sleep,
     Tag,
     PHASE_RED,
@@ -147,6 +148,24 @@ def test_unknown_rank_rejected():
         sim.spawn(2, iter(()))
     with pytest.raises(UnknownRank):
         sim.send(_msg(0, 5))
+
+
+@pytest.mark.parametrize("backend", [SimTransport, SocketTransport])
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_both_backends_reject_ranks_outside_the_world(backend, bad):
+    """register_engine, and send with either end out of range, raise
+    UnknownRank; a refused registration does not take another rank's slot."""
+    net = backend(2)
+    try:
+        with pytest.raises(UnknownRank):
+            net.register_engine(bad, FakeEngine(net))
+        net.register_engine(1, FakeEngine(net))  # -1 must not have aliased rank 1
+        for src, dst in ((bad, 0), (0, bad)):
+            with pytest.raises(UnknownRank):
+                net.send(_msg(src, dst))
+    finally:
+        if backend is SocketTransport:
+            net.close()
 
 
 def test_negative_sleep_is_rejected():
