@@ -270,17 +270,16 @@ class AllreduceHandle:
         """Offer this rank's value for round t.  False once the round's
         snapshot has already consumed the buffer (the value missed the bus)."""
         eng = self.engine
-        with eng.lock:
-            if eng.done_generation >= t:
-                return False
-            if eng.generation != t:
-                raise RoundOrderError(
-                    f"rank {self.rank} offered round {t} while round "
-                    f"{eng.generation} is current; rounds must be driven in order")
-            if eng.consumed[eng.template.snapshot_last]:
-                return False
-            write_payload(eng.buffer("send"), self.cfg, self.rank, vec)
-            self.contributed_round = t
+        if eng.done_generation >= t:
+            return False
+        if eng.generation != t:
+            raise RoundOrderError(
+                f"rank {self.rank} offered round {t} while round "
+                f"{eng.generation} is current; rounds must be driven in order")
+        if eng.consumed[eng.template.snapshot_last]:
+            return False
+        write_payload(eng.buffer("send"), self.cfg, self.rank, vec)
+        self.contributed_round = t
         eng.pump()
         return True
 

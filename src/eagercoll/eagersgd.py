@@ -152,12 +152,8 @@ def train_step(state: TrainState, batch, handle):
         rec.weights[(state.rank, t)] = state.w.copy()
         rec.gradients[(state.rank, t)] = grad.copy()
 
-    # Fold and offer under the engine lock: a concurrent snapshot between the
-    # two would reset the stash and silently drop this round's gradient.
-    with handle.engine.lock:
-        state.send_buf.fold(grad, t)
-        offered = handle.try_contribute(t, state.send_buf.data)
-    if offered:
+    state.send_buf.fold(grad, t)
+    if handle.try_contribute(t, state.send_buf.data):
         handle.activate(t)
     res = yield from handle.wait_done(t)
     state.w = state.w - state.lr * res.u

@@ -27,13 +27,14 @@ payload state.  No payload is copied to hand it out: the owner reads the
 send buffer in on_snapshot and the publish buffer in on_done, where the
 chain left them, before the engine zeroes them.
 
-The engine is passive: it is driven by whoever owns the transport (the
-simulator's delivery loop, a socket reader thread, or the interleaving
-explorer), which appends each message for this engine's collective to its
-mailbox and pumps it.  It sends through an injected callable.  A persistent
-schedule replicates itself on completion: the generation counter bumps, op
-states and scratch buffers reset, and messages tagged with a future
-generation wait in the mailbox until their generation is current.
+The engine is passive and single-threaded: it is driven by whoever owns
+its rank (the simulator's event loop, the rank's socket driver thread, or
+the interleaving explorer), which appends each message for this engine's
+collective to its mailbox and pumps it.  It sends through an injected
+callable.  A persistent schedule replicates itself on completion: the
+generation counter bumps, op states and scratch buffers reset, and messages
+tagged with a future generation wait in the mailbox until their generation
+is current.
 
 Internal activation fires the entry NOP locally.  External activation is a
 message arriving on an activation-phase recv.  A hold policy, when set,
@@ -43,7 +44,6 @@ this is the hook the staleness guard uses to degrade a round to synchronous.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -178,7 +178,8 @@ class Engine:
     messages to, plus read-only state (generation, done_generation,
     consumed).  on_snapshot(generation, send buffer) and
     on_done(generation, publish buffer) get live views that are valid only
-    during the call: a callback that keeps the bytes copies them.
+    during the call: a callback that keeps the bytes copies them.  Nothing
+    here locks: one thread, the owner of the engine's rank, makes every call.
     """
 
     def __init__(self, template: ScheduleTemplate, rank: int, cid: int,
@@ -200,9 +201,6 @@ class Engine:
         # so same-instant application resumes observe the new generation
         # before held-back messages are matched against it.
         self.defer_fn = None
-        # serializes app-thread calls against reader-thread pumps (socket mode);
-        # uncontended in the simulator
-        self.lock = threading.RLock()
 
         # every buffer but the snapshot source is an 8-byte-aligned slice of
         # one arena, so a replication zeroes them all with one fill
@@ -307,23 +305,21 @@ class Engine:
         """Arm the schedule: dependency-free ops fire immediately, except the
         entry NOP, which waits for activation, and recvs, which fire on
         message arrival."""
-        with self.lock:
-            if self.committed:
-                raise ScheduleError("schedule already committed")
-            self.committed = True
-            self._cascade(list(self._seeds))
+        if self.committed:
+            raise ScheduleError("schedule already committed")
+        self.committed = True
+        self._cascade(list(self._seeds))
         self.pump()
 
     def activate_internal(self, expected_generation: int | None = None) -> None:
         """Fire the entry NOP.  Silent no-op if this generation is already
         activated (several initiators may race), or if the schedule has moved
         past `expected_generation`."""
-        with self.lock:
-            if not self.committed:
-                raise ScheduleError("activate before commit")
-            if expected_generation is not None and self.generation != expected_generation:
-                return
-            self._cascade([self._entry])
+        if not self.committed:
+            raise ScheduleError("activate before commit")
+        if expected_generation is not None and self.generation != expected_generation:
+            return
+        self._cascade([self._entry])
         self.pump()
 
     def _replicate(self) -> None:
@@ -426,38 +422,37 @@ class Engine:
         """
         if not self.committed:
             return
-        with self.lock:
-            box = self.mailbox
-            recv_index = self._recv_index
-            gen = self.generation
-            i = 0
-            while i < len(box):
-                _, _, (_, rnd, phase, step), payload = box[i]
-                if rnd < gen:
-                    del box[i]
-                    continue
-                if rnd > gen:
-                    i += 1
-                    continue
-                oid = recv_index.get((phase, step))
-                if oid is None:
-                    i += 1
-                    continue
-                if self.consumed[oid]:
-                    del box[i]  # duplicate for a consumable op: ignore
-                    continue
-                if (phase == PHASE_ACT and self.hold_policy is not None
-                        and self.hold_policy(gen)):
-                    i += 1
-                    continue
-                if self._waiting[oid]:
-                    i += 1
-                    continue
+        box = self.mailbox
+        recv_index = self._recv_index
+        gen = self.generation
+        i = 0
+        while i < len(box):
+            _, _, (_, rnd, phase, step), payload = box[i]
+            if rnd < gen:
                 del box[i]
-                self._fire_recv(oid, payload)
-                if self.generation != gen:
-                    if self.defer_fn is not None:
-                        self.defer_fn(self.pump)
-                        return
-                    gen = self.generation
-                i = 0
+                continue
+            if rnd > gen:
+                i += 1
+                continue
+            oid = recv_index.get((phase, step))
+            if oid is None:
+                i += 1
+                continue
+            if self.consumed[oid]:
+                del box[i]  # duplicate for a consumable op: ignore
+                continue
+            if (phase == PHASE_ACT and self.hold_policy is not None
+                    and self.hold_policy(gen)):
+                i += 1
+                continue
+            if self._waiting[oid]:
+                i += 1
+                continue
+            del box[i]
+            self._fire_recv(oid, payload)
+            if self.generation != gen:
+                if self.defer_fn is not None:
+                    self.defer_fn(self.pump)
+                    return
+                gen = self.generation
+            i = 0

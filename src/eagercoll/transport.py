@@ -3,8 +3,8 @@
 The simulated backend runs logical processes as generators over a virtual
 clock (integer microseconds) and delivers messages through a single global
 event queue, so a run is a deterministic function of its inputs.  The socket
-backend runs the same process bodies on OS threads over kernel socketpairs,
-one link with its own writer queue per directed rank pair, and is used to
+backend runs the same process bodies over kernel socketpairs, one driver
+thread per rank that alone delivers that rank's messages, and is used to
 demonstrate that nothing in the upper layers depends on simulation.
 
 A logical process is a generator that yields command objects:
@@ -317,8 +317,10 @@ class SocketTransport:
 
     Each directed (src, dst) pair gets a link on its first send: a socketpair,
     a queue, a writer thread that sendalls the queued frames in order and a
-    reader thread that delivers them.  send() only enqueues, so no engine lock
-    is held across socket I/O, and one queue per writer keeps streams FIFO.
+    reader thread that parses them onto dst's inbox.  Only dst's driver
+    thread (see run_processes) takes messages off that inbox and hands them
+    to dst's engines, so every engine has one owner thread and needs no
+    lock.  send() only enqueues, and one queue per writer keeps streams FIFO.
     Timing comes from the wall clock, so nothing here is deterministic.
     """
 
@@ -328,12 +330,11 @@ class SocketTransport:
         self.p = p
         self._t0 = time.monotonic_ns()
         self._engines: list[dict] = [{} for _ in range(p)]
+        self._inbox = [queue.SimpleQueue() for _ in range(p)]
         self._queues: dict[tuple[int, int], queue.SimpleQueue] = {}
         self._socks: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
         self._link_lock = threading.Lock()
-        self._reader_errors: list = []  # (rank, error) of each reader an error stopped
-        self._progress = threading.Condition()  # reader errors, finished drivers
         self._open = True
 
     def now_us(self) -> int:
@@ -351,7 +352,8 @@ class SocketTransport:
                 q = self._queues[(src, dst)] = queue.SimpleQueue()
                 w, r = socket.socketpair()
                 self._socks += (w, r)
-                for target, args in ((self._writer, (w, q)), (self._reader, (dst, r))):
+                for target, args in ((self._writer, (w, q)),
+                                     (self._reader, (r, self._inbox[dst]))):
                     th = threading.Thread(target=target, args=args, daemon=True)
                     th.start()
                     self._threads.append(th)
@@ -360,30 +362,19 @@ class SocketTransport:
     @staticmethod
     def _writer(sock: socket.socket, q: queue.SimpleQueue) -> None:
         with contextlib.suppress(OSError):  # close() shut the socket down
-            for frame in iter(q.get, None):  # close() enqueues None
-                sock.sendall(frame)
+            for header, payload in iter(q.get, None):  # close() enqueues None
+                sock.sendall(header)
+                sock.sendall(payload)
 
-    def _reader(self, rank: int, conn: socket.socket) -> None:
-        try:
-            while True:
-                hdr = self._read_exact(conn, _FRAME.size)
-                if hdr is None:
-                    return
-                src, dst, cid, rnd, phase, step, n = _FRAME.unpack(hdr)
-                payload = self._read_exact(conn, n)
+    @classmethod
+    def _reader(cls, conn: socket.socket, inbox: queue.SimpleQueue) -> None:
+        with contextlib.suppress(OSError):  # close() shut the socket down
+            while (header := cls._read_exact(conn, _FRAME.size)) is not None:
+                src, dst, cid, rnd, phase, step, n = _FRAME.unpack(header)
+                payload = cls._read_exact(conn, n)
                 if payload is None:
                     return
-                msg = Message(src, dst, Tag(cid, rnd, phase, step), payload)
-                eng = _engine_for(self._engines[dst], msg)
-                with eng.lock:
-                    eng.mailbox.append(msg)
-                    eng.pump()
-        except OSError:
-            return
-        except Exception as e:  # e.g. UnroutedMessage; run_processes raises it
-            with self._progress:
-                self._reader_errors.append((rank, e))
-                self._progress.notify_all()
+                inbox.put(Message(src, dst, Tag(cid, rnd, phase, step), payload))
 
     @staticmethod
     def _read_exact(conn: socket.socket, n: int) -> bytearray | None:
@@ -405,69 +396,86 @@ class SocketTransport:
         _check_ranks(self.p, msg.src, msg.dst)
         q = self._queues.get((msg.src, msg.dst)) or self._link(msg.src, msg.dst)
         t = msg.tag
-        q.put(_FRAME.pack(msg.src, msg.dst, t.cid, t.rnd, t.phase, t.step,
-                          len(msg.payload)) + msg.payload)
+        q.put((_FRAME.pack(msg.src, msg.dst, t.cid, t.rnd, t.phase, t.step,
+                           len(msg.payload)), msg.payload))
 
     def run_processes(self, bodies: dict[int, object], timeout: float = 60.0) -> None:
-        """Drive generator process bodies to completion, one thread per rank.
+        """Drive generator process bodies to completion, one driver thread
+        per rank of the world; a rank with no body only serves.
 
-        A rank parked on WaitRound registers a waiter on its handle, as in the
-        simulator, under the engine's lock that readers publish rounds under.
-        A reader error or the timeout fails the run and wakes every parked
-        rank, so all drivers are joined before the error is raised."""
+        A rank's driver is the only thread that hands its messages to its
+        engines: it delivers the rank's inbox while the body sleeps, while
+        it waits for a round and, once the body has finished, until the run
+        stops.  The run stops when every body has finished, when a driver
+        fails (an UnroutedMessage, say) or at the timeout; all drivers are
+        joined before a failure is raised."""
+        _check_ranks(self.p, *bodies)
         errors: list = []
         finished: list = []
-        inbox = {rank: queue.SimpleQueue() for rank in bodies}
-        failed = threading.Event()
+        progress = threading.Condition()
+        stopped = threading.Event()
 
-        def wake(rank: int, result) -> None:
-            inbox[rank].put(result)
+        def deliver(rank: int, done, deadline: float = math.inf) -> None:
+            """Deliver rank's inbox until done() holds, the deadline passes
+            or the run stops."""
+            engines, inbox = self._engines[rank], self._inbox[rank]
+            while not (done() or stopped.is_set()):
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    return
+                try:
+                    msg = inbox.get(timeout=None if wait == math.inf else wait)
+                except queue.Empty:
+                    return
+                if msg is not None:  # a None only wakes this loop up
+                    eng = _engine_for(engines, msg)
+                    eng.mailbox.append(msg)
+                    eng.pump()
 
         def driver(rank: int, proc) -> None:
             value = None
             try:
-                while not failed.is_set():
+                while not stopped.is_set():
                     try:
                         cmd = proc.send(value)
                     except StopIteration:
-                        return
+                        break
+                    value = None
                     if isinstance(cmd, Sleep):
-                        failed.wait(cmd.us / 1e6)
-                        value = None
+                        deliver(rank, lambda: False, time.monotonic() + cmd.us / 1e6)
                     elif isinstance(cmd, WaitRound):
-                        with cmd.handle.engine.lock:
-                            cmd.handle.add_waiter(cmd.generation, rank, wake)
-                        value = inbox[rank].get()
+                        woken: list = []
+                        cmd.handle.add_waiter(cmd.generation, rank,
+                                              lambda _, res: woken.append(res))
+                        deliver(rank, lambda: woken)
+                        value = woken[0] if woken else None
                     else:
                         raise TypeError(f"process yielded {cmd!r}")
-            except Exception as e:  # surfaced after join
-                errors.append((rank, e))
-            finally:
-                with self._progress:
+                with progress:
                     finished.append(rank)
-                    self._progress.notify_all()
+                    progress.notify_all()
+                deliver(rank, lambda: False)
+            except Exception as e:  # surfaced after join
+                with progress:
+                    errors.append((rank, e))
+                    progress.notify_all()
 
-        threads = [threading.Thread(target=driver, args=item, daemon=True)
-                   for item in bodies.items()]
+        threads = [threading.Thread(target=driver, daemon=True,
+                                    args=(rank, bodies.get(rank, (_ for _ in ()))))
+                   for rank in range(self.p)]
         for th in threads:
             th.start()
-        with self._progress:
-            self._progress.wait_for(
-                lambda: len(finished) == len(threads) or self._reader_errors, timeout)
-            stuck = len(finished) < len(threads)
-        if stuck:
-            failed.set()
-            for q in inbox.values():
-                q.put(None)
+        with progress:
+            ended = progress.wait_for(lambda: len(finished) == self.p or errors, timeout)
+        stopped.set()
+        for inbox in self._inbox:
+            inbox.put(None)
         _join_all(threads)
-        if self._reader_errors:
-            rank, err = self._reader_errors[0]
-            raise RuntimeError(f"reader for rank {rank} failed: {err!r}") from err
-        if stuck:
-            raise TimeoutError("process thread did not finish")
         if errors:
             rank, err = errors[0]
             raise RuntimeError(f"rank {rank} failed: {err!r}") from err
+        if not ended:
+            raise TimeoutError("process thread did not finish")
 
     def close(self) -> None:
         """Stop the writers, shut every socket down, which wakes a blocked

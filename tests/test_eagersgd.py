@@ -74,10 +74,8 @@ def test_missed_round_folds_into_the_next_sum():
 
     def offer(h, t, g):
         ledger.generated(h.rank, t)
-        with h.engine.lock:
-            states[h.rank].send_buf.fold(g, t)
-            offered = h.try_contribute(t, states[h.rank].send_buf.data)
-        if offered:
+        states[h.rank].send_buf.fold(g, t)
+        if h.try_contribute(t, states[h.rank].send_buf.data):
             h.activate(t)
 
     def fast(h):

@@ -18,40 +18,44 @@ import pytest
 
 import eagercoll
 from eagercoll.collectives import AllreduceHandle, CollectiveConfig, tree_order_sum
+from eagercoll.eagersgd import TrainState, training_process
+from eagercoll.models import gen_dataset
+from eagercoll.trace import TraceRecorder
 from eagercoll.transport import (
-    PHASE_RED, Message, SocketTransport, Tag, UnroutedMessage,
+    PHASE_RED, Message, SocketTransport, Sleep, Tag, UnroutedMessage,
 )
+from eagercoll.verify import DeliveryLedger, check_round_contracts
 
 
-@pytest.mark.parametrize("flavor", ["sync", "solo"])
+@pytest.mark.parametrize("flavor", ["sync", "solo", "majority"])
 def test_socket_allreduce_completes_with_valid_result(flavor):
-    p, vlen = 4, 8
+    p, vlen, rounds = 4, 8, 6
     cfg = CollectiveConfig(p=p, flavor=flavor, vector_len=vlen, seed=9)
+    rng = np.random.default_rng(4)
+    contrib = rng.standard_normal((rounds, p, vlen))
+    sleep_us = rng.integers(0, 2000, (rounds, p))
+    rec = TraceRecorder()
     net = SocketTransport(p)
     try:
-        handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(p)]
-        contrib = np.random.default_rng(4).standard_normal((p, vlen))
-        results = {}
+        handles = [AllreduceHandle(cfg, r, net, cid=0, recorder=rec) for r in range(p)]
 
         def body(rank):
-            res = yield from handles[rank].call_round(0, contrib[rank])
-            results[rank] = res
+            for t in range(rounds):
+                yield Sleep(int(sleep_us[t, rank]))
+                yield from handles[rank].call_round(t, contrib[t, rank])
 
         net.run_processes({r: body(r) for r in range(p)})
     finally:
         net.close()
 
-    ref = results[0]
-    assert ref.nap >= 1
-    for r in range(1, p):
-        assert results[r].included == ref.included
-        assert results[r].u.tobytes() == ref.u.tobytes()
-    # whatever subset boarded, u is its tree-ordered mean
-    aboard = [contrib[r] for r in range(p) if (ref.included >> r) & 1]
-    padded = [contrib[r] if (ref.included >> r) & 1 else np.zeros(vlen)
-              for r in range(p)]
-    assert ref.nap == len(aboard)
-    assert ref.u.tobytes() == (tree_order_sum(padded) / p).tobytes()
+    # agreement, liveness, and u is the tree-ordered mean of what boarded
+    rep = check_round_contracts(rec, p, expect_rounds=rounds)
+    assert rep.ok, rep.violations
+    for snap in rec.snapshots:
+        if snap.fresh:
+            assert snap.data.tobytes() == contrib[snap.rnd, snap.rank].tobytes()
+    if flavor == "sync":
+        assert all(res.nap == p for res in rec.rounds)
 
 
 def test_socket_sync_includes_everyone():
@@ -90,8 +94,8 @@ def _sync_pair(net, vlen=2):
 
 
 def test_reader_failure_is_raised_from_run_processes():
-    """A message no engine is registered for stops its connection's reader;
-    run_processes names that error, not just the round it starved."""
+    """A message no engine is registered for fails the driver of the rank it
+    reaches; run_processes names that error, not just the round it starved."""
     net = SocketTransport(2)
     try:
         bodies = _sync_pair(net)
@@ -105,7 +109,7 @@ def test_reader_failure_is_raised_from_run_processes():
 
 
 def _failed_run(net):
-    """The _sync_pair round after a cid-5 message has stopped rank 1's reader."""
+    """The _sync_pair round after a cid-5 message has failed rank 1's driver."""
     bodies = _sync_pair(net)
     net.send(Message(0, 1, Tag(5, 0, PHASE_RED, 0), b""))
     with pytest.raises(RuntimeError, match="UnroutedMessage"):
@@ -187,8 +191,8 @@ def test_socket_solo_with_eight_mib_payloads_completes():
 
 
 def test_reader_failure_is_raised_at_once():
-    """run_processes raises a reader's error as soon as it is recorded, not
-    after the ranks it starved have waited out their timeout."""
+    """run_processes raises a driver's delivery error as soon as it is
+    recorded, not after the ranks it starved have waited out their timeout."""
     net = SocketTransport(2)
     try:
         bodies = _sync_pair(net)
@@ -259,3 +263,64 @@ def test_close_joins_readers_and_leaves_no_open_sockets():
         gc.collect()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert not leaks, [str(w.message) for w in leaks]
+
+
+def test_a_rank_without_a_body_still_serves():
+    """Only ranks 0 and 1 run rounds; rank 2's driver still serves its
+    fold and final steps, so both bodies board every round."""
+    p, rounds = 3, 3
+    cfg = CollectiveConfig(p=p, flavor="solo", vector_len=2, seed=1)
+    net = SocketTransport(p)
+    results = []
+    try:
+        handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(p)]
+
+        def body(rank):
+            for t in range(rounds):
+                results.append((yield from handles[rank].call_round(t, np.ones(2))))
+
+        net.run_processes({r: body(r) for r in range(2)})
+        # rank 2's last final step may still be in flight when the bodies end;
+        # a run in which rank 2 waits for it delivers it
+        net.run_processes({2: handles[2].wait_done(rounds - 1)})
+    finally:
+        net.close()
+    assert len(results) == 2 * rounds
+    assert all(res.nap == 2 for res in results)
+    assert handles[2].done_generation == rounds - 1
+
+
+def _socket_training_report(p, epochs, steps, tau):
+    """Solo eager-SGD over sockets with the tau guard and a sync resync on
+    cid 1; the last rank is about 2 ms late every round."""
+    rounds = epochs * steps
+    cfg = CollectiveConfig(p=p, flavor="solo", vector_len=4, seed=5)
+    resync_cfg = CollectiveConfig(p=p, flavor="sync", vector_len=4, seed=5)
+    ds = gen_dataset(dim=4, n=64, seed=6)
+    rec, ledger = TraceRecorder(), DeliveryLedger()
+    net = SocketTransport(p)
+    try:
+        handles = [AllreduceHandle(cfg, r, net, cid=0, recorder=rec) for r in range(p)]
+        resyncs = [AllreduceHandle(resync_cfg, r, net, cid=1) for r in range(p)]
+
+        def body(r):
+            state = TrainState.fresh(np.zeros(4), lr=0.02, rank=r, resync_period=1,
+                                     tau=tau)
+            return training_process(
+                r, state, handles[r], resyncs[r], ds, epochs=epochs,
+                steps_per_epoch=steps, batch_per_rank=4, data_seed=13,
+                delay_fn=lambda rank, t: 2000 if rank == p - 1 else 0, ledger=ledger)
+
+        net.run_processes({r: body(r) for r in range(p)}, timeout=30)
+    finally:
+        net.close()
+    return check_round_contracts(rec, p, tau=tau, ledger=ledger,
+                                 allow_pending_after=rounds - 1 - tau)
+
+
+def test_socket_training_keeps_the_staleness_bound():
+    """The hold policy runs where the rank's body runs, so it never sees a
+    gradient that is neither in progress nor stashed."""
+    for _ in range(20):
+        rep = _socket_training_report(p=4, epochs=2, steps=4, tau=1)
+        assert rep.ok, rep.violations
