@@ -3,9 +3,10 @@
 The simulated backend runs logical processes as generators over a virtual
 clock (integer microseconds) and delivers messages through a single global
 event queue, so a run is a deterministic function of its inputs.  The socket
-backend runs the same process bodies over kernel socketpairs, one driver
-thread per rank that alone delivers that rank's messages, and is used to
-demonstrate that nothing in the upper layers depends on simulation.
+backend runs the same process bodies over one kernel socketpair and one
+reader thread per rank, created with the transport (so it must be closed),
+and one driver thread per rank that alone delivers that rank's messages; it
+demonstrates that nothing in the upper layers depends on simulation.
 
 A logical process is a generator that yields command objects:
 
@@ -315,12 +316,12 @@ def _join_all(threads) -> None:
 class SocketTransport:
     """The same process bodies on threads over kernel byte streams.
 
-    Each directed (src, dst) pair gets a link on its first send: a socketpair,
-    a queue, a writer thread that sendalls the queued frames in order and a
-    reader thread that parses them onto dst's inbox.  Only dst's driver
-    thread (see run_processes) takes messages off that inbox and hands them
-    to dst's engines, so every engine has one owner thread and needs no
-    lock.  send() only enqueues, and one queue per writer keeps streams FIFO.
+    Each rank gets a socketpair, a lock and a reader thread that parses the
+    frames on it onto the rank's inbox, all made by the constructor: a
+    SocketTransport runs p reader threads from then on and must be closed.
+    send() writes each frame from the calling thread, under the destination's
+    lock.  Only a rank's driver thread (see run_processes) hands its inbox to
+    its engines, so every engine has one owner thread and needs no lock.
     Timing comes from the wall clock, so nothing here is deterministic.
     """
 
@@ -331,10 +332,19 @@ class SocketTransport:
         self._t0 = time.monotonic_ns()
         self._engines: list[dict] = [{} for _ in range(p)]
         self._inbox = [queue.SimpleQueue() for _ in range(p)]
-        self._queues: dict[tuple[int, int], queue.SimpleQueue] = {}
-        self._socks: list[socket.socket] = []
-        self._threads: list[threading.Thread] = []
-        self._link_lock = threading.Lock()
+        pairs = [socket.socketpair() for _ in range(p)]
+        self._tx = [w for w, _ in pairs]
+        self._socks = [s for pair in pairs for s in pair]
+        # Holding dst's lock across sendall keeps frames whole and each stream
+        # FIFO, and cannot deadlock: a blocked sendall waits only on dst's
+        # reader, which takes no lock and blocks only on its own socket.
+        self._locks = [threading.Lock() for _ in range(p)]
+        self._sent = [0] * p  # frames sent per destination, counted before the write
+        self._delivered = 0  # frames handed to an engine, under run_processes' condition
+        self._threads = [threading.Thread(target=self._reader, args=(r, inbox), daemon=True)
+                         for (_, r), inbox in zip(pairs, self._inbox)]
+        for th in self._threads:
+            th.start()
         self._open = True
 
     def now_us(self) -> int:
@@ -342,29 +352,6 @@ class SocketTransport:
 
     def register_engine(self, rank: Rank, engine) -> None:
         _add_engine(self._engines, rank, engine)
-
-    def _link(self, src: Rank, dst: Rank) -> queue.SimpleQueue:
-        with self._link_lock:
-            q = self._queues.get((src, dst))
-            if q is None:
-                if not self._open:
-                    raise TransportClosed("send on closed transport")
-                q = self._queues[(src, dst)] = queue.SimpleQueue()
-                w, r = socket.socketpair()
-                self._socks += (w, r)
-                for target, args in ((self._writer, (w, q)),
-                                     (self._reader, (r, self._inbox[dst]))):
-                    th = threading.Thread(target=target, args=args, daemon=True)
-                    th.start()
-                    self._threads.append(th)
-            return q
-
-    @staticmethod
-    def _writer(sock: socket.socket, q: queue.SimpleQueue) -> None:
-        with contextlib.suppress(OSError):  # close() shut the socket down
-            for header, payload in iter(q.get, None):  # close() enqueues None
-                sock.sendall(header)
-                sock.sendall(payload)
 
     @classmethod
     def _reader(cls, conn: socket.socket, inbox: queue.SimpleQueue) -> None:
@@ -394,10 +381,12 @@ class SocketTransport:
         if not self._open:
             raise TransportClosed("send on closed transport")
         _check_ranks(self.p, msg.src, msg.dst)
-        q = self._queues.get((msg.src, msg.dst)) or self._link(msg.src, msg.dst)
-        t = msg.tag
-        q.put((_FRAME.pack(msg.src, msg.dst, t.cid, t.rnd, t.phase, t.step,
-                           len(msg.payload)), msg.payload))
+        t, dst = msg.tag, msg.dst
+        header = _FRAME.pack(msg.src, dst, t.cid, t.rnd, t.phase, t.step, len(msg.payload))
+        with self._locks[dst]:
+            self._sent[dst] += 1  # before the reader can see the frame
+            self._tx[dst].sendall(header)
+            self._tx[dst].sendall(msg.payload)
 
     def run_processes(self, bodies: dict[int, object], timeout: float = 60.0) -> None:
         """Drive generator process bodies to completion, one driver thread
@@ -406,9 +395,10 @@ class SocketTransport:
         A rank's driver is the only thread that hands its messages to its
         engines: it delivers the rank's inbox while the body sleeps, while
         it waits for a round and, once the body has finished, until the run
-        stops.  The run stops when every body has finished, when a driver
-        fails (an UnroutedMessage, say) or at the timeout; all drivers are
-        joined before a failure is raised."""
+        stops.  The run stops when every body has finished and every frame
+        sent has been handed over (counted once its pump has ended, so after
+        the frames that pump sent), when a driver fails (an UnroutedMessage,
+        say) or at the timeout; all drivers are joined before it returns."""
         _check_ranks(self.p, *bodies)
         errors: list = []
         finished: list = []
@@ -427,10 +417,17 @@ class SocketTransport:
                     msg = inbox.get(timeout=None if wait == math.inf else wait)
                 except queue.Empty:
                     return
-                if msg is not None:  # a None only wakes this loop up
+                if msg is None:  # a None only wakes this loop up
+                    continue
+                try:
                     eng = _engine_for(engines, msg)
                     eng.mailbox.append(msg)
                     eng.pump()
+                finally:  # one that raised counts too, or a later run would wait on it
+                    with progress:
+                        self._delivered += 1
+                        if len(finished) == self.p:
+                            progress.notify_all()
 
         def driver(rank: int, proc) -> None:
             value = None
@@ -466,7 +463,9 @@ class SocketTransport:
         for th in threads:
             th.start()
         with progress:
-            ended = progress.wait_for(lambda: len(finished) == self.p or errors, timeout)
+            ended = progress.wait_for(
+                lambda: errors or (len(finished) == self.p
+                                   and sum(self._sent) == self._delivered), timeout)
         stopped.set()
         for inbox in self._inbox:
             inbox.put(None)
@@ -475,15 +474,12 @@ class SocketTransport:
             rank, err = errors[0]
             raise RuntimeError(f"rank {rank} failed: {err!r}") from err
         if not ended:
-            raise TimeoutError("process thread did not finish")
+            raise TimeoutError("run did not finish within the timeout")
 
     def close(self) -> None:
-        """Stop the writers, shut every socket down, which wakes a blocked
-        sendall or recv, join the link threads, then close the sockets."""
-        with self._link_lock:
-            self._open = False
-        for q in self._queues.values():
-            q.put(None)
+        """Refuse further sends, shut every socket down, which wakes a
+        blocked sendall or recv, join the readers, then close the sockets."""
+        self._open = False
         for s in self._socks:
             with contextlib.suppress(OSError):
                 s.shutdown(socket.SHUT_RDWR)

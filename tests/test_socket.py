@@ -22,7 +22,7 @@ from eagercoll.eagersgd import TrainState, training_process
 from eagercoll.models import gen_dataset
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import (
-    PHASE_RED, Message, SocketTransport, Sleep, Tag, UnroutedMessage,
+    PHASE_RED, Message, SocketTransport, Sleep, Tag, TransportClosed, UnroutedMessage,
 )
 from eagercoll.verify import DeliveryLedger, check_round_contracts
 
@@ -83,14 +83,25 @@ def test_socket_sync_includes_everyone():
             assert results[(r, t)].u.tobytes() == want
 
 
-def _sync_pair(net, vlen=2):
+def _sync_pair(net, vlen=2, cid=0):
     cfg = CollectiveConfig(p=2, flavor="sync", vector_len=vlen)
-    handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(2)]
+    handles = [AllreduceHandle(cfg, r, net, cid=cid) for r in range(2)]
 
     def body(rank):
         yield from handles[rank].call_round(0, np.full(vlen, rank + 1.0))
 
     return {r: body(r) for r in range(2)}
+
+
+def _solo_bodies(net, rounds=2):
+    cfg = CollectiveConfig(p=net.p, flavor="solo", vector_len=2, seed=1)
+    handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(net.p)]
+
+    def body(rank):
+        for t in range(rounds):
+            yield from handles[rank].call_round(t, np.ones(2))
+
+    return {r: body(r) for r in range(net.p)}
 
 
 def test_reader_failure_is_raised_from_run_processes():
@@ -123,6 +134,17 @@ def test_failed_run_joins_the_drivers_it_starved():
         _failed_run(net)
         drivers = set(threading.enumerate()) - before - set(net._threads)
         assert not [th for th in drivers if th.is_alive()]
+    finally:
+        net.close()
+
+
+def test_a_run_after_a_failed_run_still_stops_at_quiescence():
+    """The frame that failed a driver counts as handed over, so the next run
+    on the transport does not wait for it until its timeout."""
+    net = SocketTransport(2)
+    try:
+        _failed_run(net)
+        net.run_processes(_sync_pair(net, cid=1), timeout=10)
     finally:
         net.close()
 
@@ -205,6 +227,13 @@ def test_reader_failure_is_raised_at_once():
         net.close()
 
 
+def test_send_after_close_raises_transport_closed():
+    net = SocketTransport(2)
+    net.close()
+    with pytest.raises(TransportClosed):
+        net.send(Message(0, 1, Tag(0, 0, PHASE_RED, 0), b"x"))
+
+
 def test_read_exact_reassembles_a_chunked_frame():
     frame = np.random.default_rng(3).integers(0, 256, 5 * 2**20, dtype=np.uint8).tobytes()
     a, b = socket.socketpair()
@@ -251,14 +280,18 @@ def test_socket_round_with_multi_mib_payloads():
 
 
 def test_close_joins_readers_and_leaves_no_open_sockets():
+    """A SocketTransport(p) holds p reader threads and 2p sockets whatever a
+    run sends, and close() joins and closes every one of them."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        net = SocketTransport(2)
-        try:
-            net.run_processes(_sync_pair(net))
-        finally:
-            net.close()
-        assert not any(th.is_alive() for th in net._threads)
+        for p, bodies in ((2, _sync_pair), (8, _solo_bodies)):
+            net = SocketTransport(p)
+            try:
+                net.run_processes(bodies(net))
+                assert (len(net._threads), len(net._socks)) == (p, 2 * p)
+            finally:
+                net.close()
+            assert not any(th.is_alive() for th in net._threads)
         del net
         gc.collect()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
@@ -267,27 +300,26 @@ def test_close_joins_readers_and_leaves_no_open_sockets():
 
 def test_a_rank_without_a_body_still_serves():
     """Only ranks 0 and 1 run rounds; rank 2's driver still serves its
-    fold and final steps, so both bodies board every round."""
+    fold and final steps, so both bodies board every round, and the run
+    returns only once rank 2 has been handed the last round's final step."""
     p, rounds = 3, 3
     cfg = CollectiveConfig(p=p, flavor="solo", vector_len=2, seed=1)
-    net = SocketTransport(p)
-    results = []
-    try:
-        handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(p)]
+    for _ in range(20):
+        net = SocketTransport(p)
+        results = []
+        try:
+            handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(p)]
 
-        def body(rank):
-            for t in range(rounds):
-                results.append((yield from handles[rank].call_round(t, np.ones(2))))
+            def body(rank):
+                for t in range(rounds):
+                    results.append((yield from handles[rank].call_round(t, np.ones(2))))
 
-        net.run_processes({r: body(r) for r in range(2)})
-        # rank 2's last final step may still be in flight when the bodies end;
-        # a run in which rank 2 waits for it delivers it
-        net.run_processes({2: handles[2].wait_done(rounds - 1)})
-    finally:
-        net.close()
-    assert len(results) == 2 * rounds
-    assert all(res.nap == 2 for res in results)
-    assert handles[2].done_generation == rounds - 1
+            net.run_processes({r: body(r) for r in range(2)})
+            assert handles[2].done_generation == rounds - 1
+        finally:
+            net.close()
+        assert len(results) == 2 * rounds
+        assert all(res.nap == 2 for res in results)
 
 
 def _socket_training_report(p, epochs, steps, tau):
