@@ -17,24 +17,34 @@ counter of dependencies it still waits for (its dep count under and-logic,
 1 under or-logic, 0 with none), firing an op counts down its dependents,
 and an op is ready when its counter reaches 0.  The data each fire needs
 (peers, tags, the value and mask views of a reduction, the seeds of a fresh
-generation) is resolved then too, so the hot path reads only flat per-op
-arrays.  One fire loop, _cascade, fires every op, recvs included: it binds
-those arrays to locals once and runs a LIFO stack of candidates until it
-empties or the generation moves on.  Every buffer but the snapshot source
-is a slice of one byte arena, so a replication zeroes them all with a
-single fill, and the arena plus the snapshot source is the engine's whole
+generation) is resolved then too, into one fire record per op.  Where an op
+is the only cascade target of its one dependency, the two always fire back
+to back, so the dependency's record names it as its successor: a
+straight-line chain (a reduce and the next step's send, the last reduce and
+the publishing NOP) fires as one unit, a superoperator, as a NIC runs a
+triggered recv -> reduce -> send chain.  Each op of a chain is still marked
+consumed, counted down and reported to the recorder on its own, in order.
+One fire loop, _cascade, fires every op, recvs included: it binds the
+program to locals once, follows each chain, goes straight on to a ready
+cascade target and keeps the others on a LIFO stack, until the stack
+empties or the generation moves on.  Every buffer is a slice of one byte
+block with the snapshot source last, so a replication zeroes all the others
+(the arena) with a single fill, a recv copies into the block through one
+memoryview, and the arena plus the snapshot source is the engine's whole
 payload state.  No payload is copied to hand it out: the owner reads the
 send buffer in on_snapshot and the publish buffer in on_done, where the
 chain left them, before the engine zeroes them.
 
 The engine is passive and single-threaded: it is driven by whoever owns
 its rank (the simulator's event loop, the rank's socket driver thread, or
-the interleaving explorer), which appends each message for this engine's
-collective to its mailbox and pumps it.  It sends through an injected
-callable.  A persistent schedule replicates itself on completion: the
-generation counter bumps, op states and scratch buffers reset, and messages
-tagged with a future generation wait in the mailbox until their generation
-is current.
+the interleaving explorer), which hands each message for this engine's
+collective to deliver().  A message that matches a ready recv of the
+current generation while the mailbox is empty goes straight into the
+cascade; any other is appended to the mailbox and pumped.  The engine sends
+through an injected callable.  A persistent schedule replicates itself on
+completion: the generation counter bumps, op states and scratch buffers
+reset, and messages tagged with a future generation wait in the mailbox
+until their generation is current.
 
 Internal activation fires the entry NOP locally.  External activation is a
 message arriving on an activation-phase recv.  A hold policy, when set,
@@ -53,6 +63,7 @@ from .transport import Message, Tag, PHASE_ACT
 
 K_SEND, K_RECV, K_COMPUTE, K_NOP = "send", "recv", "compute", "nop"
 _KINDS = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
+_new, _add, _bor = tuple.__new__, np.add, np.bitwise_or
 
 
 class ScheduleError(Exception):
@@ -173,13 +184,14 @@ class Engine:
     The data each fire needs is compiled here, once, from the template
     (see _compile); edits to the template after construction are not seen.
 
-    Public surface: commit(), activate_internal(), pump(), buffer(),
-    state()/restore(), the mailbox the transport appends this collective's
-    messages to, plus read-only state (generation, done_generation,
-    consumed).  on_snapshot(generation, send buffer) and
-    on_done(generation, publish buffer) get live views that are valid only
-    during the call: a callback that keeps the bytes copies them.  Nothing
-    here locks: one thread, the owner of the engine's rank, makes every call.
+    Public surface: commit(), activate_internal(), deliver(), which a
+    transport calls with each of this collective's messages, pump(), which
+    matches what waits in the mailbox, buffer(), state()/restore(), plus
+    read-only state (generation, done_generation, consumed, mailbox).
+    on_snapshot(generation, send buffer) and on_done(generation, publish
+    buffer) get live views that are valid only during the call: a callback
+    that keeps the bytes copies them.  Nothing here locks: one thread, the
+    owner of the engine's rank, makes every call.
     """
 
     def __init__(self, template: ScheduleTemplate, rank: int, cid: int,
@@ -202,77 +214,94 @@ class Engine:
         # before held-back messages are matched against it.
         self.defer_fn = None
 
-        # every buffer but the snapshot source is an 8-byte-aligned slice of
-        # one arena, so a replication zeroes them all with one fill
+        # every buffer is an 8-byte-aligned slice of one block, the snapshot
+        # source last; the arena is the block before it, so a replication
+        # zeroes every other buffer with one fill
         start, end = {}, 0
-        for name, size in template.buffers.items():
-            if name != template.snapshot_src:
+        sizes, snap = template.buffers, template.snapshot_src
+        for name, size in sizes.items():
+            if name != snap:
                 start[name], end = end, end + -(-size // 8) * 8
-        self._arena = np.zeros(end, dtype=np.uint8)
+        arena_end = end
+        if snap in sizes:
+            start[snap], end = end, end + sizes[snap]
+        block = np.zeros(end, dtype=np.uint8)
+        self._arena = block[:arena_end]
         self._buf: dict[str, np.ndarray] = {
-            name: (self._arena[start[name]:start[name] + size] if name in start
-                   else np.zeros(size, dtype=np.uint8))
-            for name, size in template.buffers.items()
-        }
-        self._compile(template, dependents)
+            name: block[start[name]:start[name] + size] for name, size in sizes.items()}
+        # a recv copies its payload into a slice of this one memoryview of the
+        # block; a memoryview per landing buffer would live as long and cost a
+        # GC-tracked object each
+        self._mem = block.data
+        self._compile(template, dependents, start)
         self.consumed = bytearray(len(self.ops))
         self._waiting = bytearray(self._waiting0)
         self.generation = 0
         self.done_generation = -1
         self.committed = False
 
-    def _compile(self, tpl: ScheduleTemplate, dependents: list[list[int]]) -> None:
-        """Flatten the template into the per-op arrays the hot path reads."""
-        ops = self.ops = sorted(tpl.ops, key=lambda o: o.oid)
+    def _compile(self, tpl: ScheduleTemplate, dependents: list[list[int]],
+                 offsets: dict[str, int]) -> None:
+        """Flatten the template into the fire records the hot path reads.
+
+        Each op compiles to a fire record (dependents, label, send, reduce,
+        tail, targets, then): send is (peer, phase, step, buffer) or None,
+        reduce is (dst f8, src f8, dst mask, src mask) or None, tail has
+        bit 1 set if the op takes the snapshot and bit 2 if it publishes,
+        and targets are the dependents a cascade may go on to, all but the
+        recvs.  An op X whose only target is an op Y depending on X alone
+        makes Y ready exactly when X fires: X's `then` is Y (else -1), so a
+        maximal straight-line chain runs from its head as one unit, with no
+        readiness check or stack between its ops.
+        """
+        ops = self.ops = sorted(tpl.ops)  # by oid alone: the oids are distinct
         n = len(ops)
         bufs = self._buf
         waiting0 = bytearray(n)
-        recv_deps = False
         seeds: list[int] = []
         recv_index: dict[tuple[int, int], int] = {}
-        recv_dst: list[np.ndarray | None] = [None] * n
-        sends: list[tuple | None] = [None] * n     # (peer, phase, step, buffer)
-        computes: list[tuple | None] = [None] * n  # (dst f8, src f8, dst mask, src mask)
+        recv_start, recv_stop = [-1] * n, [-1] * n  # landing bytes in self._mem
         mo = tpl.mask_offset
-        tails = bytearray(n)  # bit 1: takes the snapshot; bit 2: publishes
-        for op in ops:
-            oid, kind = op.oid, op.kind
-            if op.deps:
-                need = 1 if op.logic == "or" else len(op.deps)
+        recvs = {op.oid for op in ops if op.kind == K_RECV}
+        program = []
+        # one unpack of each OpSpec is much cheaper than its field lookups
+        for (oid, kind, logic, deps, label, peer, phase, step, send_buf, recv_buf,
+             src_buf, dst_buf, entry, publish), ds in zip(ops, dependents):
+            if deps:
+                need = 1 if logic == "or" else len(deps)
                 if need > 255:
                     raise ScheduleError(f"op {oid} has more than 255 and-dependencies")
                 waiting0[oid] = need
-                recv_deps |= kind == K_RECV
-            elif not (op.entry or kind == K_RECV):
+            elif not (entry or kind == K_RECV):
                 seeds.append(oid)
+            if entry:
+                self._entry = oid
+            send = reduce = None
             if kind == K_RECV:
-                key = (op.phase, op.step)
+                key = (phase, step)
                 if key in recv_index:
                     raise ScheduleError(f"two recvs on the same (phase, step) {key}")
                 recv_index[key] = oid
-                if op.recv_buf is not None:
-                    recv_dst[oid] = bufs[op.recv_buf]
+                if recv_buf is not None:
+                    recv_start[oid] = offsets[recv_buf]
+                    recv_stop[oid] = offsets[recv_buf] + tpl.buffers[recv_buf]
             elif kind == K_SEND:
-                sends[oid] = (op.peer, op.phase, op.step,
-                              bufs[op.send_buf] if op.send_buf else None)
+                send = (peer, phase, step, bufs[send_buf] if send_buf else None)
             elif kind == K_COMPUTE:
-                dst, src = bufs[op.dst_buf], bufs[op.src_buf]
-                computes[oid] = (dst[:mo].view(np.float64), src[:mo].view(np.float64),
-                                 dst[mo:], src[mo:])
-            tails[oid] = (oid == tpl.snapshot_last) | (op.publish << 1)
-        self._entry = next(op.oid for op in ops if op.entry)
-        self._labels = [op.label for op in ops]
+                dst, src = bufs[dst_buf], bufs[src_buf]
+                reduce = (dst[:mo].view(np.float64), src[:mo].view(np.float64),
+                          dst[mo:], src[mo:])
+            tail = (oid == tpl.snapshot_last) | (publish << 1)
+            # a recv fires only when a delivery matches it, so no cascade goes to one
+            ds = tuple(ds)
+            targets = ds if recvs.isdisjoint(ds) else tuple([d for d in ds if d not in recvs])
+            then = targets[0] if len(targets) == 1 and len(ops[targets[0]].deps) == 1 else -1
+            program.append((ds, label, send, reduce, tail, targets, then))
+        self._program = program
         self._seeds = seeds
         self._recv_index = recv_index
-        self._recv_dst = recv_dst
-        self._send = sends
-        self._compute = computes
-        self._tail = bytes(tails)
+        self._recv_start, self._recv_stop = recv_start, recv_stop
         self._waiting0 = bytes(waiting0)
-        self._dependents = [tuple(ds) for ds in dependents]
-        # a recv fires only when the pump matches it, so no cascade pushes one
-        self._cascade_to = self._dependents if not recv_deps else [
-            tuple(d for d in ds if ops[d].kind != K_RECV) for ds in dependents]
         self._snap_buf = bufs[tpl.snapshot_src] if tpl.snapshot_src else None
         self._publish_buf = bufs[tpl.publish_from] if tpl.publish_from else None
         self._persistent = tpl.persistent
@@ -327,57 +356,72 @@ class Engine:
         self.consumed = bytearray(len(self.ops))
         self._waiting = bytearray(self._waiting0)
         self._arena.fill(0)
-        self._cascade(list(self._seeds))
+        if self._seeds:
+            self._cascade(list(self._seeds))
 
     # -- firing -------------------------------------------------------------
 
-    def _cascade(self, stack: list[int]) -> None:
-        """The one fire loop: pop an op, fire it if it is unconsumed and
-        ready, push its dependents; LIFO, until the stack empties or the
-        generation moves on.  Takes ownership of `stack`."""
+    def _cascade(self, stack: list[int], head: int = -1) -> None:
+        """The one fire loop: fire `head`, if given, which the caller has
+        found unconsumed and ready; then pop an op and, if it is unconsumed
+        and ready, fire it; LIFO, until the stack empties or the generation
+        moves on.  Takes ownership of `stack`.
+
+        Firing an op marks it consumed, counts down its dependents, tells
+        the recorder, sends or reduces and runs its tail.  Then the loop
+        goes on to the op's chain successor, which is ready; at a chain's
+        end, to the last of its targets that is ready, pushing the other
+        ready ones, which is the order pushing all of them and popping
+        gives.  A target that is not ready when its predecessor fires would
+        be skipped when popped, or found consumed after a later fire made
+        it ready and pushed it again, so it is never pushed.  Only a tail's
+        callbacks can move the generation."""
         epoch = self.generation
         # a replication swaps these arrays, but then the epoch check returns
-        consumed, waiting = self.consumed, self._waiting
-        dependents, cascade_to = self._dependents, self._cascade_to
-        sends, computes, tails = self._send, self._compute, self._tail
-        add, bor = np.add, np.bitwise_or
+        consumed, waiting, program = self.consumed, self._waiting, self._program
         send_fn, rank, cid = self.send_fn, self.rank, self.cid
         op_fired = None if self.recorder is None else self.recorder.op_fired
         if op_fired is not None:
-            labels = self._labels
             now = self.now_fn()  # virtual time cannot move inside a cascade
-        while stack:
-            if self.generation != epoch:
-                return  # replicated underneath us; the old frontier is void
-            oid = stack.pop()
-            if consumed[oid] or waiting[oid]:
-                continue
+        oid = head
+        while True:
+            while oid < 0:
+                if not stack:
+                    return
+                oid = stack.pop()
+                if consumed[oid] or waiting[oid]:
+                    oid = -1
+            dependents, label, send, reduce, tail, targets, then = program[oid]
             consumed[oid] = 1
-            for d in dependents[oid]:
+            for d in dependents:
                 if waiting[d]:
                     waiting[d] -= 1
             if op_fired is not None:
-                op_fired(now, rank, cid, epoch, oid, labels[oid])
-            send = sends[oid]
+                op_fired(now, rank, cid, epoch, oid, label)
             if send is not None:
                 peer, phase, step, buf = send
                 # tuple.__new__ skips the NamedTuples' Python-level __new__
-                send_fn(tuple.__new__(Message, (
-                    rank, peer, tuple.__new__(Tag, (cid, epoch, phase, step)),
+                send_fn(_new(Message, (
+                    rank, peer, _new(Tag, (cid, epoch, phase, step)),
                     b"" if buf is None else buf.tobytes())))
-            else:
-                compute = computes[oid]
-                if compute is not None:
-                    dst, src, dst_mask, src_mask = compute
-                    add(dst, src, out=dst)
-                    bor(dst_mask, src_mask, out=dst_mask)
-            tail = tails[oid]
+            elif reduce is not None:
+                dst, src, dst_mask, src_mask = reduce
+                _add(dst, src, out=dst)
+                _bor(dst_mask, src_mask, out=dst_mask)
             if tail:
                 if tail & 1:
                     self._snapshot_taken()
                 if tail & 2:
                     self._complete()
-            stack.extend(cascade_to[oid])
+                if self.generation != epoch:
+                    return  # replicated; the old frontier is void
+            oid = then  # the chain goes on: its next op is ready now
+            if oid < 0:
+                for d in targets:
+                    if not (consumed[d] or waiting[d]):
+                        if oid >= 0:
+                            stack.append(oid)
+                        oid = d
 
     def _fire(self, oid: int) -> None:
         if self.consumed[oid]:
@@ -402,13 +446,47 @@ class Engine:
     # -- message matching ---------------------------------------------------
 
     def _fire_recv(self, oid: int, payload: bytes) -> None:
-        dst = self._recv_dst[oid]
-        if dst is not None:
-            if len(payload) != len(dst):
+        if self.consumed[oid]:
+            raise ScheduleError("op fired twice in one generation")
+        start = self._recv_start[oid]
+        if start >= 0:
+            stop = self._recv_stop[oid]
+            if len(payload) != stop - start:
                 raise ScheduleError(
-                    f"recv {oid} payload {len(payload)}B != buffer {len(dst)}B")
-            dst.data[:] = payload  # a memoryview copy, cheaper than numpy's
-        self._fire(oid)
+                    f"recv {oid} payload {len(payload)}B != buffer {stop - start}B")
+            self._mem[start:stop] = payload
+        self._cascade([], oid)
+
+    def deliver(self, msg: Message) -> None:
+        """Take one message for this engine's collective: the call a
+        transport makes for every message it delivers.
+
+        The usual case goes straight into the cascade: the mailbox is empty,
+        and the message is for the current generation and matches an
+        unconsumed recv with no unmet dependencies.  Activation messages
+        take that path only while no hold policy is set, so the policy is
+        consulted exactly where pump() consults it.  With the mailbox empty,
+        a message for a past generation or for a consumed recv is dropped,
+        as pump() drops it; every other message is appended and pumped.
+        """
+        box = self.mailbox
+        if not box and self.committed:
+            _, _, (_, rnd, phase, step), payload = msg
+            gen = self.generation
+            if rnd < gen:
+                return
+            oid = self._recv_index.get((phase, step))
+            if rnd == gen and oid is not None:
+                if self.consumed[oid]:
+                    return  # duplicate for a consumable op: ignore
+                if not (self._waiting[oid]
+                        or phase == PHASE_ACT and self.hold_policy is not None):
+                    self._fire_recv(oid, payload)
+                    if self.generation != gen and self.defer_fn is not None:
+                        self.defer_fn(self.pump)  # as pump() defers its rescan
+                    return
+        box.append(msg)
+        self.pump()
 
     def pump(self) -> None:
         """Match the mailbox's messages against this generation's recvs.
@@ -420,9 +498,9 @@ class Engine:
         until a scan matches nothing: one match can complete the generation
         and replicate, making held-back messages current.
         """
-        if not self.committed:
-            return
         box = self.mailbox
+        if not (box and self.committed):
+            return
         recv_index = self._recv_index
         gen = self.generation
         i = 0

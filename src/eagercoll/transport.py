@@ -16,8 +16,8 @@ A logical process is a generator that yields command objects:
                          latest round the handle has published
 
 Processes never receive messages themselves.  Each message goes to the
-schedule engine registered for (dst, tag.cid): the delivery appends it to
-that engine's mailbox and pumps that engine alone.  Messages between one
+schedule engine registered for (dst, tag.cid): the delivery calls that
+engine's deliver() and touches no other engine.  Messages between one
 (src, dst, tag-stream) triple are delivered in FIFO order; the simulated
 backend orders simultaneous events by (time, priority, sequence) with
 process resumption ahead of message delivery, which keeps zero-skew runs
@@ -178,6 +178,7 @@ def _engine_for(engines: dict, msg: Message):
 # ---------------------------------------------------------------------------
 # simulated backend
 
+_heappush = heapq.heappush
 _PRIO_RESUME = 0  # process resumptions run before message deliveries
 _PRIO_DELIVER = 1
 _MAX_EVENTS = 50_000_000  # a run past this many events is taken for a livelock
@@ -191,7 +192,7 @@ class SimTransport:
     """Deterministic discrete-event transport.
 
     Every send is delivered after `link_latency_us`; there is no loss and no
-    reordering within a (src, dst, tag-stream).  A delivery pumps the one
+    reordering within a (src, dst, tag-stream).  A delivery goes to the one
     engine registered for (dst, cid), so schedules make progress without
     any process being scheduled.
     """
@@ -233,17 +234,20 @@ class SimTransport:
         self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, None))
 
     def _push(self, t: int, prio: int, handler, arg) -> None:
-        heapq.heappush(self._heap, (t, prio, self._seq, handler, arg))
+        _heappush(self._heap, (t, prio, self._seq, handler, arg))
         self._seq += 1
 
     # -- sending ------------------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        src, dst = msg.src, msg.dst
+        src, dst, tag, _ = msg
         if not (0 <= src < self.p and 0 <= dst < self.p):
             _check_ranks(self.p, src, dst)
-        heapq.heappush(self._heap, (self._now_us + self.link_latency_us, _PRIO_DELIVER,
-                                    self._seq, self._deliver, msg))
+        # an engine once registered stays, so its delivery can be bound now;
+        # a message with no engine yet is routed when it is delivered
+        eng = self._engines[dst].get(tag.cid)
+        _heappush(self._heap, (self._now_us + self.link_latency_us, _PRIO_DELIVER, self._seq,
+                               self._deliver if eng is None else eng.deliver, msg))
         self._seq += 1
 
     # -- event loop ---------------------------------------------------------
@@ -255,26 +259,26 @@ class SimTransport:
         blocked on WaitRound: with no pending events nothing can ever wake
         them.
         """
-        heap, pop, max_events = self._heap, heapq.heappop, _MAX_EVENTS
-        while heap:
-            t, _, _, handler, arg = pop(heap)
-            if t < self._now_us:  # e.g. a process yielded a negative Sleep
-                raise ValueError("clock may not move backwards")
-            self._now_us = t
-            self.events_processed += 1
-            if self.events_processed > max_events:
-                raise RuntimeError("event budget exceeded; likely livelock")
-            handler(arg)
+        heap, pop, budget = self._heap, heapq.heappop, _MAX_EVENTS
+        events, now = self.events_processed, self._now_us
+        try:
+            while heap:
+                t, _, _, handler, arg = pop(heap)
+                if t < now:  # e.g. a process yielded a negative Sleep
+                    raise ValueError("clock may not move backwards")
+                self._now_us = now = t
+                events += 1
+                if events > budget:
+                    raise RuntimeError("event budget exceeded; likely livelock")
+                handler(arg)
+        finally:
+            self.events_processed = events
         if self._parked_round:
             raise DeadlockError(
                 f"ranks {sorted(self._parked_round)} blocked with no pending events")
 
     def _deliver(self, msg: Message) -> None:
-        eng = self._engines[msg.dst].get(msg.tag.cid)
-        if eng is None:
-            _engine_for(self._engines[msg.dst], msg)  # raises UnroutedMessage
-        eng.mailbox.append(msg)
-        eng.pump()
+        _engine_for(self._engines[msg.dst], msg).deliver(msg)
 
     def _step_proc(self, resume: tuple) -> None:
         rank, value = resume
@@ -396,9 +400,10 @@ class SocketTransport:
         engines: it delivers the rank's inbox while the body sleeps, while
         it waits for a round and, once the body has finished, until the run
         stops.  The run stops when every body has finished and every frame
-        sent has been handed over (counted once its pump has ended, so after
-        the frames that pump sent), when a driver fails (an UnroutedMessage,
-        say) or at the timeout; all drivers are joined before it returns."""
+        sent has been handed over (counted once its deliver() has returned,
+        so after the frames that delivery sent), when a driver fails (an
+        UnroutedMessage, say) or at the timeout; all drivers are joined
+        before it returns."""
         _check_ranks(self.p, *bodies)
         errors: list = []
         finished: list = []
@@ -420,9 +425,7 @@ class SocketTransport:
                 if msg is None:  # a None only wakes this loop up
                     continue
                 try:
-                    eng = _engine_for(engines, msg)
-                    eng.mailbox.append(msg)
-                    eng.pump()
+                    _engine_for(engines, msg).deliver(msg)
                 finally:  # one that raised counts too, or a later run would wait on it
                     with progress:
                         self._delivered += 1

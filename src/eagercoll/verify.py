@@ -394,8 +394,7 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
             engines[x].activate_internal(expected_generation=0)
         else:
             msg = streams[x].popleft()
-            engines[msg.dst].mailbox.append(msg)
-            engines[msg.dst].pump()
+            engines[msg.dst].deliver(msg)
 
     seen: set = set()
     results: set = set()

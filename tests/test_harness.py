@@ -7,12 +7,14 @@ else shows up, so every rank's call returns in 0us.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eagercoll import harness
+from eagercoll import collectives, harness
+from eagercoll.collectives import CollectiveConfig, build_allreduce_template
 from eagercoll.harness import (
     BenchRecord,
     ConfigError,
@@ -29,7 +31,8 @@ from eagercoll.harness import (
     write_bench_csv,
     write_jsonl,
 )
-from eagercoll.transport import DelayModel
+from eagercoll.trace import TraceRecorder
+from eagercoll.transport import DelayModel, SimTransport
 from eagercoll.verify import RoundContractReport, Violation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -121,6 +124,48 @@ def test_bench_record_invariants():
         BenchRecord("sync", 0, 0, -1, 2)
     with pytest.raises(ValueError):
         BenchRecord("sync", 0, 0, 10, 0)
+
+
+class _KindCount(TraceRecorder):
+    """Recorder that counts op fires by label."""
+
+    def __init__(self):
+        super().__init__()
+        self.fires = Counter()
+
+    def op_fired(self, t, rank, cid, gen, oid, label):
+        self.fires[label] += 1
+
+
+class _CountingSim(SimTransport):
+    sends = 0
+
+    def send(self, msg):
+        self.sends += 1
+        super().send(msg)
+
+
+@pytest.mark.parametrize("flavor, events, sends, fires", [
+    ("sync", 284, 128, {"compute": 160, "nop": 96, "recv": 128, "send": 128}),
+    ("solo", 288, 176, {"compute": 160, "nop": 100, "recv": 176, "send": 176}),
+    ("majority", 303, 176, {"compute": 160, "nop": 100, "recv": 176, "send": 176}),
+])
+def test_bench_event_and_fire_counts_are_pinned(monkeypatch, flavor, events, sends, fires):
+    """The work a bench run does, at a shape with extra ranks (p=12 over a
+    butterfly of 8): events processed, messages sent and op fires by kind.
+    A faster engine or transport must leave all of them as they are, or
+    the event sequence and so the CSVs change."""
+    monkeypatch.setattr(harness, "TraceRecorder", _KindCount)
+    monkeypatch.setattr(collectives, "SimTransport", _CountingSim)
+    cfg = RunConfig(p=12, rounds=4)
+    _, rec, sim = bench_flavor(cfg, flavor)
+    ccfg = CollectiveConfig(p=cfg.p, flavor=flavor, vector_len=cfg.vector_len)
+    kinds = {op.label: op.kind for r in range(cfg.p)
+             for op in build_allreduce_template(r, ccfg).ops}
+    by_kind = Counter()
+    for label, n in rec.fires.items():
+        by_kind[kinds[label]] += n
+    assert (sim.events_processed, sim.sends, dict(by_kind)) == (events, sends, fires)
 
 
 # ---------------------------------------------------------------------------

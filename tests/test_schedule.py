@@ -20,25 +20,18 @@ from eagercoll.transport import Message, Tag, PHASE_ACT, PHASE_RED
 
 
 class FireLog:
-    """Recorder that keeps the oid of every op fire, in order."""
+    """Recorder that keeps (generation, oid) of every op fire, in order."""
 
     def __init__(self):
-        self.oids = []
+        self.fires = []
 
     def op_fired(self, now, rank, cid, gen, oid, label):
-        self.oids.append(oid)
+        self.fires.append((gen, oid))
 
 
 def make_engine(tpl, sent=None, rank=0):
     send_fn = (lambda m: sent.append(m)) if sent is not None else (lambda m: None)
     return Engine(tpl, rank, 0, send_fn, lambda: 0)
-
-
-def deliver(eng, *msgs):
-    """Append messages to the engine's mailbox and pump it, as a transport
-    delivery does."""
-    eng.mailbox.extend(msgs)
-    eng.pump()
 
 
 def chain_template():
@@ -71,7 +64,7 @@ def test_chain_runs_to_completion_on_matching_recv():
     eng.commit()
     eng.activate_internal()
     payload = np.arange(2, dtype=np.float64).tobytes()
-    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_RED, 1), payload))
+    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_RED, 1), payload))
     assert eng.done_generation == 0
     acc = eng.buffer("acc").view(np.float64)
     assert acc.tolist() == [0.0, 1.0]
@@ -132,7 +125,7 @@ def test_refiring_a_consumed_op_raises():
     eng.activate_internal()
     with pytest.raises(ScheduleError, match="fired twice"):
         eng._fire(1)  # the send already fired on activation
-    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16))
+    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16))
     with pytest.raises(ScheduleError, match="fired twice"):
         eng._fire_recv(2, b"\0" * 16)
 
@@ -143,7 +136,7 @@ def test_state_restore_round_trip():
     before = eng.state()
     eng.buffer("acc").view(np.float64)[:] = 2.0
     eng.activate_internal()
-    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_RED, 1), np.full(2, 3.0).tobytes()))
+    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_RED, 1), np.full(2, 3.0).tobytes()))
     assert eng.done_generation == 0
     after = eng.state()
     eng.restore(before)
@@ -260,11 +253,11 @@ def test_future_generation_messages_wait_in_mailbox():
     tpl.persistent = True
     eng = make_engine(tpl, [])
     eng.commit()
-    deliver(eng, Message(1, 0, Tag(0, 1, PHASE_RED, 1), b"\0" * 16))
+    eng.deliver(Message(1, 0, Tag(0, 1, PHASE_RED, 1), b"\0" * 16))
     assert eng.done_generation == -1
     assert len(eng.mailbox) == 1  # still parked
     eng.activate_internal()
-    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16))
+    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16))
     assert eng.done_generation == 0
     assert eng.generation == 1
     assert len(eng.mailbox) == 1  # now current, but generation 1 is not yet activated
@@ -292,11 +285,55 @@ def test_hold_policy_defers_activation_messages():
     eng.commit()
     held = {"on": True}
     eng.hold_policy = lambda gen: held["on"]
-    deliver(eng, Message(1, 0, Tag(0, 0, PHASE_ACT, 0), b""))
+    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_ACT, 0), b""))
     assert eng.done_generation == -1 and len(eng.mailbox) == 1
     held["on"] = False
     eng.pump()
     assert eng.done_generation == 0 and not eng.mailbox
+
+
+def test_deliver_drops_or_parks_what_it_cannot_fire():
+    """Each early exit of deliver()'s direct path, into an empty mailbox: a
+    stale message and a duplicate for a consumed recv are dropped; a future
+    generation's message and a held activation message wait in the
+    mailbox.  None of them fires an op or sends."""
+    ops = [
+        OpSpec(0, K_NOP, entry=True),
+        OpSpec(1, K_RECV, phase=PHASE_ACT, step=0),
+        OpSpec(2, K_SEND, logic="or", deps=(0, 1), peer=1, phase=PHASE_RED, step=0),
+        OpSpec(3, K_RECV, phase=PHASE_RED, step=1, recv_buf="inbox"),
+        OpSpec(4, K_NOP, deps=(2, 3), publish=True),
+    ]
+    tpl = ScheduleTemplate(ops=ops, buffers={"inbox": 8}, persistent=True)
+    red = Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\1" * 8)
+
+    def engine():
+        sent = []
+        eng = make_engine(tpl, sent)
+        eng.commit()
+        return eng, sent
+
+    eng, sent = engine()
+    eng.deliver(red)  # fires the recv directly; op 4 still waits for op 2
+    assert (bytes(eng.consumed), eng.mailbox, sent) == (b"\0\0\0\1\0", [], [])
+    eng.deliver(red)  # duplicate
+    assert (bytes(eng.consumed), eng.mailbox, sent) == (b"\0\0\0\1\0", [], [])
+    early = red._replace(tag=red.tag._replace(rnd=1))
+    eng.deliver(early)  # future generation
+    assert (bytes(eng.consumed), eng.mailbox, sent) == (b"\0\0\0\1\0", [early], [])
+
+    eng, sent = engine()
+    eng.activate_internal()
+    eng.deliver(red)  # completes generation 0; generation 1 begins
+    assert (eng.generation, len(sent)) == (1, 1)
+    eng.deliver(red)  # stale
+    assert (bytes(eng.consumed), eng.mailbox, len(sent)) == (bytes(5), [], 1)
+
+    eng, sent = engine()
+    eng.hold_policy = lambda gen: True
+    act = Message(1, 0, Tag(0, 0, PHASE_ACT, 0), b"")
+    eng.deliver(act)  # held
+    assert (bytes(eng.consumed), eng.mailbox, sent) == (bytes(5), [act], [])
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +401,33 @@ def test_two_recvs_on_one_stream_rejected():
 
 
 class ReferenceCascade:
-    """One generation of a schedule under the readiness rule the engine used
-    before it counted dependencies: an op is ready when all (and-logic) or
-    any (or-logic) of its deps are consumed, re-checked at every pop of a
-    LIFO stack.  Recv matching rescans the mailbox from the front after
-    every match, as the engine's pump does."""
+    """A schedule run under the readiness rule the engine used before it
+    counted dependencies, compiled chains or delivered straight into a
+    ready recv: an op is ready when all (and-logic) or any (or-logic) of
+    its deps are consumed, re-checked at every pop of a LIFO stack, and
+    every delivery appends to the mailbox and rescans it from the front
+    after every match.  Messages of past generations are dropped, those of
+    future generations wait, and activation-phase messages wait while the
+    hold flag is up.  A persistent schedule replicates when its publishing
+    op fires: the generation bumps, every op resets and the seeds fire."""
 
     def __init__(self, tpl):
         self.ops = sorted(tpl.ops, key=lambda o: o.oid)
         self.entry = next(op.oid for op in tpl.ops if op.entry)
-        self.consumed = [0] * len(self.ops)
+        self.persistent = tpl.persistent
+        self.seeds = [op.oid for op in self.ops
+                      if not (op.deps or op.entry or op.kind == K_RECV)]
         self.dependents = [[] for _ in self.ops]
         for op in self.ops:
             for d in op.deps:
                 self.dependents[d].append(op.oid)
         self.recvs = {(op.phase, op.step): op.oid for op in self.ops if op.kind == K_RECV}
-        self.box = []
-        self.fired = []
-        self.sent = []
+        self.generation, self.done_generation = 0, -1
+        self.consumed = [0] * len(self.ops)
+        self.held = False
+        self.box = []    # (rnd, phase, step)
+        self.fired = []  # (generation, oid)
+        self.sent = []   # (generation, peer, phase, step)
 
     def ready(self, op):
         if not op.deps:
@@ -390,8 +436,9 @@ class ReferenceCascade:
         return any(hits) if op.logic == "or" else all(hits)
 
     def cascade(self, seeds):
+        gen = self.generation
         stack = list(seeds)
-        while stack:
+        while stack and self.generation == gen:
             op = self.ops[stack.pop()]
             if self.consumed[op.oid] or op.kind == K_RECV or not self.ready(op):
                 continue
@@ -400,22 +447,32 @@ class ReferenceCascade:
 
     def fire(self, op):
         self.consumed[op.oid] = 1
-        self.fired.append(op.oid)
+        self.fired.append((self.generation, op.oid))
         if op.kind == K_SEND:
-            self.sent.append((op.peer, op.phase, op.step))
+            self.sent.append((self.generation, op.peer, op.phase, op.step))
+        if op.publish:
+            self.done_generation = self.generation
+            if self.persistent:
+                self.generation += 1
+                self.consumed = [0] * len(self.ops)
+                self.cascade(self.seeds)
 
     def commit(self):
-        self.cascade([op.oid for op in self.ops
-                      if not (op.deps or op.entry or op.kind == K_RECV)])
+        self.cascade(self.seeds)
         self.pump()
 
     def activate(self):
         self.cascade([self.entry])
         self.pump()
 
-    def deliver(self, phase, step):
-        self.box.append((phase, step))
+    def deliver(self, rnd, phase, step):
+        self.box.append((rnd, phase, step))
         self.pump()
+
+    def hold(self, on):
+        self.held = on
+        if not on:
+            self.pump()
 
     def pump(self):
         box = self.box
@@ -424,17 +481,22 @@ class ReferenceCascade:
             progressed = False
             i = 0
             while i < len(box):
-                oid = self.recvs.get(box[i])
-                if oid is None:
+                rnd, phase, step = box[i]
+                oid = self.recvs.get((phase, step))
+                if rnd < self.generation:
+                    box.pop(i)
+                elif rnd > self.generation or oid is None:
                     i += 1
                 elif self.consumed[oid]:
                     box.pop(i)
-                elif not self.ready(self.ops[oid]):
+                elif phase == PHASE_ACT and self.held or not self.ready(self.ops[oid]):
                     i += 1
                 else:
                     box.pop(i)
+                    gen = self.generation
                     self.fire(self.ops[oid])
-                    self.cascade(self.dependents[oid])
+                    if self.generation == gen:
+                        self.cascade(self.dependents[oid])
                     progressed = True
                     break
 
@@ -442,46 +504,76 @@ class ReferenceCascade:
 _KIND_CHOICES = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
 
 
+def _unprompted(ops):
+    """The ops that fire from the seeds alone, with no activation and no
+    message."""
+    fired: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for op in ops:
+            if op.oid in fired or op.entry or op.kind == K_RECV:
+                continue
+            hits = [d in fired for d in op.deps]
+            if not op.deps or (any(hits) if op.logic == "or" else all(hits)):
+                fired.add(op.oid)
+                grew = True
+    return fired
+
+
 @st.composite
 def random_schedules(draw):
-    """A valid one-generation schedule, its ops listed in a random order: an
-    entry NOP, then ops of every kind with and/or deps on earlier ops only,
-    then a publishing NOP; plus the events to feed it (activation, one
-    message per recv, some duplicates and a message no recv matches) in a
-    random order."""
+    """A valid schedule, its ops listed in a random order: an entry NOP,
+    then ops of every kind with and/or deps on earlier ops only, often on
+    the op before alone, so straight-line chains form; one of them, inside
+    a chain or not, publishes.  Persistent unless the publisher would fire
+    with no activation and no message.  Plus the events to feed it in a
+    random order: an activation and one message per recv for each of its
+    generations (two when persistent, so the second generation's messages
+    arrive early), some duplicates, perhaps a message no recv matches, and
+    perhaps a hold on activation messages and its release."""
     n = draw(st.integers(2, 12))
     buffers = {"a": 8, "b": 8}
+    publisher = draw(st.integers(1, n))
     ops = [OpSpec(0, K_NOP, entry=True)]
     streams = []
     for oid in range(1, n + 1):
-        deps = tuple(draw(st.sets(st.integers(0, oid - 1), max_size=3)))
+        if draw(st.booleans()):
+            deps = (oid - 1,)
+        else:
+            deps = tuple(draw(st.sets(st.integers(0, oid - 1), max_size=3)))
         logic = draw(st.sampled_from(("and", "or")))
-        kind = K_NOP if oid == n else draw(st.sampled_from(_KIND_CHOICES))
-        if oid == n:
-            ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps or (oid - 1,),
-                              publish=True))
-        elif kind == K_SEND:
+        kind = draw(st.sampled_from(_KIND_CHOICES))
+        mark = {"publish": oid == publisher}
+        if kind == K_SEND:
             ops.append(OpSpec(oid, K_SEND, logic=logic, deps=deps, peer=oid,
                               phase=draw(st.sampled_from((PHASE_ACT, PHASE_RED))),
-                              step=oid, send_buf=draw(st.sampled_from((None, "a")))))
+                              step=oid, send_buf=draw(st.sampled_from((None, "a"))), **mark))
         elif kind == K_RECV:
             phase = draw(st.sampled_from((PHASE_ACT, PHASE_RED)))
             ops.append(OpSpec(oid, K_RECV, logic=logic, deps=deps, peer=1, phase=phase,
-                              step=oid, recv_buf=draw(st.sampled_from((None, "b")))))
+                              step=oid, recv_buf=draw(st.sampled_from((None, "b"))), **mark))
             streams.append((phase, oid))
         elif kind == K_COMPUTE:
             ops.append(OpSpec(oid, K_COMPUTE, logic=logic, deps=deps,
-                              src_buf="b", dst_buf="a"))
+                              src_buf="b", dst_buf="a", **mark))
         else:
-            ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps))
+            ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps, **mark))
+    persistent = draw(st.booleans()) and publisher not in _unprompted(ops)
     # listed in any order: the engine compiles the oid order regardless
     tpl = ScheduleTemplate(ops=draw(st.permutations(ops)), buffers=buffers,
-                           mask_offset=draw(st.sampled_from((0, 8))))
+                           mask_offset=draw(st.sampled_from((0, 8))), persistent=persistent)
     dups = draw(st.lists(st.sampled_from(streams), max_size=2)) if streams else []
-    events = [("activate",)] + [("msg", ph, stp) for ph, stp in streams + dups]
-    events.append(("msg", PHASE_RED, n + 1))  # matches no recv: waits forever
+    gens = (0, 1) if persistent else (0,)
+    events = [("activate",) for _ in gens]
+    events += [("msg", rnd, ph, stp) for rnd in gens for ph, stp in streams + dups]
+    if draw(st.booleans()):
+        events.append(("msg", 0, PHASE_RED, n + 1))  # matches no recv: waits forever
+    hold = draw(st.booleans())
+    if hold:
+        events += [("hold",), ("release",)]
     events = draw(st.permutations(events))
-    return tpl, events, draw(st.integers(0, len(events)))
+    return tpl, hold, events, draw(st.integers(0, len(events)))
 
 
 def _payload(tpl, step):
@@ -489,50 +581,70 @@ def _payload(tpl, step):
     return b"" if op.recv_buf is None else np.float64(step).tobytes()
 
 
-def _apply(eng, tpl, event):
+def _apply(eng, tpl, held, event):
     if event[0] == "activate":
         eng.activate_internal()
+    elif event[0] in ("hold", "release"):
+        held[0] = event[0] == "hold"
+        if not held[0]:
+            eng.pump()
     else:
-        _, phase, step = event
+        _, rnd, phase, step = event
         known = any(op.kind == K_RECV and op.step == step for op in tpl.ops)
-        deliver(eng, Message(1, 0, Tag(0, 0, phase, step),
-                             _payload(tpl, step) if known else b""))
+        eng.deliver(Message(1, 0, Tag(0, rnd, phase, step),
+                            _payload(tpl, step) if known else b""))
 
 
-@settings(max_examples=300, deadline=None)
+def _apply_ref(ref, event):
+    if event[0] == "activate":
+        ref.activate()
+    elif event[0] in ("hold", "release"):
+        ref.hold(event[0] == "hold")
+    else:
+        ref.deliver(*event[1:])
+
+
+def _sends(sent):
+    return [(m.tag.rnd, m.dst, m.tag.phase, m.tag.step) for m in sent]
+
+
+@settings(max_examples=400, deadline=None)
 @given(random_schedules())
 def test_counters_fire_what_the_reference_fires(case):
-    """The engine's dependency counters fire the same ops in the same order,
-    with the same sends, as re-checking all/any over consumed; state() and
-    restore() mid-generation replay to the same end state."""
-    tpl, events, cut = case
+    """The engine's dependency counters, fused chains and direct delivery
+    fire the same ops in the same order, with the same sends, as
+    re-checking all/any over consumed and pumping every message, across
+    generations and hold policies; state() and restore() mid-run replay to
+    the same end state."""
+    tpl, hold, events, cut = case
     sent, log = [], FireLog()
     eng = Engine(tpl, 0, 0, sent.append, lambda: 0, recorder=log)
+    held = [False]
+    if hold:
+        eng.hold_policy = lambda gen: held[0]
     ref = ReferenceCascade(tpl)
     eng.commit()
     ref.commit()
     mid = None
     for i, event in enumerate(events):
         if i == cut:
-            mid = (eng.state(), len(log.oids), len(sent))
-        _apply(eng, tpl, event)
-        if event[0] == "activate":
-            ref.activate()
-        else:
-            ref.deliver(event[1], event[2])
-        assert log.oids == ref.fired
-    assert [(m.dst, m.tag.phase, m.tag.step) for m in sent] == ref.sent
+            mid = (eng.state(), held[0], len(log.fires), len(sent))
+        _apply(eng, tpl, held, event)
+        _apply_ref(ref, event)
+        assert log.fires == ref.fired
+    assert _sends(sent) == ref.sent
     assert bytes(eng.consumed) == bytes(ref.consumed)
-    assert eng.done_generation == (0 if ref.consumed[-1] else -1)
+    assert (eng.generation, eng.done_generation) == (ref.generation, ref.done_generation)
+    assert [(m.tag.rnd, m.tag.phase, m.tag.step) for m in eng.mailbox] == ref.box
 
     if mid is None:
         return
     end = eng.state()
-    state, n_fired, n_sent = mid
+    state, held[0], n_fired, n_sent = mid
     eng.restore(state)
     assert eng.state() == state
     for event in events[cut:]:
-        _apply(eng, tpl, event)
+        _apply(eng, tpl, held, event)
     assert eng.state() == end
-    assert log.oids[len(ref.fired):] == ref.fired[n_fired:]
-    assert [(m.dst, m.tag.phase, m.tag.step) for m in sent[len(ref.sent):]] == ref.sent[n_sent:]
+    assert log.fires[len(ref.fired):] == ref.fired[n_fired:]
+    assert _sends(sent[len(ref.sent):]) == ref.sent[n_sent:]

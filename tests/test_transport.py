@@ -27,8 +27,9 @@ from eagercoll.transport import (
 
 
 class FakeEngine:
-    """What the transport drives on delivery: a cid, a mailbox and pump().
-    Each pump drains the mailbox into a (virtual time, message) log."""
+    """What the transport drives on delivery: a cid and deliver(), which
+    appends to a mailbox and pumps it.  Each pump drains the mailbox into a
+    (virtual time, message) log."""
 
     def __init__(self, sim, cid=0):
         self.sim = sim
@@ -36,6 +37,10 @@ class FakeEngine:
         self.mailbox = []
         self.pumps = 0
         self.log = []
+
+    def deliver(self, msg):
+        self.mailbox.append(msg)
+        self.pump()
 
     def pump(self):
         self.pumps += 1
@@ -292,6 +297,10 @@ class EventLog:
     def push(self, t, prio):
         self.pushed.append((t, prio, len(self.pushed)))
         return len(self.pushed) - 1
+
+    def deliver(self, msg):
+        self.mailbox.append(msg)
+        self.pump()
 
     def pump(self):
         for m in self.mailbox:
