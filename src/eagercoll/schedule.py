@@ -27,10 +27,9 @@ consumed, counted down and reported to the recorder on its own, in order.
 One fire loop, _cascade, fires every op, recvs included: it binds the
 program to locals once, follows each chain, goes straight on to a ready
 cascade target and keeps the others on a LIFO stack, until the stack
-empties or the generation moves on.  Every buffer is a slice of one byte
-block with the snapshot source last, so a replication zeroes all the others
-(the arena) with a single fill, a recv copies into the block through one
-memoryview, and the arena plus the snapshot source is the engine's whole
+empties or the generation moves on.  Every buffer but the snapshot source
+is a slice of one byte arena, so a replication zeroes them all with a
+single fill, and the arena plus the snapshot source is the engine's whole
 payload state.  No payload is copied to hand it out: the owner reads the
 send buffer in on_snapshot and the publish buffer in on_done, where the
 chain left them, before the engine zeroes them.
@@ -214,34 +213,26 @@ class Engine:
         # before held-back messages are matched against it.
         self.defer_fn = None
 
-        # every buffer is an 8-byte-aligned slice of one block, the snapshot
-        # source last; the arena is the block before it, so a replication
-        # zeroes every other buffer with one fill
+        # every buffer but the snapshot source is an 8-byte-aligned slice of
+        # one arena, so a replication zeroes them all with one fill
         start, end = {}, 0
-        sizes, snap = template.buffers, template.snapshot_src
-        for name, size in sizes.items():
-            if name != snap:
+        for name, size in template.buffers.items():
+            if name != template.snapshot_src:
                 start[name], end = end, end + -(-size // 8) * 8
-        arena_end = end
-        if snap in sizes:
-            start[snap], end = end, end + sizes[snap]
-        block = np.zeros(end, dtype=np.uint8)
-        self._arena = block[:arena_end]
+        self._arena = np.zeros(end, dtype=np.uint8)
         self._buf: dict[str, np.ndarray] = {
-            name: block[start[name]:start[name] + size] for name, size in sizes.items()}
-        # a recv copies its payload into a slice of this one memoryview of the
-        # block; a memoryview per landing buffer would live as long and cost a
-        # GC-tracked object each
-        self._mem = block.data
-        self._compile(template, dependents, start)
+            name: (self._arena[start[name]:start[name] + size] if name in start
+                   else np.zeros(size, dtype=np.uint8))
+            for name, size in template.buffers.items()
+        }
+        self._compile(template, dependents)
         self.consumed = bytearray(len(self.ops))
         self._waiting = bytearray(self._waiting0)
         self.generation = 0
         self.done_generation = -1
         self.committed = False
 
-    def _compile(self, tpl: ScheduleTemplate, dependents: list[list[int]],
-                 offsets: dict[str, int]) -> None:
+    def _compile(self, tpl: ScheduleTemplate, dependents: list[list[int]]) -> None:
         """Flatten the template into the fire records the hot path reads.
 
         Each op compiles to a fire record (dependents, label, send, reduce,
@@ -260,7 +251,7 @@ class Engine:
         waiting0 = bytearray(n)
         seeds: list[int] = []
         recv_index: dict[tuple[int, int], int] = {}
-        recv_start, recv_stop = [-1] * n, [-1] * n  # landing bytes in self._mem
+        recv_dst: list[np.ndarray | None] = [None] * n
         mo = tpl.mask_offset
         recvs = {op.oid for op in ops if op.kind == K_RECV}
         program = []
@@ -283,8 +274,7 @@ class Engine:
                     raise ScheduleError(f"two recvs on the same (phase, step) {key}")
                 recv_index[key] = oid
                 if recv_buf is not None:
-                    recv_start[oid] = offsets[recv_buf]
-                    recv_stop[oid] = offsets[recv_buf] + tpl.buffers[recv_buf]
+                    recv_dst[oid] = bufs[recv_buf]
             elif kind == K_SEND:
                 send = (peer, phase, step, bufs[send_buf] if send_buf else None)
             elif kind == K_COMPUTE:
@@ -300,7 +290,7 @@ class Engine:
         self._program = program
         self._seeds = seeds
         self._recv_index = recv_index
-        self._recv_start, self._recv_stop = recv_start, recv_stop
+        self._recv_dst = recv_dst
         self._waiting0 = bytes(waiting0)
         self._snap_buf = bufs[tpl.snapshot_src] if tpl.snapshot_src else None
         self._publish_buf = bufs[tpl.publish_from] if tpl.publish_from else None
@@ -423,11 +413,6 @@ class Engine:
                             stack.append(oid)
                         oid = d
 
-    def _fire(self, oid: int) -> None:
-        if self.consumed[oid]:
-            raise ScheduleError("op fired twice in one generation")
-        self._cascade([oid])
-
     def _snapshot_taken(self) -> None:
         buf = self._snap_buf
         if buf is None:
@@ -448,13 +433,12 @@ class Engine:
     def _fire_recv(self, oid: int, payload: bytes) -> None:
         if self.consumed[oid]:
             raise ScheduleError("op fired twice in one generation")
-        start = self._recv_start[oid]
-        if start >= 0:
-            stop = self._recv_stop[oid]
-            if len(payload) != stop - start:
+        dst = self._recv_dst[oid]
+        if dst is not None:
+            if len(payload) != len(dst):
                 raise ScheduleError(
-                    f"recv {oid} payload {len(payload)}B != buffer {stop - start}B")
-            self._mem[start:stop] = payload
+                    f"recv {oid} payload {len(payload)}B != buffer {len(dst)}B")
+            dst.data[:] = payload  # a memoryview copy, cheaper than numpy's
         self._cascade([], oid)
 
     def deliver(self, msg: Message) -> None:

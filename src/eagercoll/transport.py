@@ -178,7 +178,6 @@ def _engine_for(engines: dict, msg: Message):
 # ---------------------------------------------------------------------------
 # simulated backend
 
-_heappush = heapq.heappush
 _PRIO_RESUME = 0  # process resumptions run before message deliveries
 _PRIO_DELIVER = 1
 _MAX_EVENTS = 50_000_000  # a run past this many events is taken for a livelock
@@ -234,20 +233,17 @@ class SimTransport:
         self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, None))
 
     def _push(self, t: int, prio: int, handler, arg) -> None:
-        _heappush(self._heap, (t, prio, self._seq, handler, arg))
+        heapq.heappush(self._heap, (t, prio, self._seq, handler, arg))
         self._seq += 1
 
     # -- sending ------------------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        src, dst, tag, _ = msg
+        src, dst = msg.src, msg.dst
         if not (0 <= src < self.p and 0 <= dst < self.p):
             _check_ranks(self.p, src, dst)
-        # an engine once registered stays, so its delivery can be bound now;
-        # a message with no engine yet is routed when it is delivered
-        eng = self._engines[dst].get(tag.cid)
-        _heappush(self._heap, (self._now_us + self.link_latency_us, _PRIO_DELIVER, self._seq,
-                               self._deliver if eng is None else eng.deliver, msg))
+        heapq.heappush(self._heap, (self._now_us + self.link_latency_us, _PRIO_DELIVER,
+                                    self._seq, self._deliver, msg))
         self._seq += 1
 
     # -- event loop ---------------------------------------------------------
