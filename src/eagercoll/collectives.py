@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import Engine, K_COMPUTE, K_NOP, K_RECV, K_SEND, OpSpec, ScheduleTemplate
+from .schedule import (
+    Engine, K_COMPUTE, K_NOP, K_RECV, K_SEND, OpSpec, Program, ScheduleTemplate,
+)
 from .trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from .transport import PHASE_ACT, PHASE_RED, Sleep, SimTransport, WaitRound
 
@@ -119,6 +121,26 @@ def _final_step(m2: int) -> int:
     return m2 + 1
 
 
+def allreduce_peers(rank: int, cfg: CollectiveConfig) -> dict[tuple[int, int], int]:
+    """(phase, step) -> peer for each send of rank's schedule: the one
+    statement of whom a rank sends to.  Every send of the template builder
+    takes its peer from here, so a rank's template is any same-class rank's
+    template with these peers in place (see rank_programs)."""
+    p = cfg.p
+    p2 = floor_pow2(p)
+    m2 = p2.bit_length() - 1
+    # activation hops, which only the partial flavors' templates send on
+    peers = {(PHASE_ACT, k): (rank + (1 << k)) % p for k in range(ceil_log2(p))}
+    if rank >= p2:
+        peers[PHASE_RED, _fold_step(m2)] = rank - p2
+    else:
+        for k in range(m2):
+            peers[PHASE_RED, k] = rank ^ (1 << k)
+        if rank + p2 < p:
+            peers[PHASE_RED, _final_step(m2)] = rank + p2
+    return peers
+
+
 def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTemplate:
     """One rank's schedule for a single allreduce generation.
 
@@ -126,6 +148,7 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     the contribution buffer -> fold/butterfly/final -> publishing NOP.
     """
     p, nbytes = cfg.p, cfg.payload_nbytes
+    peers = allreduce_peers(rank, cfg)
     ops: list[OpSpec] = []
     buffers: dict[str, int] = {"send": nbytes, "acc": nbytes}
 
@@ -133,6 +156,9 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
         oid = len(ops)
         ops.append(OpSpec(oid, kind, **kw))
         return oid
+
+    def send(phase: int, step: int, **kw) -> int:
+        return add(K_SEND, peer=peers[phase, step], phase=phase, step=step, **kw)
 
     n0 = add(K_NOP, entry=True, label="N0")
 
@@ -146,8 +172,7 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
         recvs = [add(K_RECV, phase=PHASE_ACT, step=k, label=f"Ra{k}") for k in range(m)]
         for k in range(m):
             deps = (n0,) + tuple(recvs[j] for j in range(k + 1, m))
-            add(K_SEND, logic="or", deps=deps, peer=(rank + (1 << k)) % p,
-                phase=PHASE_ACT, step=k, send_buf=None, label=f"Aa{k}")
+            send(PHASE_ACT, k, logic="or", deps=deps, label=f"Aa{k}")
         gate = add(K_NOP, logic="or", deps=(n0, *recvs), label="N1")
     else:
         gate = n0
@@ -159,8 +184,8 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     if rank >= p2:
         # fold into the base partner, then wait for the finished result
         buffers["land_final"] = nbytes
-        fold = add(K_SEND, deps=(snap,), peer=rank - p2, phase=PHASE_RED,
-                   step=_fold_step(m2), send_buf="acc", label="fold_send")
+        fold = send(PHASE_RED, _fold_step(m2), deps=(snap,), send_buf="acc",
+                    label="fold_send")
         fin = add(K_RECV, phase=PHASE_RED, step=_final_step(m2),
                   recv_buf="land_final", label="final_recv")
         add(K_NOP, deps=(fold, fin), publish=True, label="done")
@@ -175,17 +200,15 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
             prev = add(K_COMPUTE, deps=(rf, prev), src_buf="land_fold", dst_buf="acc",
                        label="fold_reduce")
         for k in range(m2):
-            peer = rank ^ (1 << k)
             buffers[f"land{k}"] = nbytes
-            sk = add(K_SEND, deps=(prev,), peer=peer, phase=PHASE_RED, step=k,
-                     send_buf="acc", label=f"bf_send{k}")
+            sk = send(PHASE_RED, k, deps=(prev,), send_buf="acc", label=f"bf_send{k}")
             rk = add(K_RECV, phase=PHASE_RED, step=k, recv_buf=f"land{k}",
                      label=f"bf_recv{k}")
             prev = add(K_COMPUTE, deps=(rk, sk), src_buf=f"land{k}", dst_buf="acc",
                        label=f"bf_reduce{k}")
         if has_extra:
-            fin = add(K_SEND, deps=(prev,), peer=rank + p2, phase=PHASE_RED,
-                      step=_final_step(m2), send_buf="acc", label="final_send")
+            fin = send(PHASE_RED, _final_step(m2), deps=(prev,), send_buf="acc",
+                       label="final_send")
             add(K_NOP, deps=(prev, fin), publish=True, label="done")
         else:
             add(K_NOP, deps=(prev,), publish=True, label="done")
@@ -198,6 +221,23 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     )
 
 
+def rank_programs(cfg: CollectiveConfig) -> list[Program]:
+    """Each rank's compiled schedule, one Program per rank class: base
+    ranks with an extra partner, base ranks without one, and extra ranks.
+    Ranks of one class have the same template up to its peers, so an engine
+    binds its Program with allreduce_peers(rank, cfg).  Nothing is kept
+    between calls."""
+    p2 = floor_pow2(cfg.p)
+    by_class: dict[tuple[bool, bool], Program] = {}
+    out = []
+    for r in range(cfg.p):
+        key = (r >= p2, r + p2 < cfg.p)
+        if key not in by_class:
+            by_class[key] = Program(build_allreduce_template(r, cfg))
+        out.append(by_class[key])
+    return out
+
+
 class AllreduceHandle:
     """Per-rank handle on a persistent allreduce schedule.
 
@@ -208,11 +248,12 @@ class AllreduceHandle:
     the latest published round's CollectiveResult.  The engine itself runs
     passively under transport deliveries, so the schedule serves rounds this
     rank never actively joins; each published round's result also goes to
-    the recorder, if there is one.
+    the recorder, if there is one.  `program` is rank's entry of
+    rank_programs(cfg); a handle given none compiles its own.
     """
 
     def __init__(self, cfg: CollectiveConfig, rank: int, transport, cid: int = 0,
-                 recorder: TraceRecorder | None = None):
+                 recorder: TraceRecorder | None = None, program: Program | None = None):
         self.cfg = cfg
         self.rank = rank
         self.transport = transport
@@ -223,10 +264,11 @@ class AllreduceHandle:
         self.contributed_round = -1
         self._last: CollectiveResult | None = None
         self._waiters: list[tuple[int, int, object]] = []
-        tpl = build_allreduce_template(rank, cfg)
-        self.engine = Engine(tpl, rank, cid, transport.send, transport.now_us,
+        if program is None:
+            program = Program(build_allreduce_template(rank, cfg))
+        self.engine = Engine(program, rank, cid, transport.send, transport.now_us,
                              recorder=recorder, on_snapshot=self._snap_cb,
-                             on_done=self._done_cb)
+                             on_done=self._done_cb, peers=allreduce_peers(rank, cfg))
         transport.register_engine(rank, self.engine)
         self.engine.commit()
 
@@ -276,7 +318,7 @@ class AllreduceHandle:
             raise RoundOrderError(
                 f"rank {self.rank} offered round {t} while round "
                 f"{eng.generation} is current; rounds must be driven in order")
-        if eng.consumed[eng.template.snapshot_last]:
+        if eng.consumed[eng.program.snapshot_last]:
             return False
         write_payload(eng.buffer("send"), self.cfg, self.rank, vec)
         self.contributed_round = t
@@ -314,15 +356,18 @@ def simulate(configs, body, *, link_latency_us: int = 0,
 
     configs: one CollectiveConfig per collective, all of one world size;
     config i gets cid i, and only cid 0's rounds go to `recorder`.  Each
-    rank runs body(rank, *its handles, one per config), a generator process.
+    config's schedule is compiled once per rank class (rank_programs), for
+    this call alone.  Each rank runs body(rank, *its handles, one per
+    config), a generator process.
 
     Returns (handles, sim) where handles[i][rank] is config i's handle.
     """
     p = configs[0].p
     sim = SimTransport(p, link_latency_us=link_latency_us)
     handles = [[AllreduceHandle(cfg, r, sim, cid=cid,
-                                recorder=recorder if cid == 0 else None)
-                for r in range(p)] for cid, cfg in enumerate(configs)]
+                                recorder=recorder if cid == 0 else None, program=prog)
+                for r, prog in enumerate(rank_programs(cfg))]
+               for cid, cfg in enumerate(configs)]
     for r in range(p):
         sim.spawn(r, body(r, *(hs[r] for hs in handles)))
     sim.run()

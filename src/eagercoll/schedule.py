@@ -11,13 +11,15 @@ combines a payload buffer into an accumulator of the same size, adding the
 float64 values below the template's mask_offset and or-ing the mask bytes
 from there on (or-ing bytes gives the same bits as or-ing 64-bit words).
 
-The engine compiles its template once, at construction, into a flat program
+A Program validates a template once and compiles it into a flat program
 in the manner of an offloaded NIC's triggered operations: each op has a
 counter of dependencies it still waits for (its dep count under and-logic,
 1 under or-logic, 0 with none), firing an op counts down its dependents,
 and an op is ready when its counter reaches 0.  The data each fire needs
-(peers, tags, the value and mask views of a reduction, the seeds of a fresh
-generation) is resolved then too, into one fire record per op.  Where an op
+(tags, the seeds of a fresh generation, chain successors) is resolved then
+too, into one fire record per op.  Ranks whose templates differ only in
+their peers share one Program; each Engine binds its own buffer views and
+send peers into the records that name them, and compiles nothing.  Where an op
 is the only cascade target of its one dependency, the two always fire back
 to back, so the dependency's record names it as its successor: a
 straight-line chain (a reduce and the next step's send, the last reduce and
@@ -117,7 +119,7 @@ class ScheduleTemplate:
 
     def validate(self) -> list[list[int]]:
         """Raise ScheduleError on a malformed template; return each op's
-        dependents in oid order, the map the engine compiles from."""
+        dependents in oid order, the map a Program compiles from."""
         ids = [op.oid for op in self.ops]
         if len(set(ids)) != len(ids):
             raise DuplicateOpError("duplicate op ids")
@@ -175,29 +177,118 @@ class ScheduleTemplate:
         return dependents
 
 
+class Program:
+    """A template validated and compiled once, for every engine that runs it.
+
+    It holds everything the fire loop reads that names no buffer view and
+    no peer: the start value of each op's dependency counter, the seeds,
+    the entry op, the recv index, each op's dependents, cascade targets,
+    chain successor, tail flags and label, and the buffer layout.  Ranks
+    whose templates differ only in their peers share one Program, and each
+    Engine binds its own views and peers into the records that need them.
+
+    Each op compiles to a fire record (dependents, label, send, reduce,
+    tail, targets, then).  Here send is (template peer, phase, step, buffer
+    name or None) and reduce is (dst name, src name); `bound` lists the ops
+    that have one, which the engine rebinds (see Engine).  tail has bit 1
+    set if the op takes the snapshot and bit 2 if it publishes, and targets
+    are the dependents a cascade may go on to, all but the recvs.  An op X
+    whose only target is an op Y depending on X alone makes Y ready exactly
+    when X fires: X's `then` is Y (else -1), so a maximal straight-line
+    chain runs from its head as one unit, with no readiness check or stack
+    between its ops.
+    """
+
+    def __init__(self, template: ScheduleTemplate):
+        dependents = template.validate()
+        ops = self.ops = sorted(template.ops)  # by oid alone: the oids are distinct
+        self.buffers = dict(template.buffers)
+        self.mask_offset = template.mask_offset
+        self.snapshot_last = template.snapshot_last
+        self.snapshot_src = template.snapshot_src
+        self.publish_from = template.publish_from
+        self.persistent = template.persistent
+        # every buffer but the snapshot source is an 8-byte-aligned slice of
+        # one arena, so a replication zeroes them all with one fill
+        start, end = {}, 0
+        for name, size in template.buffers.items():
+            if name != template.snapshot_src:
+                start[name], end = end, end + -(-size // 8) * 8
+        self.start, self.arena_nbytes = start, end
+        n = len(ops)
+        waiting0 = bytearray(n)
+        seeds: list[int] = []
+        recv_index: dict[tuple[int, int], int] = {}
+        recv_bufs: list[tuple[int, str]] = []
+        bound: list[int] = []
+        recvs = {op.oid for op in ops if op.kind == K_RECV}
+        records = []
+        # one unpack of each OpSpec is much cheaper than its field lookups
+        for (oid, kind, logic, deps, label, peer, phase, step, send_buf, recv_buf,
+             src_buf, dst_buf, entry, publish), ds in zip(ops, dependents):
+            if deps:
+                need = 1 if logic == "or" else len(deps)
+                if need > 255:
+                    raise ScheduleError(f"op {oid} has more than 255 and-dependencies")
+                waiting0[oid] = need
+            elif not (entry or kind == K_RECV):
+                seeds.append(oid)
+            if entry:
+                self.entry = oid
+            send = reduce = None
+            if kind == K_RECV:
+                key = (phase, step)
+                if key in recv_index:
+                    raise ScheduleError(f"two recvs on the same (phase, step) {key}")
+                recv_index[key] = oid
+                if recv_buf is not None:
+                    recv_bufs.append((oid, recv_buf))
+            elif kind == K_SEND:
+                send = (peer, phase, step, send_buf)
+                bound.append(oid)
+            elif kind == K_COMPUTE:
+                reduce = (dst_buf, src_buf)
+                bound.append(oid)
+            tail = (oid == template.snapshot_last) | (publish << 1)
+            # a recv fires only when a delivery matches it, so no cascade goes to one
+            ds = tuple(ds)
+            targets = ds if recvs.isdisjoint(ds) else tuple([d for d in ds if d not in recvs])
+            then = targets[0] if len(targets) == 1 and len(ops[targets[0]].deps) == 1 else -1
+            records.append((ds, label, send, reduce, tail, targets, then))
+        self.records = records
+        self.bound = bound
+        self.seeds = seeds
+        self.recv_index = recv_index
+        self.recv_bufs = recv_bufs
+        self.waiting0 = bytes(waiting0)
+
+
 class Engine:
     """Executes one committed schedule for one rank.
 
-    Readiness is a per-op counter of unmet dependencies, reset from a
-    precomputed start value on every replication and carried by state().
-    The data each fire needs is compiled here, once, from the template
-    (see _compile); edits to the template after construction are not seen.
+    Readiness is a per-op counter of unmet dependencies, reset from the
+    Program's start values on every replication and carried by state().
+    The engine neither validates nor compiles: it allocates its buffers and
+    binds them, and its own send peers, into the Program's fire records.
+    peers maps a send's (phase, step) to this rank's peer (default: the
+    peers of the template the Program was compiled from), and persistent
+    defaults to the template's.
 
     Public surface: commit(), activate_internal(), deliver(), which a
     transport calls with each of this collective's messages, pump(), which
     matches what waits in the mailbox, buffer(), state()/restore(), plus
-    read-only state (generation, done_generation, consumed, mailbox).
-    on_snapshot(generation, send buffer) and on_done(generation, publish
-    buffer) get live views that are valid only during the call: a callback
-    that keeps the bytes copies them.  Nothing here locks: one thread, the
-    owner of the engine's rank, makes every call.
+    read-only state (program, generation, done_generation, consumed,
+    mailbox).  on_snapshot(generation, send buffer) and on_done(generation,
+    publish buffer) get live views that are valid only during the call: a
+    callback that keeps the bytes copies them.  Nothing here locks: one
+    thread, the owner of the engine's rank, makes every call.
     """
 
-    def __init__(self, template: ScheduleTemplate, rank: int, cid: int,
+    def __init__(self, program: Program, rank: int, cid: int,
                  send_fn, now_fn, recorder=None,
-                 on_snapshot=None, on_done=None):
-        dependents = template.validate()
-        self.template = template
+                 on_snapshot=None, on_done=None, *, peers=None, persistent=None):
+        self.program = program
+        self.ops = program.ops
         self.rank = rank
         self.cid = cid
         self.send_fn = send_fn
@@ -213,88 +304,42 @@ class Engine:
         # before held-back messages are matched against it.
         self.defer_fn = None
 
-        # every buffer but the snapshot source is an 8-byte-aligned slice of
-        # one arena, so a replication zeroes them all with one fill
-        start, end = {}, 0
-        for name, size in template.buffers.items():
-            if name != template.snapshot_src:
-                start[name], end = end, end + -(-size // 8) * 8
-        self._arena = np.zeros(end, dtype=np.uint8)
-        self._buf: dict[str, np.ndarray] = {
+        start = program.start
+        self._arena = np.zeros(program.arena_nbytes, dtype=np.uint8)
+        bufs = self._buf = {
             name: (self._arena[start[name]:start[name] + size] if name in start
                    else np.zeros(size, dtype=np.uint8))
-            for name, size in template.buffers.items()
+            for name, size in program.buffers.items()
         }
-        self._compile(template, dependents)
-        self.consumed = bytearray(len(self.ops))
+        records = list(program.records)
+        mo = program.mask_offset
+        for oid in program.bound:
+            ds, label, send, reduce, tail, targets, then = records[oid]
+            if send is not None:
+                peer, phase, step, name = send
+                send = (peer if peers is None else peers[phase, step], phase, step,
+                        None if name is None else bufs[name])
+            else:
+                dst, src = bufs[reduce[0]], bufs[reduce[1]]
+                reduce = (dst[:mo].view(np.float64), src[:mo].view(np.float64),
+                          dst[mo:], src[mo:])
+            records[oid] = (ds, label, send, reduce, tail, targets, then)
+        self._program = records
+        self._recv_dst: list[np.ndarray | None] = [None] * len(records)
+        for oid, name in program.recv_bufs:
+            self._recv_dst[oid] = bufs[name]
+        self._entry = program.entry
+        self._seeds = program.seeds
+        self._recv_index = program.recv_index
+        self._waiting0 = program.waiting0
+        self._snap_buf = bufs[program.snapshot_src] if program.snapshot_src else None
+        self._publish_buf = bufs[program.publish_from] if program.publish_from else None
+        self._persistent = program.persistent if persistent is None else persistent
+        self.consumed = bytearray(len(records))
         self._waiting = bytearray(self._waiting0)
         self.generation = 0
         self.done_generation = -1
         self.committed = False
-
-    def _compile(self, tpl: ScheduleTemplate, dependents: list[list[int]]) -> None:
-        """Flatten the template into the fire records the hot path reads.
-
-        Each op compiles to a fire record (dependents, label, send, reduce,
-        tail, targets, then): send is (peer, phase, step, buffer) or None,
-        reduce is (dst f8, src f8, dst mask, src mask) or None, tail has
-        bit 1 set if the op takes the snapshot and bit 2 if it publishes,
-        and targets are the dependents a cascade may go on to, all but the
-        recvs.  An op X whose only target is an op Y depending on X alone
-        makes Y ready exactly when X fires: X's `then` is Y (else -1), so a
-        maximal straight-line chain runs from its head as one unit, with no
-        readiness check or stack between its ops.
-        """
-        ops = self.ops = sorted(tpl.ops)  # by oid alone: the oids are distinct
-        n = len(ops)
-        bufs = self._buf
-        waiting0 = bytearray(n)
-        seeds: list[int] = []
-        recv_index: dict[tuple[int, int], int] = {}
-        recv_dst: list[np.ndarray | None] = [None] * n
-        mo = tpl.mask_offset
-        recvs = {op.oid for op in ops if op.kind == K_RECV}
-        program = []
-        # one unpack of each OpSpec is much cheaper than its field lookups
-        for (oid, kind, logic, deps, label, peer, phase, step, send_buf, recv_buf,
-             src_buf, dst_buf, entry, publish), ds in zip(ops, dependents):
-            if deps:
-                need = 1 if logic == "or" else len(deps)
-                if need > 255:
-                    raise ScheduleError(f"op {oid} has more than 255 and-dependencies")
-                waiting0[oid] = need
-            elif not (entry or kind == K_RECV):
-                seeds.append(oid)
-            if entry:
-                self._entry = oid
-            send = reduce = None
-            if kind == K_RECV:
-                key = (phase, step)
-                if key in recv_index:
-                    raise ScheduleError(f"two recvs on the same (phase, step) {key}")
-                recv_index[key] = oid
-                if recv_buf is not None:
-                    recv_dst[oid] = bufs[recv_buf]
-            elif kind == K_SEND:
-                send = (peer, phase, step, bufs[send_buf] if send_buf else None)
-            elif kind == K_COMPUTE:
-                dst, src = bufs[dst_buf], bufs[src_buf]
-                reduce = (dst[:mo].view(np.float64), src[:mo].view(np.float64),
-                          dst[mo:], src[mo:])
-            tail = (oid == tpl.snapshot_last) | (publish << 1)
-            # a recv fires only when a delivery matches it, so no cascade goes to one
-            ds = tuple(ds)
-            targets = ds if recvs.isdisjoint(ds) else tuple([d for d in ds if d not in recvs])
-            then = targets[0] if len(targets) == 1 and len(ops[targets[0]].deps) == 1 else -1
-            program.append((ds, label, send, reduce, tail, targets, then))
-        self._program = program
-        self._seeds = seeds
-        self._recv_index = recv_index
-        self._recv_dst = recv_dst
-        self._waiting0 = bytes(waiting0)
-        self._snap_buf = bufs[tpl.snapshot_src] if tpl.snapshot_src else None
-        self._publish_buf = bufs[tpl.publish_from] if tpl.publish_from else None
-        self._persistent = tpl.persistent
 
     def buffer(self, name: str) -> np.ndarray:
         return self._buf[name]
@@ -466,7 +511,7 @@ class Engine:
                 if not (self._waiting[oid]
                         or phase == PHASE_ACT and self.hold_policy is not None):
                     self._fire_recv(oid, payload)
-                    if self.generation != gen and self.defer_fn is not None:
+                    if self.generation != gen and box and self.defer_fn is not None:
                         self.defer_fn(self.pump)  # as pump() defers its rescan
                     return
         box.append(msg)
@@ -514,7 +559,10 @@ class Engine:
             self._fire_recv(oid, payload)
             if self.generation != gen:
                 if self.defer_fn is not None:
-                    self.defer_fn(self.pump)
+                    # an empty mailbox needs no rescan: deliver() pumps
+                    # whatever it appends later
+                    if box:
+                        self.defer_fn(self.pump)
                     return
                 gen = self.generation
             i = 0

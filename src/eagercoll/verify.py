@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collectives import (
-    CollectiveConfig, SOLO, build_allreduce_template, parse_payload, tree_order_sum,
+    CollectiveConfig, SOLO, allreduce_peers, parse_payload, rank_programs, tree_order_sum,
     write_payload,
 )
 from .schedule import Engine
@@ -343,18 +343,18 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
         streams.setdefault(key, deque()).append(msg)
 
     engines: list[Engine] = []
-    for r in range(p):
-        tpl = build_allreduce_template(r, cfg)
-        tpl.persistent = False  # single round; terminal state is generation 0 done
-        eng = Engine(tpl, r, 0, send_fn, lambda: 0)
+    for r, program in enumerate(rank_programs(cfg)):
+        # single round; terminal state is generation 0 done
+        eng = Engine(program, r, 0, send_fn, lambda: 0,
+                     peers=allreduce_peers(r, cfg), persistent=False)
         eng.commit()
         engines.append(eng)
     # each rank's result, read where its chain left it; restore() writes in place
-    published = [e.buffer(e.template.publish_from) for e in engines]
+    published = [e.buffer(e.program.publish_from) for e in engines]
 
     def contribute(rank: int) -> None:
         eng = engines[rank]
-        if eng.consumed[eng.template.snapshot_last]:
+        if eng.consumed[eng.program.snapshot_last]:
             return  # too late: the round already took this rank's (null) slot
         write_payload(eng.buffer("send"), cfg, rank, contributions[rank])
 

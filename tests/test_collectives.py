@@ -13,16 +13,18 @@ from eagercoll.collectives import (
     AllreduceHandle,
     CollectiveConfig,
     RoundOrderError,
+    allreduce_peers,
     build_allreduce_template,
     ceil_log2,
     floor_pow2,
     initiator_for_round,
     parse_payload,
+    rank_programs,
     run_allreduce,
     tree_order_sum,
     write_payload,
 )
-from eagercoll.schedule import K_SEND
+from eagercoll.schedule import Engine, K_SEND, Program
 from eagercoll.transport import PHASE_ACT, SimTransport
 
 
@@ -251,6 +253,46 @@ def test_template_wires_the_forwarding_rule(p):
             assert op.peer == (rank + (1 << k)) % p
             assert op.logic == "or"
             assert set(op.deps) == {entry} | {recv_ids[j] for j in range(k + 1, m)}
+
+
+def _compiled(eng):
+    """What an engine's fire loop reads, with each buffer view as its place
+    (arena or snapshot buffer, byte offset, length, dtype)."""
+    bases = [(name, buf.__array_interface__["data"][0], buf.nbytes)
+             for name, buf in (("arena", eng._arena), ("snapshot", eng._snap_buf))]
+
+    def place(view):
+        if view is None:
+            return None
+        addr = view.__array_interface__["data"][0]
+        for name, base, size in bases:
+            if base <= addr < base + size:
+                return (name, addr - base, view.nbytes, view.dtype.str)
+        raise AssertionError("view outside the engine's buffers")
+
+    records = [(ds, label, send and (*send[:3], place(send[3])),
+                reduce and tuple(place(v) for v in reduce), tail, targets, then)
+               for ds, label, send, reduce, tail, targets, then in eng._program]
+    return (records, eng._waiting0, eng._seeds, eng._entry, eng._recv_index,
+            [place(v) for v in eng._recv_dst], place(eng._publish_buf), eng._arena.nbytes)
+
+
+@pytest.mark.parametrize("flavor", ["sync", "solo", "majority"])
+def test_class_program_with_own_peers_compiles_like_own_template(flavor):
+    """Every rank's engine bound from its rank class's Program and its own
+    peers reads the same fire records (peers, phases, steps, buffer places,
+    targets, chain successors), start counters, seeds and recv index as an
+    engine compiled from that rank's own template."""
+    for p in range(1, 71):
+        cfg = CollectiveConfig(p=p, flavor=flavor, vector_len=2)
+        programs = rank_programs(cfg)
+        p2 = floor_pow2(p)
+        assert len({id(prog) for prog in programs}) == len({(r >= p2, r + p2 < p)
+                                                            for r in range(p)})
+        for r, program in enumerate(programs):
+            shared = Engine(program, r, 0, None, None, peers=allreduce_peers(r, cfg))
+            own = Engine(Program(build_allreduce_template(r, cfg)), r, 0, None, None)
+            assert _compiled(shared) == _compiled(own), (p, r)
 
 
 def test_sync_has_no_activation_messages():

@@ -31,6 +31,7 @@ from eagercoll.harness import (
     write_bench_csv,
     write_jsonl,
 )
+from eagercoll.schedule import Program
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import DelayModel, SimTransport
 from eagercoll.verify import RoundContractReport, Violation
@@ -145,10 +146,28 @@ class _CountingSim(SimTransport):
         super().send(msg)
 
 
+def test_bench_flavor_compiles_one_program_per_rank_class(monkeypatch):
+    """p=12 has three rank classes (base ranks with and without an extra
+    partner, extra ranks), so a bench run compiles three Programs, and the
+    next run compiles its own three: nothing is cached across runs."""
+    built = []
+
+    class CountingProgram(Program):
+        def __init__(self, template):
+            built.append(template)
+            super().__init__(template)
+
+    monkeypatch.setattr(collectives, "Program", CountingProgram)
+    for _ in range(2):
+        built.clear()
+        bench_flavor(RunConfig(p=12, rounds=2), "solo")
+        assert len(built) == 3
+
+
 @pytest.mark.parametrize("flavor, events, sends, fires", [
-    ("sync", 284, 128, {"compute": 160, "nop": 96, "recv": 128, "send": 128}),
-    ("solo", 288, 176, {"compute": 160, "nop": 100, "recv": 176, "send": 176}),
-    ("majority", 303, 176, {"compute": 160, "nop": 100, "recv": 176, "send": 176}),
+    ("sync", 236, 128, {"compute": 160, "nop": 96, "recv": 128, "send": 128}),
+    ("solo", 240, 176, {"compute": 160, "nop": 100, "recv": 176, "send": 176}),
+    ("majority", 255, 176, {"compute": 160, "nop": 100, "recv": 176, "send": 176}),
 ])
 def test_bench_event_and_fire_counts_are_pinned(monkeypatch, flavor, events, sends, fires):
     """The work a bench run does, at a shape with extra ranks (p=12 over a

@@ -13,6 +13,7 @@ from eagercoll.schedule import (
     K_RECV,
     K_SEND,
     OpSpec,
+    Program,
     ScheduleError,
     ScheduleTemplate,
 )
@@ -31,7 +32,7 @@ class FireLog:
 
 def make_engine(tpl, sent=None, rank=0):
     send_fn = (lambda m: sent.append(m)) if sent is not None else (lambda m: None)
-    return Engine(tpl, rank, 0, send_fn, lambda: 0)
+    return Engine(Program(tpl), rank, 0, send_fn, lambda: 0)
 
 
 def chain_template():
@@ -616,7 +617,7 @@ def test_counters_fire_what_the_reference_fires(case):
     the same end state."""
     tpl, hold, events, cut = case
     sent, log = [], FireLog()
-    eng = Engine(tpl, 0, 0, sent.append, lambda: 0, recorder=log)
+    eng = Engine(Program(tpl), 0, 0, sent.append, lambda: 0, recorder=log)
     held = [False]
     if hold:
         eng.hold_policy = lambda gen: held[0]
