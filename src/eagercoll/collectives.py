@@ -112,15 +112,6 @@ def floor_pow2(p: int) -> int:
     return 1 << (p.bit_length() - 1)
 
 
-# reduction-phase step tags: 0..m2-1 butterfly, then fold, then final
-def _fold_step(m2: int) -> int:
-    return m2
-
-
-def _final_step(m2: int) -> int:
-    return m2 + 1
-
-
 def allreduce_peers(rank: int, cfg: CollectiveConfig) -> dict[tuple[int, int], int]:
     """(phase, step) -> peer for each send of rank's schedule: the one
     statement of whom a rank sends to.  Every send of the template builder
@@ -131,13 +122,13 @@ def allreduce_peers(rank: int, cfg: CollectiveConfig) -> dict[tuple[int, int], i
     m2 = p2.bit_length() - 1
     # activation hops, which only the partial flavors' templates send on
     peers = {(PHASE_ACT, k): (rank + (1 << k)) % p for k in range(ceil_log2(p))}
+    # reduction-phase steps: 0..m2-1 butterfly, m2 fold, m2 + 1 final
     if rank >= p2:
-        peers[PHASE_RED, _fold_step(m2)] = rank - p2
+        peers[PHASE_RED, m2] = rank - p2
     else:
-        for k in range(m2):
-            peers[PHASE_RED, k] = rank ^ (1 << k)
+        peers.update(((PHASE_RED, k), rank ^ (1 << k)) for k in range(m2))
         if rank + p2 < p:
-            peers[PHASE_RED, _final_step(m2)] = rank + p2
+            peers[PHASE_RED, m2 + 1] = rank + p2
     return peers
 
 
@@ -157,9 +148,6 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
         ops.append(OpSpec(oid, kind, **kw))
         return oid
 
-    def send(phase: int, step: int, **kw) -> int:
-        return add(K_SEND, peer=peers[phase, step], phase=phase, step=step, **kw)
-
     n0 = add(K_NOP, entry=True, label="N0")
 
     partial = cfg.flavor in (SOLO, MAJORITY) and p > 1
@@ -172,7 +160,8 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
         recvs = [add(K_RECV, phase=PHASE_ACT, step=k, label=f"Ra{k}") for k in range(m)]
         for k in range(m):
             deps = (n0,) + tuple(recvs[j] for j in range(k + 1, m))
-            send(PHASE_ACT, k, logic="or", deps=deps, label=f"Aa{k}")
+            add(K_SEND, logic="or", deps=deps, peer=peers[PHASE_ACT, k],
+                phase=PHASE_ACT, step=k, label=f"Aa{k}")
         gate = add(K_NOP, logic="or", deps=(n0, *recvs), label="N1")
     else:
         gate = n0
@@ -181,12 +170,13 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
 
     p2 = floor_pow2(p)
     m2 = p2.bit_length() - 1
+    fold_step, final_step = m2, m2 + 1  # after the butterfly's steps 0..m2-1
     if rank >= p2:
         # fold into the base partner, then wait for the finished result
         buffers["land_final"] = nbytes
-        fold = send(PHASE_RED, _fold_step(m2), deps=(snap,), send_buf="acc",
-                    label="fold_send")
-        fin = add(K_RECV, phase=PHASE_RED, step=_final_step(m2),
+        fold = add(K_SEND, deps=(snap,), peer=peers[PHASE_RED, fold_step], phase=PHASE_RED,
+                   step=fold_step, send_buf="acc", label="fold_send")
+        fin = add(K_RECV, phase=PHASE_RED, step=final_step,
                   recv_buf="land_final", label="final_recv")
         add(K_NOP, deps=(fold, fin), publish=True, label="done")
         publish_from = "land_final"
@@ -195,20 +185,21 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
         has_extra = rank + p2 < p
         if has_extra:
             buffers["land_fold"] = nbytes
-            rf = add(K_RECV, phase=PHASE_RED, step=_fold_step(m2),
+            rf = add(K_RECV, phase=PHASE_RED, step=fold_step,
                      recv_buf="land_fold", label="fold_recv")
             prev = add(K_COMPUTE, deps=(rf, prev), src_buf="land_fold", dst_buf="acc",
                        label="fold_reduce")
         for k in range(m2):
             buffers[f"land{k}"] = nbytes
-            sk = send(PHASE_RED, k, deps=(prev,), send_buf="acc", label=f"bf_send{k}")
+            sk = add(K_SEND, deps=(prev,), peer=peers[PHASE_RED, k], phase=PHASE_RED, step=k,
+                     send_buf="acc", label=f"bf_send{k}")
             rk = add(K_RECV, phase=PHASE_RED, step=k, recv_buf=f"land{k}",
                      label=f"bf_recv{k}")
             prev = add(K_COMPUTE, deps=(rk, sk), src_buf=f"land{k}", dst_buf="acc",
                        label=f"bf_reduce{k}")
         if has_extra:
-            fin = send(PHASE_RED, _final_step(m2), deps=(prev,), send_buf="acc",
-                       label="final_send")
+            fin = add(K_SEND, deps=(prev,), peer=peers[PHASE_RED, final_step],
+                      phase=PHASE_RED, step=final_step, send_buf="acc", label="final_send")
             add(K_NOP, deps=(prev, fin), publish=True, label="done")
         else:
             add(K_NOP, deps=(prev,), publish=True, label="done")
@@ -227,15 +218,11 @@ def rank_programs(cfg: CollectiveConfig) -> list[Program]:
     Ranks of one class have the same template up to its peers, so an engine
     binds its Program with allreduce_peers(rank, cfg).  Nothing is kept
     between calls."""
-    p2 = floor_pow2(cfg.p)
-    by_class: dict[tuple[bool, bool], Program] = {}
-    out = []
-    for r in range(cfg.p):
-        key = (r >= p2, r + p2 < cfg.p)
-        if key not in by_class:
-            by_class[key] = Program(build_allreduce_template(r, cfg))
-        out.append(by_class[key])
-    return out
+    p, p2 = cfg.p, floor_pow2(cfg.p)
+    # each rank's class representative: the class's lowest rank
+    reps = [0 if r < p - p2 else p - p2 if r < p2 else p2 for r in range(p)]
+    programs = {r: Program(build_allreduce_template(r, cfg)) for r in sorted(set(reps))}
+    return [programs[r] for r in reps]
 
 
 class AllreduceHandle:
@@ -264,11 +251,12 @@ class AllreduceHandle:
         self.contributed_round = -1
         self._last: CollectiveResult | None = None
         self._waiters: list[tuple[int, int, object]] = []
-        if program is None:
-            program = Program(build_allreduce_template(rank, cfg))
+        # a program of its own already has this rank's peers
+        peers = None if program is None else allreduce_peers(rank, cfg)
+        program = program or Program(build_allreduce_template(rank, cfg))
         self.engine = Engine(program, rank, cid, transport.send, transport.now_us,
                              recorder=recorder, on_snapshot=self._snap_cb,
-                             on_done=self._done_cb, peers=allreduce_peers(rank, cfg))
+                             on_done=self._done_cb, peers=peers)
         transport.register_engine(rank, self.engine)
         self.engine.commit()
 

@@ -129,30 +129,33 @@ class ScheduleTemplate:
         entries = [op for op in self.ops if op.entry]
         if len(entries) != 1 or entries[0].kind != K_NOP:
             raise ScheduleError("schedule needs exactly one entry NOP")
-        for op in self.ops:
-            if op.kind not in _KINDS:
-                raise ScheduleError(f"unknown op kind {op.kind!r}")
-            if op.logic not in ("and", "or"):
-                raise ScheduleError(f"unknown dep logic {op.logic!r}")
-            for d in op.deps:
+        bufs, mo = self.buffers, self.mask_offset
+        # one unpack of each OpSpec is much cheaper than its field lookups
+        for (oid, kind, logic, deps, _, _, _, _, send_buf, recv_buf, src_buf, dst_buf,
+             _, _) in self.ops:
+            if kind not in _KINDS:
+                raise ScheduleError(f"unknown op kind {kind!r}")
+            if logic not in ("and", "or"):
+                raise ScheduleError(f"unknown dep logic {logic!r}")
+            for d in deps:
                 if d not in oids:
-                    raise ScheduleError(f"op {op.oid} depends on missing op {d}")
-            if op.kind == K_SEND and op.send_buf is not None and op.send_buf not in self.buffers:
-                raise ScheduleError(f"send op {op.oid} names unknown buffer")
-            if op.kind == K_RECV and (op.recv_buf is not None) and op.recv_buf not in self.buffers:
-                raise ScheduleError(f"recv op {op.oid} names unknown buffer")
-            if op.kind == K_COMPUTE:
-                if op.src_buf not in self.buffers or op.dst_buf not in self.buffers:
-                    raise ScheduleError(f"compute op {op.oid} names unknown buffer")
-                size = self.buffers[op.dst_buf]
-                if self.buffers[op.src_buf] != size:
-                    raise ScheduleError(f"compute op {op.oid} buffer sizes differ")
-                if self.mask_offset % 8 or not 0 <= self.mask_offset <= size:
+                    raise ScheduleError(f"op {oid} depends on missing op {d}")
+            if kind == K_SEND and send_buf is not None and send_buf not in bufs:
+                raise ScheduleError(f"send op {oid} names unknown buffer")
+            if kind == K_RECV and recv_buf is not None and recv_buf not in bufs:
+                raise ScheduleError(f"recv op {oid} names unknown buffer")
+            if kind == K_COMPUTE:
+                if src_buf not in bufs or dst_buf not in bufs:
+                    raise ScheduleError(f"compute op {oid} names unknown buffer")
+                size = bufs[dst_buf]
+                if bufs[src_buf] != size:
+                    raise ScheduleError(f"compute op {oid} buffer sizes differ")
+                if mo % 8 or not 0 <= mo <= size:
                     raise ScheduleError(
-                        f"mask_offset {self.mask_offset} is not a multiple of 8 "
-                        f"within compute op {op.oid}'s {size}B buffers")
+                        f"mask_offset {mo} is not a multiple of 8 "
+                        f"within compute op {oid}'s {size}B buffers")
         # Kahn's algorithm: every op must be reachable through its deps
-        byid = sorted(self.ops, key=lambda op: op.oid)
+        byid = sorted(self.ops)  # by oid alone: the oids are distinct
         dependents: list[list[int]] = [[] for _ in oids]
         for op in byid:
             for d in op.deps:
@@ -178,36 +181,27 @@ class ScheduleTemplate:
 
 
 class Program:
-    """A template validated and compiled once, for every engine that runs it.
-
-    It holds everything the fire loop reads that names no buffer view and
-    no peer: the start value of each op's dependency counter, the seeds,
-    the entry op, the recv index, each op's dependents, cascade targets,
-    chain successor, tail flags and label, and the buffer layout.  Ranks
-    whose templates differ only in their peers share one Program, and each
-    Engine binds its own views and peers into the records that need them.
+    """A template validated and compiled once into what the fire loop reads
+    that names no buffer view and no peer, shared by every engine running it.
 
     Each op compiles to a fire record (dependents, label, send, reduce,
     tail, targets, then).  Here send is (template peer, phase, step, buffer
-    name or None) and reduce is (dst name, src name); `bound` lists the ops
-    that have one, which the engine rebinds (see Engine).  tail has bit 1
-    set if the op takes the snapshot and bit 2 if it publishes, and targets
-    are the dependents a cascade may go on to, all but the recvs.  An op X
-    whose only target is an op Y depending on X alone makes Y ready exactly
-    when X fires: X's `then` is Y (else -1), so a maximal straight-line
-    chain runs from its head as one unit, with no readiness check or stack
+    name or None) and reduce is (dst name, src name), which an Engine binds
+    to its own peer and views; `bound` lists those ops.  tail has bit 1 set
+    if the op takes the snapshot and bit 2 if it publishes, and targets are
+    the dependents a cascade may go on to, all but the recvs.  An op X whose
+    only target is an op Y depending on X alone makes Y ready exactly when
+    X fires: X's `then` is Y (else -1), so a maximal straight-line chain
+    runs from its head as one unit, with no readiness check or stack
     between its ops.
     """
 
     def __init__(self, template: ScheduleTemplate):
         dependents = template.validate()
         ops = self.ops = sorted(template.ops)  # by oid alone: the oids are distinct
-        self.buffers = dict(template.buffers)
-        self.mask_offset = template.mask_offset
-        self.snapshot_last = template.snapshot_last
-        self.snapshot_src = template.snapshot_src
-        self.publish_from = template.publish_from
-        self.persistent = template.persistent
+        self.buffers, self.mask_offset = template.buffers, template.mask_offset
+        self.snapshot_last, self.snapshot_src = template.snapshot_last, template.snapshot_src
+        self.publish_from, self.persistent = template.publish_from, template.persistent
         # every buffer but the snapshot source is an 8-byte-aligned slice of
         # one arena, so a replication zeroes them all with one fill
         start, end = {}, 0
@@ -215,14 +209,13 @@ class Program:
             if name != template.snapshot_src:
                 start[name], end = end, end + -(-size // 8) * 8
         self.start, self.arena_nbytes = start, end
-        n = len(ops)
-        waiting0 = bytearray(n)
-        seeds: list[int] = []
-        recv_index: dict[tuple[int, int], int] = {}
-        recv_bufs: list[tuple[int, str]] = []
-        bound: list[int] = []
+        waiting0 = bytearray(len(ops))
+        seeds = self.seeds = []
+        recv_index = self.recv_index = {}            # (phase, step) -> recv oid
+        recv_bufs = self.recv_bufs = []              # (recv oid, buffer name)
+        bound = self.bound = []
         recvs = {op.oid for op in ops if op.kind == K_RECV}
-        records = []
+        records = self.records = []
         # one unpack of each OpSpec is much cheaper than its field lookups
         for (oid, kind, logic, deps, label, peer, phase, step, send_buf, recv_buf,
              src_buf, dst_buf, entry, publish), ds in zip(ops, dependents):
@@ -255,11 +248,6 @@ class Program:
             targets = ds if recvs.isdisjoint(ds) else tuple([d for d in ds if d not in recvs])
             then = targets[0] if len(targets) == 1 and len(ops[targets[0]].deps) == 1 else -1
             records.append((ds, label, send, reduce, tail, targets, then))
-        self.records = records
-        self.bound = bound
-        self.seeds = seeds
-        self.recv_index = recv_index
-        self.recv_bufs = recv_bufs
         self.waiting0 = bytes(waiting0)
 
 
@@ -328,15 +316,12 @@ class Engine:
         self._recv_dst: list[np.ndarray | None] = [None] * len(records)
         for oid, name in program.recv_bufs:
             self._recv_dst[oid] = bufs[name]
-        self._entry = program.entry
-        self._seeds = program.seeds
         self._recv_index = program.recv_index
-        self._waiting0 = program.waiting0
         self._snap_buf = bufs[program.snapshot_src] if program.snapshot_src else None
         self._publish_buf = bufs[program.publish_from] if program.publish_from else None
         self._persistent = program.persistent if persistent is None else persistent
         self.consumed = bytearray(len(records))
-        self._waiting = bytearray(self._waiting0)
+        self._waiting = bytearray(program.waiting0)
         self.generation = 0
         self.done_generation = -1
         self.committed = False
@@ -372,7 +357,7 @@ class Engine:
         if self.committed:
             raise ScheduleError("schedule already committed")
         self.committed = True
-        self._cascade(list(self._seeds))
+        self._cascade(list(self.program.seeds))
         self.pump()
 
     def activate_internal(self, expected_generation: int | None = None) -> None:
@@ -383,16 +368,16 @@ class Engine:
             raise ScheduleError("activate before commit")
         if expected_generation is not None and self.generation != expected_generation:
             return
-        self._cascade([self._entry])
+        self._cascade([self.program.entry])
         self.pump()
 
     def _replicate(self) -> None:
         self.generation += 1
         self.consumed = bytearray(len(self.ops))
-        self._waiting = bytearray(self._waiting0)
+        self._waiting = bytearray(self.program.waiting0)
         self._arena.fill(0)
-        if self._seeds:
-            self._cascade(list(self._seeds))
+        if self.program.seeds:
+            self._cascade(list(self.program.seeds))
 
     # -- firing -------------------------------------------------------------
 

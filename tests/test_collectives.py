@@ -273,7 +273,8 @@ def _compiled(eng):
     records = [(ds, label, send and (*send[:3], place(send[3])),
                 reduce and tuple(place(v) for v in reduce), tail, targets, then)
                for ds, label, send, reduce, tail, targets, then in eng._program]
-    return (records, eng._waiting0, eng._seeds, eng._entry, eng._recv_index,
+    prog = eng.program
+    return (records, prog.waiting0, prog.seeds, prog.entry, eng._recv_index,
             [place(v) for v in eng._recv_dst], place(eng._publish_buf), eng._arena.nbytes)
 
 
