@@ -8,7 +8,6 @@ suite validates each violation class by fault injection.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,11 @@ class IncompleteTrace(ValueError):
 
 class StateSpaceTooLarge(RuntimeError):
     pass
+
+
+class EngineStateDrift(RuntimeError):
+    """The explorer's stored state of an engine differs from the engine's
+    own: an event changed an engine other than the one it names."""
 
 
 @dataclass
@@ -318,11 +322,17 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
     Events are rank arrivals (contribute-if-not-snapshotted + activate
     internally, exactly the application protocol) and per-stream message
     deliveries; streams keep FIFO order, everything else interleaves freely.
-    States are deduplicated on full engine + network state, so the search is
-    exhaustive over distinct executions.  Checks per terminal state: the
-    round completed at every rank exactly once (the engine faults on any
-    double firing), all ranks hold identical result bytes, and the result
-    equals the tree-ordered sum of exactly the contributions its mask flags.
+    States are deduplicated on their full value (every engine's state, the
+    network and the pending arrivals), so the search is exhaustive over
+    distinct executions.  They are stored as shared per-engine deltas: an
+    event changes one engine, so a state's engine-state tuple reuses its
+    parent's entries for the others, and a restore puts back only the
+    engines whose state object differs from the one they hold.  Checks per
+    terminal state: the round completed at every rank exactly once (the
+    engine faults on any double firing), all ranks hold identical result
+    bytes, and the result equals the tree-ordered sum of exactly the
+    contributions its mask flags.  A terminal also re-reads every engine's
+    state and raises EngineStateDrift if it differs from the stored one.
 
     arrivals_first performs all arrivals before exploring, which restricts
     the enumeration to message delivery orders; in that regime the final
@@ -336,11 +346,13 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
     if arrive_ranks is None:
         arrive_ranks = tuple(range(p))
 
-    streams: dict[tuple, deque] = {}
+    # each non-empty stream's Messages in FIFO order, as a tuple a state can
+    # hold as it is
+    streams: dict[tuple, tuple[Message, ...]] = {}
 
     def send_fn(msg: Message) -> None:
         key = (msg.src, msg.dst, msg.tag.phase, msg.tag.step)
-        streams.setdefault(key, deque()).append(msg)
+        streams[key] = streams.get(key, ()) + (msg,)
 
     engines: list[Engine] = []
     for r, program in enumerate(rank_programs(cfg)):
@@ -352,56 +364,67 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
     # each rank's result, read where its chain left it; restore() writes in place
     published = [e.buffer(e.program.publish_from) for e in engines]
 
-    def contribute(rank: int) -> None:
+    def arrive(rank: int) -> None:
         eng = engines[rank]
-        if eng.consumed[eng.program.snapshot_last]:
-            return  # too late: the round already took this rank's (null) slot
-        write_payload(eng.buffer("send"), cfg, rank, contributions[rank])
+        # too late if the round already took this rank's (null) slot
+        if not eng.consumed[eng.program.snapshot_last]:
+            write_payload(eng.buffer("send"), cfg, rank, contributions[rank])
+        eng.activate_internal(expected_generation=0)
 
-    def snapshot():
-        engs = tuple(e.state() for e in engines)
-        net = tuple(sorted(
-            (k, tuple((m.tag, m.payload) for m in q)) for k, q in streams.items() if q))
-        return (engs, net, frozenset(pending_arrivals))
-
+    # A state is (engine states, net, pending arrivals), where net is the
+    # streams' items by key.  The engines and streams are live: `held` is
+    # the state object each engine holds and `held_net` the net the streams
+    # hold, so a restore puts back only what differs.
     def restore(s) -> None:
-        engs, net, arrivals = s
-        for e, state in zip(engines, engs):
-            e.restore(state)
-        streams.clear()
-        for k, msgs in net:
-            streams[k] = deque(Message(k[0], k[1], t, pl) for t, pl in msgs)
-        pending_arrivals.clear()
-        pending_arrivals.update(arrivals)
+        nonlocal held_net
+        engs, net, _ = s
+        for r, state in enumerate(engs):
+            if held[r] is not state:
+                engines[r].restore(state)
+                held[r] = state
+        if held_net is not net:
+            streams.clear()
+            streams.update(net)
+            held_net = net
 
-    pending_arrivals: set[int] = set(arrive_ranks)
-    if arrivals_first:
-        for r in sorted(pending_arrivals):
-            contribute(r)
-            engines[r].activate_internal(expected_generation=0)
-        pending_arrivals.clear()
+    def apply(s, action) -> tuple:
+        """Run `action` from the live state s; return the state it leads to.
 
-    def choices():
-        out = [("arrive", r) for r in sorted(pending_arrivals)]
-        out += [("deliver", k) for k in sorted(streams) if streams[k]]
-        return out
-
-    def apply(action) -> None:
+        An explorer engine has no recorder and no callbacks, and it reaches
+        another rank only through send_fn, which appends to a stream.  So an
+        arrival or a delivery changes one engine, the one it names, plus the
+        streams, and only that engine's state() is read again."""
+        nonlocal held_net
+        engs, _, arrivals = s
         kind, x = action
         if kind == "arrive":
-            pending_arrivals.discard(x)
-            contribute(x)
-            engines[x].activate_internal(expected_generation=0)
+            arrivals = arrivals - {x}
+            arrive(x)
+            r = x
         else:
-            msg = streams[x].popleft()
-            engines[msg.dst].deliver(msg)
+            q = streams.pop(x)
+            msg = q[0]
+            if len(q) > 1:
+                streams[x] = q[1:]
+            r = msg.dst
+            engines[r].deliver(msg)
+        state = held[r] = engines[r].state()
+        net = held_net = tuple(sorted(streams.items()))
+        return (engs[:r] + (state,) + engs[r + 1:], net, arrivals)
+
+    pending = frozenset(arrive_ranks)
+    if arrivals_first:
+        for r in sorted(pending):
+            arrive(r)
+        pending = frozenset()
+    held = [e.state() for e in engines]
+    held_net = tuple(sorted(streams.items()))
 
     seen: set = set()
     results: set = set()
     violations: list[str] = []
     terminals = 0
-    root = snapshot()
-    stack = [(root, ())]
+    stack = [((tuple(held), held_net, pending), ())]
     while stack:
         s, path = stack.pop()
         if s in seen:
@@ -409,10 +432,15 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
         seen.add(s)
         if len(seen) > max_states:
             raise StateSpaceTooLarge(f"exceeded {max_states} states")
-        restore(s)
-        ch = choices()
+        engs, net, arrivals = s
+        ch = [("arrive", r) for r in sorted(arrivals)] + [("deliver", k) for k, _ in net]
         if not ch:
+            restore(s)
             terminals += 1
+            drifted = [r for r, e in enumerate(engines) if e.state() != engs[r]]
+            if drifted:
+                raise EngineStateDrift(
+                    f"ranks {drifted} hold states the search did not record, via {path}")
             done = [e.done_generation == 0 and e.generation == 0 for e in engines]
             if not all(done):
                 violations.append(f"terminal state with incomplete round: {done} via {path}")
@@ -426,8 +454,8 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
             if tree_order_sum(vecs).tobytes() != data.tobytes():
                 violations.append(f"terminal sum does not match its mask via {path}")
             continue
+        # each choice restores s, so no restore is needed before the loop
         for c in ch:
             restore(s)
-            apply(c)
-            stack.append((snapshot(), path + (c,)))
+            stack.append((apply(s, c), path + (c,)))
     return InterleavingReport(len(seen), terminals, len(results), violations)

@@ -4,10 +4,13 @@ plus the shadow-trajectory tracker and the interleaving explorer."""
 import numpy as np
 import pytest
 
+from eagercoll import schedule
 from eagercoll.collectives import CollectiveConfig, run_allreduce
+from eagercoll.schedule import Engine
 from eagercoll.trace import TraceRecorder
 from eagercoll.verify import (
     DeliveryLedger,
+    EngineStateDrift,
     IncompleteTrace,
     StateSpaceTooLarge,
     check_round_contracts,
@@ -234,7 +237,8 @@ def test_explorer_p3_race_of_two_initiators():
     (CollectiveConfig(p=3, flavor="majority", vector_len=2, seed=1234), False, (3545, 7, 7)),
     (CollectiveConfig(p=2, flavor="solo", vector_len=2), False, (45, 3, 3)),
     (CollectiveConfig(p=2, flavor="solo", vector_len=2), True, (16, 1, 1)),
-], ids=["p3-solo", "p3-majority", "p2-free", "p2-arrivals-first"])
+    (CollectiveConfig(p=4, flavor="solo", vector_len=2, seed=1234), True, (20736, 1, 1)),
+], ids=["p3-solo", "p3-majority", "p2-free", "p2-arrivals-first", "p4-arrivals-first"])
 def test_explorer_counts_are_pinned(cfg, arrivals_first, counts):
     """(states, terminals, unique results): a change to the schedule that
     adds or loses an observable state moves these."""
@@ -247,3 +251,67 @@ def test_explorer_state_budget():
     cfg = CollectiveConfig(p=3, flavor="solo", vector_len=1)
     with pytest.raises(StateSpaceTooLarge):
         explore_interleavings(cfg, max_states=5)
+
+
+# Explorer faults: each is patched in for one run, with no source edit, and
+# must be reported; the same run without it must be clean.
+
+
+def _no_mask_or(monkeypatch):
+    """Reductions add the values but drop the mask bits."""
+    monkeypatch.setattr(schedule, "_bor", lambda *args, **kwargs: None)
+
+
+def _rank1_never_completes(monkeypatch):
+    complete = Engine._complete
+
+    def skip_rank1(self):
+        if self.rank != 1:
+            complete(self)
+    monkeypatch.setattr(Engine, "_complete", skip_rank1)
+
+
+def _rank1_publishes_other_bytes(monkeypatch):
+    complete = Engine._complete
+
+    def flip_then_complete(self):
+        if self.rank == 1:
+            self.buffer(self.program.publish_from)[0] ^= 1
+        complete(self)
+    monkeypatch.setattr(Engine, "_complete", flip_then_complete)
+
+
+@pytest.mark.parametrize("flavor", ["solo", "majority", "sync"])
+@pytest.mark.parametrize("fault, reported", [
+    (_no_mask_or, "terminal sum does not match its mask"),
+    (_rank1_never_completes, "terminal state with incomplete round"),
+    (_rank1_publishes_other_bytes, "ranks disagree at terminal"),
+], ids=["no-mask-or", "rank1-never-completes", "rank1-publishes-other-bytes"])
+def test_explorer_reports_each_fault(monkeypatch, flavor, fault, reported):
+    cfg = CollectiveConfig(p=3, flavor=flavor, vector_len=2, seed=1234)
+    clean = explore_interleavings(cfg)
+    assert clean.ok, clean.violations[:3]
+    fault(monkeypatch)
+    rep = explore_interleavings(cfg)
+    assert not rep.ok
+    assert any(v.startswith(reported) for v in rep.violations), rep.violations[:3]
+
+
+def test_explorer_raises_on_a_state_change_it_did_not_record(monkeypatch):
+    """The search re-reads only the engine an event names; a delivery that
+    also writes into another engine's arena must be caught, not explored."""
+    engines = []
+    init, deliver = Engine.__init__, Engine.deliver
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    def leaky_deliver(self, msg):
+        deliver(self, msg)
+        other = engines[(engines.index(self) + 1) % len(engines)]
+        other.buffer(other.program.publish_from)[0] += 1
+    monkeypatch.setattr(Engine, "__init__", tracking_init)
+    monkeypatch.setattr(Engine, "deliver", leaky_deliver)
+    with pytest.raises(EngineStateDrift):
+        explore_interleavings(CollectiveConfig(p=2, flavor="solo", vector_len=2))
