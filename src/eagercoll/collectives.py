@@ -330,8 +330,8 @@ class AllreduceHandle:
         return (yield WaitRound(self, t))
 
     def call_round(self, t: int, vec: np.ndarray):
-        """One full bench round: start the round only if the offer boarded
-        (as train_step does), then wait for the result.  Returns this round's
+        """One full round, bench's and train_step's: start the round only if
+        the offer boarded, then wait for the result.  Returns this round's
         result (or the latest one, if the schedule has already moved past t)."""
         if self.try_contribute(t, vec):
             self.activate(t)

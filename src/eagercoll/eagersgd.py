@@ -153,9 +153,7 @@ def train_step(state: TrainState, batch, handle):
         rec.gradients[(state.rank, t)] = grad.copy()
 
     state.send_buf.fold(grad, t)
-    if handle.try_contribute(t, state.send_buf.data):
-        handle.activate(t)
-    res = yield from handle.wait_done(t)
+    res = yield from handle.call_round(t, state.send_buf.data)
     state.w = state.w - state.lr * res.u
     state.t = t + 1
     return loss, res

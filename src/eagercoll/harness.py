@@ -107,6 +107,10 @@ class RunConfig:
             raise ConfigError("resync_period must be >= 1")
         if self.tau is not None and self.tau < 1:
             raise ConfigError("tau must be >= 1 (or unset for no guard)")
+        if not 0 <= self.seed < 1 << 64:  # the initiator draw's Philox key is 64-bit
+            raise ConfigError("seed must be in [0, 2**64)")
+        if self.data_seed < 0:
+            raise ConfigError("data_seed must be >= 0")
 
 
 # The type of each key, from its default; delay.* keys are DelayModel fields.

@@ -39,10 +39,11 @@ chain left them, before the engine zeroes them.
 The engine is passive and single-threaded: it is driven by whoever owns
 its rank (the simulator's event loop, the rank's socket driver thread, or
 the interleaving explorer), which hands each message for this engine's
-collective to deliver().  A message that matches a ready recv of the
-current generation while the mailbox is empty goes straight into the
-cascade; any other is appended to the mailbox and pumped.  The engine sends
-through an injected callable.  A persistent schedule replicates itself on
+collective to deliver().  Every message meets one matching rule, _match:
+it fires a ready recv of the current generation, drops, or waits in the
+mailbox.  Into an empty mailbox a message meets it once, and into a
+non-empty one it is appended and pumped.  The engine sends through an
+injected callable.  A persistent schedule replicates itself on
 completion: the generation counter bumps, op states and scratch buffers
 reset, and messages tagged with a future generation wait in the mailbox
 until their generation is current.
@@ -65,6 +66,7 @@ from .transport import Message, Tag, PHASE_ACT
 K_SEND, K_RECV, K_COMPUTE, K_NOP = "send", "recv", "compute", "nop"
 _KINDS = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
 _new, _add, _bor = tuple.__new__, np.add, np.bitwise_or
+_DROP, _WAIT = -1, -2  # Engine._match's verdicts besides a recv oid
 
 
 class ScheduleError(Exception):
@@ -174,6 +176,13 @@ class ScheduleTemplate:
             raise CycleError("dependency cycle in schedule")
         if self.publish_from is not None and self.publish_from not in self.buffers:
             raise ScheduleError("publish_from names unknown buffer")
+        if self.snapshot_src is not None and self.snapshot_src not in self.buffers:
+            raise ScheduleError("snapshot_src names unknown buffer")
+        if self.snapshot_last is not None:
+            if self.snapshot_last not in oids:
+                raise ScheduleError(f"snapshot_last names missing op {self.snapshot_last}")
+            if self.snapshot_src is None:
+                raise ScheduleError("snapshot_last needs a snapshot_src")
         publishers = [op for op in self.ops if op.publish]
         if len(publishers) > 1:
             raise ScheduleError("at most one publishing op")
@@ -445,8 +454,6 @@ class Engine:
 
     def _snapshot_taken(self) -> None:
         buf = self._snap_buf
-        if buf is None:
-            return
         if self.on_snapshot is not None:
             self.on_snapshot(self.generation, buf)
         buf[:] = 0  # contribution consumed; the stash starts empty again
@@ -471,83 +478,71 @@ class Engine:
             dst.data[:] = payload  # a memoryview copy, cheaper than numpy's
         self._cascade([], oid)
 
+    def _match(self, msg: Message) -> int:
+        """The one rule every message meets, in this order: a past generation
+        drops; a future generation, or a stream with no recv, waits; a
+        consumed recv drops (a duplicate for a consumable op); an activation
+        the hold policy holds waits, and so does a recv still waiting on its
+        dependencies.  Returns the recv oid to fire, or _DROP or _WAIT."""
+        _, _, (_, rnd, phase, step), _ = msg
+        gen = self.generation
+        if rnd < gen:
+            return _DROP
+        oid = self._recv_index.get((phase, step))
+        if rnd > gen or oid is None:
+            return _WAIT
+        if self.consumed[oid]:
+            return _DROP
+        if phase == PHASE_ACT and self.hold_policy is not None and self.hold_policy(gen):
+            return _WAIT
+        return _WAIT if self._waiting[oid] else oid
+
     def deliver(self, msg: Message) -> None:
         """Take one message for this engine's collective: the call a
         transport makes for every message it delivers.
 
-        The usual case goes straight into the cascade: the mailbox is empty,
-        and the message is for the current generation and matches an
-        unconsumed recv with no unmet dependencies.  Activation messages
-        take that path only while no hold policy is set, so the policy is
-        consulted exactly where pump() consults it.  With the mailbox empty,
-        a message for a past generation or for a consumed recv is dropped,
-        as pump() drops it; every other message is appended and pumped.
+        Into an empty mailbox of a committed engine the message meets
+        _match once and fires, drops or waits in the mailbox, with no pump:
+        a lone message that cannot match now cannot match on a rescan, and
+        nothing a cascade does appends to the mailbox.  Into a non-empty
+        mailbox it is appended and pumped, so it waits its turn.
         """
         box = self.mailbox
-        if not box and self.committed:
-            _, _, (_, rnd, phase, step), payload = msg
-            gen = self.generation
-            if rnd < gen:
-                return
-            oid = self._recv_index.get((phase, step))
-            if rnd == gen and oid is not None:
-                if self.consumed[oid]:
-                    return  # duplicate for a consumable op: ignore
-                if not (self._waiting[oid]
-                        or phase == PHASE_ACT and self.hold_policy is not None):
-                    self._fire_recv(oid, payload)
-                    if self.generation != gen and box and self.defer_fn is not None:
-                        self.defer_fn(self.pump)  # as pump() defers its rescan
-                    return
-        box.append(msg)
-        self.pump()
+        if box or not self.committed:
+            box.append(msg)
+            self.pump()
+            return
+        oid = self._match(msg)
+        if oid >= 0:
+            self._fire_recv(oid, msg.payload)
+        elif oid == _WAIT:
+            box.append(msg)
 
     def pump(self) -> None:
-        """Match the mailbox's messages against this generation's recvs.
-
-        Messages for past generations are dropped, future generations wait,
-        duplicates of consumed ops are discarded, and activation-phase
-        messages are skipped while the hold policy rejects the current
-        generation.  The scan restarts from the front after every match,
-        until a scan matches nothing: one match can complete the generation
-        and replicate, making held-back messages current.
+        """Match the mailbox's messages, front to back, through _match:
+        each one fires, drops or waits.  The scan restarts from the front
+        after every fire, until a scan fires nothing: one fire can complete
+        the generation and replicate, making waiting messages current.
         """
         box = self.mailbox
         if not (box and self.committed):
             return
-        recv_index = self._recv_index
         gen = self.generation
         i = 0
         while i < len(box):
-            _, _, (_, rnd, phase, step), payload = box[i]
-            if rnd < gen:
+            oid = self._match(box[i])
+            if oid == _WAIT:
+                i += 1
+            elif oid == _DROP:
                 del box[i]
-                continue
-            if rnd > gen:
-                i += 1
-                continue
-            oid = recv_index.get((phase, step))
-            if oid is None:
-                i += 1
-                continue
-            if self.consumed[oid]:
-                del box[i]  # duplicate for a consumable op: ignore
-                continue
-            if (phase == PHASE_ACT and self.hold_policy is not None
-                    and self.hold_policy(gen)):
-                i += 1
-                continue
-            if self._waiting[oid]:
-                i += 1
-                continue
-            del box[i]
-            self._fire_recv(oid, payload)
-            if self.generation != gen:
-                if self.defer_fn is not None:
-                    # an empty mailbox needs no rescan: deliver() pumps
-                    # whatever it appends later
-                    if box:
-                        self.defer_fn(self.pump)
-                    return
-                gen = self.generation
-            i = 0
+            else:
+                self._fire_recv(oid, box.pop(i).payload)
+                if self.generation != gen:
+                    if self.defer_fn is not None:
+                        # an empty mailbox needs no rescan: whatever deliver()
+                        # takes later meets the new generation
+                        if box:
+                            self.defer_fn(self.pump)
+                        return
+                    gen = self.generation
+                i = 0

@@ -124,6 +124,8 @@ class DelayModel:
             raise ValueError("unit_ms must be finite and >= 0")
         if self.k < 0:
             raise ValueError("k must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def delayed_ranks(model: DelayModel, rnd: int, p: int) -> tuple[int, ...]:
@@ -278,11 +280,8 @@ class SimTransport:
 
     def _step_proc(self, resume: tuple) -> None:
         rank, value = resume
-        proc = self._procs.get(rank)
-        if proc is None:
-            return
         try:
-            cmd = proc.send(value)
+            cmd = self._procs[rank].send(value)
         except StopIteration:
             del self._procs[rank]
             return
@@ -295,9 +294,8 @@ class SimTransport:
             raise TypeError(f"process yielded {cmd!r}")
 
     def _wake_round(self, rank: Rank, result) -> None:
-        if rank in self._parked_round:
-            del self._parked_round[rank]
-            self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, result))
+        del self._parked_round[rank]
+        self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, result))
 
 
 # ---------------------------------------------------------------------------

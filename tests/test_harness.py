@@ -341,6 +341,15 @@ def test_cli_rejects_bad_config(capsys):
     assert main(["bench", "--p", "0"]) == 2
     assert main(["bench", "--p", "x"]) == 2
     assert "config error: bad value for p" in capsys.readouterr().err
+    for argv, why in [
+        (["bench", "--seed", "-1"], "seed must be in [0, 2**64)"),
+        (["bench", "--seed", str(1 << 64)], "seed must be in [0, 2**64)"),
+        (["train", "--data-seed", "-1"], "data_seed must be >= 0"),
+        (["bench", "--delay-kind", "random_subset", "--delay-seed", "-1"],
+         "seed must be >= 0"),
+    ]:
+        assert main(argv) == 2, argv
+        assert "config error: " + why in capsys.readouterr().err, argv
 
 
 # A non-default value for every key bench or train takes as a flag.

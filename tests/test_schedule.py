@@ -329,10 +329,11 @@ def test_deliver_drops_or_parks_what_it_cannot_fire():
     assert (bytes(eng.consumed), eng.mailbox, len(sent)) == (bytes(5), [], 1)
 
     eng, sent = engine()
-    eng.hold_policy = lambda gen: True
+    asked = []
+    eng.hold_policy = lambda gen: asked.append(gen) or True
     act = Message(1, 0, Tag(0, 0, PHASE_ACT, 0), b"")
-    eng.deliver(act)  # held
-    assert (bytes(eng.consumed), eng.mailbox, sent) == (bytes(5), [act], [])
+    eng.deliver(act)  # held: the policy is asked once, and no rescan asks again
+    assert (bytes(eng.consumed), eng.mailbox, sent, asked) == (bytes(5), [act], [], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +383,18 @@ def test_validate_rejects_bad_views():
         ]
         with pytest.raises(ScheduleError, match=why):
             ScheduleTemplate(ops=ops, buffers=sizes, mask_offset=mask_offset).validate()
+
+
+@pytest.mark.parametrize("snapshot, why", [
+    ({"snapshot_src": "nope"}, "snapshot_src names unknown buffer"),
+    ({"snapshot_src": "send", "snapshot_last": 9}, "snapshot_last names missing op 9"),
+    ({"snapshot_last": 0}, "snapshot_last needs a snapshot_src"),
+], ids=["unknown-src", "missing-last", "last-without-src"])
+def test_validate_rejects_bad_snapshot(snapshot, why):
+    tpl = ScheduleTemplate(ops=[OpSpec(0, K_NOP, entry=True)], buffers={"send": 8},
+                           **snapshot)
+    with pytest.raises(ScheduleError, match=why):
+        tpl.validate()
 
 
 def test_two_recvs_on_one_stream_rejected():
