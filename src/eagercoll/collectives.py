@@ -266,7 +266,7 @@ class AllreduceHandle:
         data, mask = parse_payload(taken, self.cfg)
         fresh = bool((mask >> self.rank) & 1)
         if self.recorder is not None:
-            self.recorder.snapshot(SnapshotRecord(self.rank, rnd, data.copy(), fresh))
+            self.recorder.snapshot(SnapshotRecord(self.rank, rnd, data, fresh))
         if self.user_snapshot_cb is not None:
             self.user_snapshot_cb(rnd, data, fresh)
 

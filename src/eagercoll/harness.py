@@ -36,7 +36,7 @@ from .collectives import ceil_log2, initiator_for_round, simulate
 from .eagersgd import DivergenceError, TrainState, training_process
 from .models import LinearModel, gen_dataset
 from .trace import TraceRecorder
-from .transport import DelayModel, Sleep, inject_delay
+from .transport import DelayModel, Sleep, delay_table
 from .verify import DeliveryLedger, check_round_contracts, explore_interleavings, track_shadow
 
 BENCH_SCHEMA = "eagercoll-bench-v1"
@@ -202,8 +202,7 @@ class BenchRecord:
 
 def bench_flavor(cfg: RunConfig, flavor: str):
     """One flavor's full bench run.  Returns (records, recorder, sim)."""
-    delays = np.array([[inject_delay(r, t, cfg.delay, cfg.p) for t in range(cfg.rounds)]
-                       for r in range(cfg.p)], dtype=np.int64)
+    delays = delay_table(cfg.delay, cfg.p, cfg.rounds)
     # Cadence: every round fits in its slot, so the skew pattern per round is
     # exactly the configured one (see module docstring).
     hops = max(1, ceil_log2(cfg.p))
@@ -271,6 +270,7 @@ def run_training(cfg: RunConfig) -> TrainReport:
     initial weights/data, free-running, and report metrics + speedups."""
     ds = gen_dataset(cfg.dim, cfg.n_samples, seed=cfg.data_seed)
     w0 = LinearModel.init(cfg.dim, seed=cfg.seed).w
+    delays = delay_table(cfg.delay, cfg.p, cfg.epochs * cfg.steps_per_epoch)
 
     rows: list[dict] = []
     val: dict = {}
@@ -291,7 +291,7 @@ def run_training(cfg: RunConfig) -> TrainReport:
                 rank, states[rank], handle, resync, ds,
                 epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch,
                 batch_per_rank=cfg.batch_per_rank, data_seed=cfg.data_seed,
-                delay_fn=lambda r, t: inject_delay(r, t, cfg.delay, cfg.p),
+                delay_fn=lambda r, t: int(delays[r, t]),
                 metrics=rows, ledger=ledger, val_out=fval)
 
         configs = [CollectiveConfig(p=cfg.p, flavor=f, vector_len=cfg.dim, seed=cfg.seed)

@@ -30,11 +30,13 @@ One fire loop, _cascade, fires every op, recvs included: it binds the
 program to locals once, follows each chain, goes straight on to a ready
 cascade target and keeps the others on a LIFO stack, until the stack
 empties or the generation moves on.  Every buffer but the snapshot source
-is a slice of one byte arena, so a replication zeroes them all with a
-single fill, and the arena plus the snapshot source is the engine's whole
-payload state.  No payload is copied to hand it out: the owner reads the
+is a slice of one byte arena, and the arena plus the snapshot source is
+the engine's whole payload state.  The landing buffers go last, and a
+replication zeroes the rest with a single fill: a recv overwrites a landing
+buffer whole before any op reads it, so it keeps the last generation's
+bytes until then.  No payload is copied to hand it out: the owner reads the
 send buffer in on_snapshot and the publish buffer in on_done, where the
-chain left them, before the engine zeroes them.
+chain left them, before the engine reuses them.
 
 The engine is passive and single-threaded: it is driven by whoever owns
 its rank (the simulator's event loop, the rank's socket driver thread, or
@@ -44,9 +46,9 @@ it fires a ready recv of the current generation, drops, or waits in the
 mailbox.  Into an empty mailbox a message meets it once, and into a
 non-empty one it is appended and pumped.  The engine sends through an
 injected callable.  A persistent schedule replicates itself on
-completion: the generation counter bumps, op states and scratch buffers
-reset, and messages tagged with a future generation wait in the mailbox
-until their generation is current.
+completion: the generation counter bumps, op states and the scratch
+buffers other than the landing ones reset, and messages tagged with a
+future generation wait in the mailbox until their generation is current.
 
 Internal activation fires the entry NOP locally.  External activation is a
 message arriving on an activation-phase recv.  A hold policy, when set,
@@ -108,7 +110,8 @@ class ScheduleTemplate:
     The op flagged entry is the one activation fires.  snapshot_src is the
     one buffer whose contents survive replication (the contribution send
     buffer: it belongs to the application, not to any one generation).
-    Everything else zeroes when the schedule replicates.
+    Everything else zeroes when the schedule replicates, except the landing
+    buffers (see _landing_buffers), whose stale bytes no op reads.
     """
 
     ops: list[OpSpec]
@@ -189,6 +192,29 @@ class ScheduleTemplate:
         return dependents
 
 
+def _landing_buffers(template: ScheduleTemplate) -> set[str]:
+    """The buffers a replication need not zero.  Each is written by exactly
+    one recv, whole (_fire_recv checks the length), and every op that reads
+    it depends on that recv under and-logic: a compute naming it as src or
+    dst, a send naming it as send_buf, the publishing op when it is
+    publish_from.  So no read of one precedes its generation's write, and
+    until that write it holds the last generation's bytes."""
+    writers: dict[str, list[int]] = {}
+    for op in template.ops:
+        if op.kind == K_RECV and op.recv_buf is not None:
+            writers.setdefault(op.recv_buf, []).append(op.oid)
+    landing = {b for b, oids in writers.items() if len(oids) == 1} - {template.snapshot_src}
+    for op in template.ops:
+        reads = ((op.src_buf, op.dst_buf) if op.kind == K_COMPUTE
+                 else (op.send_buf,) if op.kind == K_SEND else ())
+        if op.publish:
+            reads += (template.publish_from,)
+        for b in reads:
+            if b in landing and not (op.logic == "and" and writers[b][0] in op.deps):
+                landing.discard(b)
+    return landing
+
+
 class Program:
     """A template validated and compiled once into what the fire loop reads
     that names no buffer view and no peer, shared by every engine running it.
@@ -203,6 +229,9 @@ class Program:
     X fires: X's `then` is Y (else -1), so a maximal straight-line chain
     runs from its head as one unit, with no readiness check or stack
     between its ops.
+
+    The arena holds the landing buffers last, from zero_nbytes on; a
+    replication zeroes only the bytes before them.
     """
 
     def __init__(self, template: ScheduleTemplate):
@@ -212,11 +241,13 @@ class Program:
         self.snapshot_last, self.snapshot_src = template.snapshot_last, template.snapshot_src
         self.publish_from, self.persistent = template.publish_from, template.persistent
         # every buffer but the snapshot source is an 8-byte-aligned slice of
-        # one arena, so a replication zeroes them all with one fill
+        # one arena, the landing buffers last
+        landing = _landing_buffers(template)
+        scratch = [n for n in template.buffers if n != template.snapshot_src]
         start, end = {}, 0
-        for name, size in template.buffers.items():
-            if name != template.snapshot_src:
-                start[name], end = end, end + -(-size // 8) * 8
+        for name in [n for n in scratch if n not in landing] + [n for n in scratch if n in landing]:
+            start[name], end = end, end + -(-template.buffers[name] // 8) * 8
+        self.zero_nbytes = min((start[n] for n in landing), default=end)
         self.start, self.arena_nbytes = start, end
         waiting0 = bytearray(len(ops))
         seeds = self.seeds = []
@@ -269,7 +300,10 @@ class Engine:
     binds them, and its own send peers, into the Program's fire records.
     peers maps a send's (phase, step) to this rank's peer (default: the
     peers of the template the Program was compiled from), and persistent
-    defaults to the template's.
+    defaults to the template's.  A replication zeroes the arena up to the
+    Program's zero_nbytes, so the landing buffers keep the last
+    generation's bytes and state() includes them: a search over several
+    generations tells apart states that differ only in bytes no op reads.
 
     Public surface: commit(), activate_internal(), deliver(), which a
     transport calls with each of this collective's messages, pump(), which
@@ -303,6 +337,7 @@ class Engine:
 
         start = program.start
         self._arena = np.zeros(program.arena_nbytes, dtype=np.uint8)
+        self._zeroed = self._arena[:program.zero_nbytes]  # what a replication zeroes
         bufs = self._buf = {
             name: (self._arena[start[name]:start[name] + size] if name in start
                    else np.zeros(size, dtype=np.uint8))
@@ -341,7 +376,8 @@ class Engine:
     def state(self) -> tuple:
         """Everything a run changes (op states and dependency counters,
         generations, the arena and the send buffer, the mailbox) as a
-        hashable value; restore() puts it back."""
+        hashable value; restore() puts it back.  The arena includes the
+        landing buffers' bytes from past generations."""
         snap = self._snap_buf
         return (bytes(self.consumed) + self._waiting,
                 self.generation, self.done_generation, self._arena.tobytes(),
@@ -384,7 +420,7 @@ class Engine:
         self.generation += 1
         self.consumed = bytearray(len(self.ops))
         self._waiting = bytearray(self.program.waiting0)
-        self._arena.fill(0)
+        self._zeroed.fill(0)
         if self.program.seeds:
             self._cascade(list(self.program.seeds))
 

@@ -1,6 +1,12 @@
 """In-memory run traces: per-round results and contribution snapshots.
 
-The verifier consumes these records directly.
+The verifier consumes these records directly.  A vector larger than one
+page (_SHARE_NBYTES) that equals one the recorder already holds is not
+kept twice: a round's later results whose bytes equal its first one share
+that round's first array, and a stale snapshot of all-zero bytes shares one
+read-only zero vector of its size.  Smaller vectors are recorded as they
+come.  So a recorded array must not be mutated: replace it instead, as
+verify's tamper_* helpers do.
 """
 
 from __future__ import annotations
@@ -9,10 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_SHARE_NBYTES = 4096  # only vectors larger than one page are shared
+
 
 @dataclass
 class CollectiveResult:
-    """One rank's outcome of one round, as the call returns it and the trace keeps it."""
+    """One rank's outcome of one round, as the call returns it.  The trace
+    keeps it as it is, or a copy sharing the round's first u (see the
+    module docstring)."""
 
     rank: int
     rnd: int
@@ -31,19 +41,47 @@ class SnapshotRecord:
 
 @dataclass
 class TraceRecorder:
-    """Collects everything a run produces that the checkers need."""
+    """Collects everything a run produces that the checkers need.
+
+    round_done and snapshot may be called from every rank's thread at
+    once (the socket backend); each decides what it shares with one
+    dict.setdefault, so two threads never keep different first vectors."""
 
     rounds: list[CollectiveResult] = field(default_factory=list)
     snapshots: list[SnapshotRecord] = field(default_factory=list)
     # training-side records, keyed (rank, round)
     gradients: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
+    # what is shared: round -> its first u, and nbytes -> read-only zeros
+    _first_u: dict = field(default_factory=dict, init=False, repr=False)
+    _zeros: dict = field(default_factory=dict, init=False, repr=False)
 
     def op_fired(self, t: int, rank: int, cid: int, gen: int, oid: int, label: str) -> None:
         """Called by the engine on every op firing; records nothing."""
 
     def round_done(self, rec: CollectiveResult) -> None:
+        """Keep rec, or a copy of it sharing the round's first u when its
+        u's bytes equal those (compared as uint64, so -0.0 != 0.0)."""
+        u = rec.u
+        if u.nbytes > _SHARE_NBYTES:
+            first = self._first_u.setdefault(rec.rnd, u)
+            if first is not u and np.array_equal(first.view(np.uint64), u.view(np.uint64)):
+                rec = CollectiveResult(rec.rank, rec.rnd, first, rec.included, rec.nap)
         self.rounds.append(rec)
 
     def snapshot(self, rec: SnapshotRecord) -> None:
+        """Keep rec with its data, which may be a live view, replaced: by
+        the shared zero vector of its size for a stale snapshot of all-zero
+        bytes, else by a copy."""
+        data = rec.data
+        if (not rec.fresh and data.nbytes > _SHARE_NBYTES
+                and not np.count_nonzero(data.view(np.uint64))):
+            zero = self._zeros.get(data.nbytes)
+            if zero is None:
+                zero = np.zeros_like(data)
+                zero.flags.writeable = False
+                zero = self._zeros.setdefault(data.nbytes, zero)
+            rec.data = zero
+        else:
+            rec.data = data.copy()
         self.snapshots.append(rec)

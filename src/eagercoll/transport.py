@@ -153,6 +153,21 @@ def inject_delay(rank: Rank, rnd: int, model: DelayModel, p: int) -> int:
     raise ValueError(model.kind)
 
 
+def delay_table(model: DelayModel, p: int, rounds: int) -> np.ndarray:
+    """Every rank's delay in microseconds for every round, as int64:
+    table[rank, rnd] == inject_delay(rank, rnd, model, p).  A random_subset
+    model's set is drawn once per round, not once per rank."""
+    table = np.zeros((p, rounds), dtype=np.int64)
+    if model.kind == "random_subset":
+        us = int(round(model.unit_ms * 1000))
+        for t in range(rounds):
+            table[list(delayed_ranks(model, t, p)), t] = us
+    else:
+        # no other kind depends on the round
+        table[:] = [[inject_delay(r, 0, model, p)] for r in range(p)]
+    return table
+
+
 # ---------------------------------------------------------------------------
 # rank checks and engine routing (both backends)
 

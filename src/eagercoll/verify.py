@@ -146,7 +146,7 @@ def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = 
     2. all ranks' (u, included) for a round are bit-identical;
     3. u*p equals the sum of exactly the contributions the mask flags,
        bit-exact in the reduction-tree order and within _SERIAL_RTOL of a
-       serial recomputation;
+       serial recomputation, and every stale snapshot is all-zero bytes;
     4. at least one fresh contribution per round;
     5. with a ledger and tau: delivery ages within bound, exactly-once.
     """
@@ -168,7 +168,9 @@ def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = 
             continue
         ref = rows[0]
         for r in rows[1:]:
-            if r.included != ref.included or r.u.tobytes() != ref.u.tobytes():
+            # a recorder keeps a result equal to the round's first by sharing its u
+            if r.included != ref.included or (
+                    r.u is not ref.u and r.u.tobytes() != ref.u.tobytes()):
                 vs.append(Violation("mismatch", rnd, r.rank,
                                     "result differs from rank %d's" % ref.rank))
         # reconstruct the reduction from the consumed contributions
@@ -182,6 +184,9 @@ def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = 
             contributions.append(s.data)
             if s.fresh:
                 mask_expected |= 1 << rank
+            elif np.count_nonzero(s.data.view(np.uint64)):
+                vs.append(Violation("subset-sum", rnd, rank,
+                                    "stale snapshot holds a value its mask bit does not flag"))
         if missing:
             continue
         if ref.included != mask_expected:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eagercoll.collectives import CollectiveConfig, rank_programs
 from eagercoll.schedule import (
     CycleError,
     DuplicateOpError,
@@ -185,16 +186,33 @@ def test_persistent_replication_resets_state_and_buffers():
     assert eng.done_generation == 1
 
 
-@pytest.mark.parametrize("sizes", [
-    {"send": 24, "acc": 24, "land_fold": 24, "land0": 24, "land1": 24},  # allreduce, p=5
-    {"a": 5, "send": 3, "b": 16, "c": 1, "d": 0},  # odd sizes, so slices pad
-])
-def test_replication_zeroes_every_scratch_buffer_and_keeps_send(sizes):
+_NOPS = [OpSpec(0, K_NOP, entry=True), OpSpec(1, K_NOP, deps=(0,), publish=True)]
+# a recv landing in "land", which this generation never fires
+_RECV_LAND = _NOPS + [OpSpec(2, K_RECV, phase=PHASE_RED, step=0, recv_buf="land")]
+_LAND_SIZES = {"send": 16, "land": 16, "acc": 16, "out": 16}
+
+
+@pytest.mark.parametrize("ops, sizes, kept", [
+    (_NOPS, {"send": 24, "acc": 24, "land_fold": 24, "land0": 24, "land1": 24},  # allreduce, p=5
+     {"send"}),
+    (_NOPS, {"a": 5, "send": 3, "b": 16, "c": 1, "d": 0}, {"send"}),  # odd sizes, so slices pad
+    # every reader of land depends on its recv, so land keeps its bytes
+    (_RECV_LAND + [OpSpec(3, K_COMPUTE, deps=(2,), src_buf="land", dst_buf="acc"),
+                   OpSpec(4, K_SEND, deps=(2, 3), peer=1, phase=PHASE_RED, step=1,
+                          send_buf="land"),
+                   OpSpec(5, K_COMPUTE, deps=(2, 0), src_buf="out", dst_buf="land")],
+     _LAND_SIZES, {"send", "land"}),
+    # one reader lacks the dependency, so land is zeroed like the rest
+    (_RECV_LAND + [OpSpec(3, K_COMPUTE, deps=(2,), src_buf="land", dst_buf="acc"),
+                   OpSpec(4, K_COMPUTE, deps=(1,), src_buf="land", dst_buf="out")],
+     _LAND_SIZES, {"send"}),
+], ids=["sizes0", "sizes1", "land-kept", "land-zeroed"])
+def test_replication_zeroes_every_scratch_buffer_and_keeps_send(ops, sizes, kept):
     """Scratch buffers share one arena: each holds its own bytes, and a
-    replication zeroes all of them but leaves the snapshot source alone.
+    replication zeroes all of them but the snapshot source and the landing
+    buffers, which a recv overwrites before any op reads them.
     state()/restore() brings back every byte, in the arena (padding
     included) and in the snapshot source outside it."""
-    ops = [OpSpec(0, K_NOP, entry=True), OpSpec(1, K_NOP, deps=(0,), publish=True)]
     tpl = ScheduleTemplate(ops=ops, buffers=sizes, persistent=True,
                            snapshot_src="send")
     eng = make_engine(tpl)
@@ -208,13 +226,22 @@ def test_replication_zeroes_every_scratch_buffer_and_keeps_send(sizes):
     eng.activate_internal()
     assert eng.generation == 1
     for name in sizes:
-        want = filled[name] if name == "send" else bytes(sizes[name])
+        want = filled[name] if name in kept else bytes(sizes[name])
         assert eng.buffer(name).tobytes() == want
     eng.buffer("send")[:] = 0xEE
     eng.restore(before)
     assert eng.state() == before and eng.generation == 0
     for name in sizes:
         assert eng.buffer(name).tobytes() == filled[name]
+
+
+@pytest.mark.parametrize("p", [2, 4, 5, 7])
+def test_allreduce_zeroes_only_its_accumulator_on_replication(p):
+    """In every rank class of the allreduce, each land* buffer has one recv
+    and readers that wait for it, so a replication zeroes acc alone."""
+    for rank, program in enumerate(rank_programs(CollectiveConfig(p, "solo", 3))):
+        assert program.start["acc"] == 0, rank
+        assert program.zero_nbytes == program.buffers["acc"], rank
 
 
 @settings(max_examples=200, deadline=None)

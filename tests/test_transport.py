@@ -21,6 +21,7 @@ from eagercoll.transport import (
     PHASE_RED,
     UnknownRank,
     UnroutedMessage,
+    delay_table,
     delayed_ranks,
     inject_delay,
 )
@@ -407,6 +408,18 @@ def test_random_subset_replay_determinism(seed, rnd, p, k):
     for r in range(p):
         want = 1000 if r in first else 0
         assert inject_delay(r, rnd, m, p) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["none", "constant", "linear_skew", "random_subset"]),
+       st.floats(0.0, 5.0), st.integers(0, 20), st.integers(0, 2**31),
+       st.integers(1, 16), st.integers(0, 12))
+def test_delay_table_matches_inject_delay(kind, unit_ms, k, seed, p, rounds):
+    m = DelayModel(kind, unit_ms=unit_ms, k=k, seed=seed)
+    table = delay_table(m, p, rounds)
+    assert table.shape == (p, rounds) and table.dtype == np.int64
+    assert [[int(x) for x in row] for row in table] == [
+        [inject_delay(r, t, m, p) for t in range(rounds)] for r in range(p)]
 
 
 def test_random_subset_varies_across_rounds():

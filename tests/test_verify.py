@@ -1,13 +1,17 @@
 """The checkers must catch what they claim to catch: fault-injection tests,
 plus the shadow-trajectory tracker and the interleaving explorer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from eagercoll import schedule
-from eagercoll.collectives import CollectiveConfig, run_allreduce
+from eagercoll.collectives import AllreduceHandle, CollectiveConfig, run_allreduce, simulate
 from eagercoll.schedule import Engine
-from eagercoll.trace import TraceRecorder
+from eagercoll.trace import CollectiveResult, SnapshotRecord, TraceRecorder
+from eagercoll.transport import Sleep
 from eagercoll.verify import (
     DeliveryLedger,
     EngineStateDrift,
@@ -81,6 +85,152 @@ def test_checker_is_idempotent():
     a = check_round_contracts(rec, p)
     b = check_round_contracts(rec, p)
     assert a.ok and b.ok and a.rounds_checked == b.rounds_checked
+
+
+def _late_rank1_keeps_its_values(monkeypatch):
+    """A snapshot zeroes only the mask words, so a late rank's previous
+    value stays in its send buffer and is summed without its mask bit."""
+    def leaky_snapshot(self):
+        buf = self._snap_buf
+        self.on_snapshot(self.generation, buf)
+        buf[self.program.mask_offset:] = 0
+    monkeypatch.setattr(Engine, "_snapshot_taken", leaky_snapshot)
+
+
+@pytest.mark.parametrize("flavor", ["solo", "majority"])
+def test_stale_value_summed_without_its_mask_bit_is_caught(monkeypatch, flavor):
+    """p=4 with rank 1 on time in even rounds and late in odd ones: a stale
+    snapshot must be the zeroed send buffer, or the round summed a value
+    its mask does not flag."""
+    cfg = CollectiveConfig(p=4, flavor=flavor, vector_len=3, seed=2)
+
+    def body(rank, handle):
+        now = handle.transport.now_us
+        for t in range(6):
+            dt = t * 10_000 + (5000 if rank == 1 and t % 2 else 0) - now()
+            if dt > 0:
+                yield Sleep(dt)
+            yield from handle.call_round(t, np.full(3, 10.0 * rank + t + 1))
+
+    def run():
+        rec = TraceRecorder()
+        simulate([cfg], body, link_latency_us=10, recorder=rec)
+        return rec
+
+    rec = run()
+    late = {(s.rnd, s.rank) for s in rec.snapshots if not s.fresh}
+    assert late and {r for _, r in late} == {1} and all(t % 2 for t, _ in late)
+    assert check_round_contracts(rec, 4, expect_rounds=6).ok
+    _late_rank1_keeps_its_values(monkeypatch)
+    rep = check_round_contracts(run(), 4, expect_rounds=6)
+    assert {(v.kind, v.rnd, v.rank) for v in rep.violations} == {
+        ("subset-sum", t, r) for t, r in late}, rep.violations
+
+
+# ---------------------------------------------------------------------------
+# recorder: one array per round's result, one per size of late zeros
+
+
+def _recorded_run(vector_len, p=4, rounds=4, flavor="solo"):
+    """Ranks 2 and 3 are late every round, so their snapshots are stale."""
+    cfg = CollectiveConfig(p=p, flavor=flavor, vector_len=vector_len, seed=2)
+    rec = TraceRecorder()
+    run_allreduce(cfg, lambda r, t: np.full(vector_len, r + 0.5 * t),
+                  rounds=rounds, delay_us=lambda r, t: 3000 if r >= 2 else 0,
+                  link_latency_us=10, recorder=rec)
+    return rec
+
+
+def test_recorder_keeps_one_result_per_round_above_a_page():
+    rec = _recorded_run(1024)
+    for t in range(4):
+        rows = [r for r in rec.rounds if r.rnd == t]
+        assert len(rows) == 4 and len({id(r.u) for r in rows}) == 1
+    assert check_round_contracts(rec, 4, expect_rounds=4).ok
+
+
+def test_recorder_shares_one_zero_vector_for_late_ranks():
+    rec = _recorded_run(1024)
+    stale = [s for s in rec.snapshots if not s.fresh]
+    assert len(stale) >= 8 and len({id(s.data) for s in stale}) == 1
+    assert not stale[0].data.flags.writeable and not stale[0].data.any()
+    fresh = [s for s in rec.snapshots if s.fresh]
+    assert len({id(s.data) for s in fresh}) == len(fresh)
+    # a stale value that is not all-zero bytes (-0.0 is not) is copied
+    live = np.zeros(1024)
+    live[5] = -0.0
+    rec.snapshot(SnapshotRecord(0, 9, live, False))
+    kept = rec.snapshots[-1].data
+    assert kept is not live and kept is not stale[0].data and np.signbit(kept[5])
+
+
+def test_recorder_shares_one_array_per_round_across_threads():
+    """On sockets every rank's driver thread records into one recorder:
+    under a short switch interval, eight threads recording equal results
+    and zero snapshots for the same rounds still keep one array each."""
+    rec, rounds = TraceRecorder(), 300
+    u, zeros = np.arange(1024.0), np.zeros(1024)
+    start = threading.Barrier(8)
+
+    def record(rank):
+        start.wait(timeout=30)
+        for t in range(rounds):
+            rec.round_done(CollectiveResult(rank, t, u + t, 1, 1))
+            rec.snapshot(SnapshotRecord(rank, t, zeros, False))
+
+    threads = [threading.Thread(target=record, args=(r,)) for r in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(rec.rounds) == len(rec.snapshots) == 8 * rounds
+    for t in range(rounds):
+        assert len({id(r.u) for r in rec.rounds if r.rnd == t}) == 1
+    assert len({id(s.data) for s in rec.snapshots}) == 1
+
+
+@pytest.mark.parametrize("vector_len, shared", [(64, False), (512, False), (513, True)])
+def test_recorder_shares_only_vectors_above_a_page(vector_len, shared):
+    """4096 bytes (512 floats) and less are recorded as they come, each in
+    its own array, as is every snapshot."""
+    rec = _recorded_run(vector_len)
+    rows = [r for r in rec.rounds if r.rnd == 1]
+    assert len({id(r.u) for r in rows}) == (1 if shared else 4)
+    stale = [s for s in rec.snapshots if not s.fresh]
+    assert len({id(s.data) for s in stale}) == (1 if shared else len(stale))
+
+
+def test_recorder_keeps_a_perturbed_result_apart(monkeypatch):
+    """The second rank to finish round 1 perturbs its result: it keeps its
+    own array, the checker reports it, and the others share the first's.
+    The recorder records copies, so the app's results keep their arrays."""
+    done_cb = AllreduceHandle._done_cb
+    order, app = [], {}
+
+    def perturbed(self, rnd, published):
+        if rnd == 1:
+            order.append(self.rank)
+            if len(order) == 2:
+                published = published.copy()
+                published[:8].view(np.float64)[0] += 1.0
+        done_cb(self, rnd, published)
+        app[self.rank, rnd] = self._last
+
+    monkeypatch.setattr(AllreduceHandle, "_done_cb", perturbed)
+    rec = _recorded_run(1024)
+    rows = {r.rank: r for r in rec.rounds if r.rnd == 1}
+    first, bad = order[0], order[1]
+    assert rows[bad].u is app[bad, 1].u
+    assert all(rows[r].u is rows[first].u for r in order[2:])
+    assert all(app[r, 1].u is not rows[first].u for r in order[2:])
+    rep = check_round_contracts(rec, 4, expect_rounds=4)
+    assert [(v.kind, v.rnd, v.rank) for v in rep.violations] == [("mismatch", 1, bad)]
 
 
 # ---------------------------------------------------------------------------
