@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import loss_and_grad
+from .models import loss_and_grad, mse
 from .transport import Sleep
 
 
@@ -180,19 +180,18 @@ def resync_step(state: TrainState, resync_handle, k: int):
 
 
 def training_process(rank: int, state: TrainState, handle, resync_handle,
-                     dataset, *, epochs: int, steps_per_epoch: int,
-                     batch_per_rank: int, data_seed: int, delay_fn=None,
-                     metrics=None, ledger=None, val_out=None):
+                     dataset, rows: np.ndarray, *, epochs: int, steps_per_epoch: int,
+                     delay_fn=None, metrics=None, ledger=None, val_out=None):
     """Full per-rank training loop (generator process body).
 
+    rows[t] are the train-split rows of round t's minibatch, this rank's
+    slice of models.batch_table, which a run draws once for every flavor;
     delay_fn(rank, round) -> us of injected computation delay before the
     gradient; metrics, if given, collects one train-CSV row dict per round,
     t_us being the transport clock when the round's result was applied;
     val_out, if given, gets val_out[(rank, epoch)] = validation MSE at each
     epoch end.
     """
-    from .models import mse, sample_batch
-
     staleness_guard(handle, state)
     attach_delivery_tracking(handle, state, ledger)
     resyncs = 0
@@ -206,7 +205,7 @@ def training_process(rank: int, state: TrainState, handle, resync_handle,
                     yield Sleep(int(d))
             if ledger is not None:
                 ledger.generated(rank, t)
-            batch = sample_batch(dataset, data_seed, rank, t, batch_per_rank)
+            batch = (dataset.x_train.take(rows[t], axis=0), dataset.y_train.take(rows[t]))
             loss, res = yield from train_step(state, batch, handle)
             if metrics is not None:
                 metrics.append({

@@ -34,7 +34,7 @@ import numpy as np
 from .collectives import MAJORITY, SOLO, SYNC, CollectiveConfig, RoundOrderError
 from .collectives import ceil_log2, initiator_for_round, simulate
 from .eagersgd import DivergenceError, TrainState, training_process
-from .models import LinearModel, gen_dataset
+from .models import LinearModel, batch_table, gen_dataset
 from .trace import TraceRecorder
 from .transport import DelayModel, Sleep, delay_table
 from .verify import DeliveryLedger, check_round_contracts, explore_interleavings, track_shadow
@@ -96,9 +96,11 @@ class RunConfig:
         if self.p < 2:
             raise ConfigError("p must be >= 2")
         for name in ("rounds", "vector_len", "epochs", "steps_per_epoch",
-                     "dim", "n_samples", "batch_per_rank"):
+                     "dim", "batch_per_rank"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.n_samples < 2:  # gen_dataset's 80/20 split leaves no training sample
+            raise ConfigError("n_samples must be >= 2")
         if self.link_latency_us < 0:
             raise ConfigError("link_latency_us must be >= 0")
         if not 0 < self.lr < math.inf:
@@ -267,10 +269,13 @@ class TrainReport:
 
 def run_training(cfg: RunConfig) -> TrainReport:
     """Train the linear model under every configured flavor from identical
-    initial weights/data, free-running, and report metrics + speedups."""
+    initial weights/data, free-running, and report metrics + speedups.
+    Each (rank, round)'s minibatch is drawn once and every flavor trains on it."""
     ds = gen_dataset(cfg.dim, cfg.n_samples, seed=cfg.data_seed)
     w0 = LinearModel.init(cfg.dim, seed=cfg.seed).w
-    delays = delay_table(cfg.delay, cfg.p, cfg.epochs * cfg.steps_per_epoch)
+    rounds = cfg.epochs * cfg.steps_per_epoch
+    delays = delay_table(cfg.delay, cfg.p, rounds)
+    batches = batch_table(cfg.data_seed, cfg.p, rounds, cfg.batch_per_rank, ds.n_train)
 
     rows: list[dict] = []
     val: dict = {}
@@ -288,9 +293,8 @@ def run_training(cfg: RunConfig) -> TrainReport:
 
         def body(rank: int, handle, resync):
             return training_process(
-                rank, states[rank], handle, resync, ds,
+                rank, states[rank], handle, resync, ds, batches[rank],
                 epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch,
-                batch_per_rank=cfg.batch_per_rank, data_seed=cfg.data_seed,
                 delay_fn=lambda r, t: int(delays[r, t]),
                 metrics=rows, ledger=ledger, val_out=fval)
 

@@ -75,9 +75,15 @@ def mse(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(r @ r) / x.shape[0]
 
 
-def sample_batch(ds: HyperplaneDataset, seed: int, rank: int, step: int,
-                 batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic per-(rank, step) minibatch from the train split."""
-    rng = np.random.default_rng([seed, rank, step])
-    idx = rng.integers(0, ds.n_train, size=batch)
-    return ds.x_train[idx], ds.y_train[idx]
+def sample_batch(seed: int, rank: int, step: int, batch: int, n_train: int) -> np.ndarray:
+    """The train-split rows of the deterministic per-(rank, step) minibatch."""
+    return np.random.default_rng([seed, rank, step]).integers(0, n_train, size=batch)
+
+
+def batch_table(seed: int, p: int, rounds: int, batch: int, n_train: int) -> np.ndarray:
+    """Every rank's minibatch rows for every round in the smallest unsigned
+    dtype that holds n_train - 1: table[rank, step] == sample_batch(...)."""
+    table = np.empty((p, rounds, batch), dtype=np.min_scalar_type(n_train - 1))
+    for rank, step in np.ndindex(p, rounds):
+        table[rank, step] = sample_batch(seed, rank, step, batch, n_train)
+    return table

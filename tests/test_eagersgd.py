@@ -22,7 +22,7 @@ from eagercoll.eagersgd import (
     train_step,
     training_process,
 )
-from eagercoll.models import gen_dataset
+from eagercoll.models import batch_table, gen_dataset
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import SimTransport, Sleep
 from eagercoll.verify import DeliveryLedger
@@ -124,12 +124,12 @@ def test_gradient_conservation_under_random_skew():
               for r in range(p)]
     rng = np.random.default_rng(8)
     delays = rng.integers(0, 2000, size=(p, epochs * steps))
+    rows = batch_table(21, p, epochs * steps, 4, ds.n_train)
 
     def body(r, handle):
         return training_process(
-            r, states[r], handle, None, ds, epochs=epochs,
-            steps_per_epoch=steps, batch_per_rank=4, data_seed=21,
-            delay_fn=lambda rank, t: int(delays[rank, t]), ledger=ledger)
+            r, states[r], handle, None, ds, rows[r], epochs=epochs,
+            steps_per_epoch=steps, delay_fn=lambda rank, t: int(delays[rank, t]), ledger=ledger)
 
     simulate([cfg], body, link_latency_us=5, recorder=rec)
 

@@ -6,14 +6,16 @@ waits exactly (3-r) ms inside the call; a solo round is over before anyone
 else shows up, so every rank's call returns in 0us.
 """
 
+import gc
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eagercoll import collectives, harness
+from eagercoll import collectives, harness, models
 from eagercoll.collectives import CollectiveConfig, build_allreduce_template
 from eagercoll.harness import (
     BenchRecord,
@@ -222,6 +224,35 @@ def test_training_is_reproducible():
     assert a.rows == b.rows
 
 
+@pytest.mark.parametrize("flavors", [("solo",), ("sync", "solo", "majority")])
+def test_run_training_draws_each_batch_once(monkeypatch, flavors):
+    """One draw per (rank, round) however many flavors train on it, and the
+    table does not outlive the call."""
+    draws = Counter()
+    draw = models.sample_batch
+
+    def counted(seed, rank, step, batch, n_train):
+        draws[rank, step] += 1
+        return draw(seed, rank, step, batch, n_train)
+
+    tables = []
+    build = harness.batch_table
+
+    def tracked(*args):
+        table = build(*args)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(models, "sample_batch", counted)
+    monkeypatch.setattr(harness, "batch_table", tracked)
+    cfg = RunConfig(mode="train", p=4, flavors=flavors, epochs=2, steps_per_epoch=3,
+                    dim=4, n_samples=64, batch_per_rank=4)
+    run_training(cfg)
+    assert draws == Counter({(r, t): 1 for r in range(4) for t in range(6)})
+    gc.collect()
+    assert len(tables) == 1 and tables[0]() is None
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -345,6 +376,7 @@ def test_cli_rejects_bad_config(capsys):
         (["bench", "--seed", "-1"], "seed must be in [0, 2**64)"),
         (["bench", "--seed", str(1 << 64)], "seed must be in [0, 2**64)"),
         (["train", "--data-seed", "-1"], "data_seed must be >= 0"),
+        (["train", "--n-samples", "1"], "n_samples must be >= 2"),
         (["bench", "--delay-kind", "random_subset", "--delay-seed", "-1"],
          "seed must be >= 0"),
     ]:
@@ -404,6 +436,15 @@ def test_cli_train_smoke(tmp_path):
                "--flavors", "sync", "--out", str(out)])
     assert rc == 0
     assert (tmp_path / "train.csv").exists()
+
+
+def test_cli_train_divergence_exits_three(capsys):
+    argv = ["train", "--p", "4", "--flavors", "solo", "--epochs", "8",
+            "--steps-per-epoch", "8", "--dim", "4", "--n-samples", "64",
+            "--batch-per-rank", "4", "--lr", "1e9"]
+    with np.errstate(over="ignore", invalid="ignore"):  # the weights overflow on purpose
+        assert main(argv) == 3
+    assert "divergence: flavor solo:" in capsys.readouterr().err
 
 
 VERIFY_ARGS = ["verify", "--p", "4", "--flavors", "solo", "--rounds", "6"]

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eagercoll.models import (
     LinearModel,
+    batch_table,
     gen_dataset,
     loss_and_grad,
     mse,
@@ -77,12 +79,42 @@ def test_dataset_generation_is_deterministic():
 
 def test_sample_batch_deterministic_and_in_range():
     ds = gen_dataset(dim=4, n=64, seed=5)
-    x1, y1 = sample_batch(ds, 42, rank=1, step=3, batch=8)
-    x2, y2 = sample_batch(ds, 42, rank=1, step=3, batch=8)
+    rows = batch_table(42, p=3, rounds=4, batch=8, n_train=ds.n_train)
+    again = batch_table(42, p=3, rounds=4, batch=8, n_train=ds.n_train)
+    x1, y1 = ds.x_train[rows[1, 3]], ds.y_train[rows[1, 3]]
+    x2, y2 = ds.x_train[again[1, 3]], ds.y_train[again[1, 3]]
     assert x1.tobytes() == x2.tobytes() and y1.tobytes() == y2.tobytes()
-    x3, _ = sample_batch(ds, 42, rank=2, step=3, batch=8)
+    x3 = ds.x_train[rows[2, 3]]
     assert x1.tobytes() != x3.tobytes()
     assert x1.shape == (8, 4)
+    assert rows.max() < ds.n_train
+    assert sample_batch(42, 1, 3, 8, ds.n_train).tolist() == rows[1, 3].tolist()
+
+
+def _draw(seed, rank, step, batch, n_train):
+    return np.random.default_rng([seed, rank, step]).integers(0, n_train, size=batch)
+
+
+@pytest.mark.parametrize("n_train, dtype", [
+    (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)])
+def test_batch_table_rows_are_the_per_rank_step_draws(n_train, dtype):
+    table = batch_table(7, p=3, rounds=5, batch=64, n_train=n_train)
+    assert table.dtype == dtype and table.shape == (3, 5, 64)
+    for r, t in np.ndindex(3, 5):
+        assert table[r, t].tolist() == _draw(7, r, t, 64, n_train).tolist(), (r, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**40), st.integers(1, 4), st.integers(1, 6), st.integers(1, 9),
+       st.integers(1, 70000))
+def test_batch_table_matches_the_draw(seed, p, rounds, batch, n_train):
+    table = batch_table(seed, p, rounds, batch, n_train)
+    assert table.shape == (p, rounds, batch)
+    smallest = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
+                    if np.iinfo(d).max >= n_train - 1)
+    assert table.dtype == smallest
+    for r, t in np.ndindex(p, rounds):
+        assert table[r, t].tolist() == _draw(seed, r, t, batch, n_train).tolist()
 
 
 def test_linear_model_init_scale():

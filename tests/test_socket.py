@@ -19,7 +19,7 @@ import pytest
 import eagercoll
 from eagercoll.collectives import AllreduceHandle, CollectiveConfig, tree_order_sum
 from eagercoll.eagersgd import TrainState, training_process
-from eagercoll.models import gen_dataset
+from eagercoll.models import batch_table, gen_dataset
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import (
     PHASE_RED, Message, SocketTransport, Sleep, Tag, TransportClosed, UnroutedMessage,
@@ -329,6 +329,7 @@ def _socket_training_report(p, epochs, steps, tau):
     cfg = CollectiveConfig(p=p, flavor="solo", vector_len=4, seed=5)
     resync_cfg = CollectiveConfig(p=p, flavor="sync", vector_len=4, seed=5)
     ds = gen_dataset(dim=4, n=64, seed=6)
+    rows = batch_table(13, p, rounds, 4, ds.n_train)
     rec, ledger = TraceRecorder(), DeliveryLedger()
     net = SocketTransport(p)
     try:
@@ -339,9 +340,8 @@ def _socket_training_report(p, epochs, steps, tau):
             state = TrainState.fresh(np.zeros(4), lr=0.02, rank=r, resync_period=1,
                                      tau=tau)
             return training_process(
-                r, state, handles[r], resyncs[r], ds, epochs=epochs,
-                steps_per_epoch=steps, batch_per_rank=4, data_seed=13,
-                delay_fn=lambda rank, t: 2000 if rank == p - 1 else 0, ledger=ledger)
+                r, state, handles[r], resyncs[r], ds, rows[r], epochs=epochs,
+                steps_per_epoch=steps, delay_fn=lambda rank, t: 2000 if rank == p - 1 else 0, ledger=ledger)
 
         net.run_processes({r: body(r) for r in range(p)}, timeout=30)
     finally:

@@ -80,6 +80,27 @@ def test_forged_nap_is_caught():
     assert "nap" in rep.by_kind()
 
 
+def test_missing_snapshot_is_caught_as_liveness():
+    rec, p = clean_trace()
+    assert check_round_contracts(rec, p, expect_rounds=3).ok
+    rec.snapshots = [s for s in rec.snapshots if (s.rnd, s.rank) != (1, 2)]
+    rep = check_round_contracts(rec, p, expect_rounds=3)
+    assert [(v.kind, v.rnd, v.rank, v.detail) for v in rep.violations] == [
+        ("liveness", 1, 2, "no snapshot recorded")]
+
+
+def test_flipped_fresh_flag_is_caught_as_a_mask_mismatch():
+    rec, p = clean_trace()
+    assert check_round_contracts(rec, p, expect_rounds=3).ok
+    snap = next(s for s in rec.snapshots if (s.rnd, s.rank) == (1, 2))
+    assert snap.fresh
+    snap.fresh = False
+    rep = check_round_contracts(rec, p, expect_rounds=3)
+    masks = [v for v in rep.violations if v.detail.startswith("mask ")]
+    assert [(v.kind, v.rnd, v.rank) for v in masks] == [("subset-sum", 1, None)]
+    assert masks[0].detail == "mask 0xf != consumed-fresh set 0xb"
+
+
 def test_checker_is_idempotent():
     rec, p = clean_trace()
     a = check_round_contracts(rec, p)
@@ -287,19 +308,19 @@ def run_training_trace(p=2, rounds=6, flavor="sync", alpha=0.05, delay_fn=None,
                        tau=None):
     from eagercoll.collectives import simulate
     from eagercoll.eagersgd import TrainState, training_process
-    from eagercoll.models import gen_dataset
+    from eagercoll.models import batch_table, gen_dataset
 
     cfg = CollectiveConfig(p=p, flavor=flavor, vector_len=4, seed=3)
     rec = TraceRecorder()
     ds = gen_dataset(dim=4, n=64, seed=6)
     w0 = np.zeros(4)
+    rows = batch_table(13, p, rounds, 4, ds.n_train)
 
     def body(r, handle):
         state = TrainState.fresh(w0, lr=alpha, rank=r, tau=tau)
         return training_process(
-            r, state, handle, None, ds, epochs=1,
-            steps_per_epoch=rounds, batch_per_rank=4, data_seed=13,
-            delay_fn=delay_fn)
+            r, state, handle, None, ds, rows[r], epochs=1,
+            steps_per_epoch=rounds, delay_fn=delay_fn)
 
     simulate([cfg], body, link_latency_us=10, recorder=rec)
     return rec
