@@ -244,19 +244,16 @@ class AllreduceHandle:
         self.cfg = cfg
         self.rank = rank
         self.transport = transport
-        self.cid = cid
         self.recorder = recorder
         # callable(rnd, data, fresh); data is a view valid only during the call
         self.user_snapshot_cb = None
         self.contributed_round = -1
         self._last: CollectiveResult | None = None
         self._waiters: list[tuple[int, int, object]] = []
-        # a program of its own already has this rank's peers
-        peers = None if program is None else allreduce_peers(rank, cfg)
         program = program or Program(build_allreduce_template(rank, cfg))
         self.engine = Engine(program, rank, cid, transport.send, transport.now_us,
                              recorder=recorder, on_snapshot=self._snap_cb,
-                             on_done=self._done_cb, peers=peers)
+                             on_done=self._done_cb, peers=allreduce_peers(rank, cfg))
         transport.register_engine(rank, self.engine)
         self.engine.commit()
 

@@ -140,8 +140,8 @@ def train_step(state: TrainState, batch, handle):
     x, y = batch
     if x.shape[1] != state.w.shape[0]:
         raise ValueError(f"dimension mismatch: batch {x.shape[1]} vs model {state.w.shape[0]}")
-    state.in_progress = t
-    loss, grad = loss_and_grad(state.w, x, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run raises below
+        loss, grad = loss_and_grad(state.w, x, y)
     if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
         raise DivergenceError(
             f"rank {state.rank} round {t}: non-finite loss/gradient (loss={loss})")

@@ -19,8 +19,6 @@ class HyperplaneDataset:
     y_train: np.ndarray
     x_val: np.ndarray
     y_val: np.ndarray
-    sigma: float
-    seed: int
 
     @property
     def dim(self) -> int:
@@ -39,8 +37,7 @@ def gen_dataset(dim: int = 64, n: int = 4096, sigma: float = 0.1,
     y = x @ a + sigma * rng.standard_normal(n)
     n_train = int(0.8 * n)
     return HyperplaneDataset(a=a, x_train=x[:n_train], y_train=y[:n_train],
-                             x_val=x[n_train:], y_val=y[n_train:],
-                             sigma=sigma, seed=seed)
+                             x_val=x[n_train:], y_val=y[n_train:])
 
 
 @dataclass

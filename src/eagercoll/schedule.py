@@ -16,7 +16,7 @@ in the manner of an offloaded NIC's triggered operations: each op has a
 counter of dependencies it still waits for (its dep count under and-logic,
 1 under or-logic, 0 with none), firing an op counts down its dependents,
 and an op is ready when its counter reaches 0.  The data each fire needs
-(tags, the seeds of a fresh generation, chain successors) is resolved then
+(headers, the seeds of a fresh generation, chain successors) is resolved then
 too, into one fire record per op.  Ranks whose templates differ only in
 their peers share one Program; each Engine binds its own buffer views and
 send peers into the records that name them, and compiles nothing.  Where an op
@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .transport import Message, Tag, PHASE_ACT
+from .transport import Message, PHASE_ACT
 
 K_SEND, K_RECV, K_COMPUTE, K_NOP = "send", "recv", "compute", "nop"
 _KINDS = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
@@ -299,11 +299,11 @@ class Engine:
     The engine neither validates nor compiles: it allocates its buffers and
     binds them, and its own send peers, into the Program's fire records.
     peers maps a send's (phase, step) to this rank's peer (default: the
-    peers of the template the Program was compiled from), and persistent
-    defaults to the template's.  A replication zeroes the arena up to the
-    Program's zero_nbytes, so the landing buffers keep the last
-    generation's bytes and state() includes them: a search over several
-    generations tells apart states that differ only in bytes no op reads.
+    peers of the template the Program was compiled from).  A replication
+    zeroes the arena up to the Program's zero_nbytes, so the landing
+    buffers keep the last generation's bytes and state() includes them: a
+    search over several generations tells apart states that differ only in
+    bytes no op reads.
 
     Public surface: commit(), activate_internal(), deliver(), which a
     transport calls with each of this collective's messages, pump(), which
@@ -317,7 +317,7 @@ class Engine:
 
     def __init__(self, program: Program, rank: int, cid: int,
                  send_fn, now_fn, recorder=None,
-                 on_snapshot=None, on_done=None, *, peers=None, persistent=None):
+                 on_snapshot=None, on_done=None, *, peers=None):
         self.program = program
         self.ops = program.ops
         self.rank = rank
@@ -363,7 +363,6 @@ class Engine:
         self._recv_index = program.recv_index
         self._snap_buf = bufs[program.snapshot_src] if program.snapshot_src else None
         self._publish_buf = bufs[program.publish_from] if program.publish_from else None
-        self._persistent = program.persistent if persistent is None else persistent
         self.consumed = bytearray(len(records))
         self._waiting = bytearray(program.waiting0)
         self.generation = 0
@@ -465,10 +464,9 @@ class Engine:
                 op_fired(now, rank, cid, epoch, oid, label)
             if send is not None:
                 peer, phase, step, buf = send
-                # tuple.__new__ skips the NamedTuples' Python-level __new__
-                send_fn(_new(Message, (
-                    rank, peer, _new(Tag, (cid, epoch, phase, step)),
-                    b"" if buf is None else buf.tobytes())))
+                # tuple.__new__ skips the NamedTuple's Python-level __new__
+                send_fn(_new(Message, (rank, peer, cid, epoch, phase, step,
+                                       b"" if buf is None else buf.tobytes())))
             elif reduce is not None:
                 dst, src, dst_mask, src_mask = reduce
                 _add(dst, src, out=dst)
@@ -498,7 +496,7 @@ class Engine:
         g = self.done_generation = self.generation
         if self.on_done is not None:
             self.on_done(g, self._publish_buf)
-        if self._persistent:
+        if self.program.persistent:
             self._replicate()
 
     # -- message matching ---------------------------------------------------
@@ -520,7 +518,7 @@ class Engine:
         consumed recv drops (a duplicate for a consumable op); an activation
         the hold policy holds waits, and so does a recv still waiting on its
         dependencies.  Returns the recv oid to fire, or _DROP or _WAIT."""
-        _, _, (_, rnd, phase, step), _ = msg
+        _, _, _, rnd, phase, step, _ = msg
         gen = self.generation
         if rnd < gen:
             return _DROP

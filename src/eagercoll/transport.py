@@ -16,12 +16,12 @@ A logical process is a generator that yields command objects:
                          latest round the handle has published
 
 Processes never receive messages themselves.  Each message goes to the
-schedule engine registered for (dst, tag.cid): the delivery calls that
-engine's deliver() and touches no other engine.  Messages between one
-(src, dst, tag-stream) triple are delivered in FIFO order; the simulated
-backend orders simultaneous events by (time, priority, sequence) with
-process resumption ahead of message delivery, which keeps zero-skew runs
-exactly synchronous.  Each of its events is a heap entry (time, priority,
+schedule engine registered for (dst, cid): the delivery calls that
+engine's deliver() and touches no other engine.  Messages of one stream,
+a (src, dst, cid, phase, step) key, are delivered in FIFO order; the
+simulated backend orders simultaneous events by (time, priority, sequence)
+with process resumption ahead of message delivery, which keeps zero-skew
+runs exactly synchronous.  Each of its events is a heap entry (time, priority,
 sequence, handler, arg) that carries its own handler, which the event loop
 calls as handler(arg); the sequence number is unique, so handlers are never
 compared.
@@ -45,24 +45,22 @@ import numpy as np
 # A rank is a plain int in [0, p).  Validated at the transport boundary.
 Rank = int
 
-# Tag phases used by the collective layer.
+# Message phases used by the collective layer.
 PHASE_ACT = 0
 PHASE_RED = 1
 
 
-class Tag(NamedTuple):
-    """Stream identifier: (collective id, round, phase, step)."""
+class Message(NamedTuple):
+    """One point-to-point message, flat: its first six fields are the
+    socket frame's header (_FRAME), in order.  cid names the collective,
+    rnd the generation, and (phase, step) the stream within it."""
 
+    src: Rank
+    dst: Rank
     cid: int
     rnd: int
     phase: int
     step: int
-
-
-class Message(NamedTuple):
-    src: Rank
-    dst: Rank
-    tag: Tag
     payload: bytes
 
 
@@ -186,9 +184,9 @@ def _add_engine(engines: list[dict], rank: Rank, engine) -> None:
 
 
 def _engine_for(engines: dict, msg: Message):
-    eng = engines.get(msg.tag.cid)
+    eng = engines.get(msg.cid)
     if eng is None:
-        raise UnroutedMessage(f"no engine for cid {msg.tag.cid} at rank {msg.dst}")
+        raise UnroutedMessage(f"no engine for cid {msg.cid} at rank {msg.dst}")
     return eng
 
 
@@ -208,9 +206,9 @@ class SimTransport:
     """Deterministic discrete-event transport.
 
     Every send is delivered after `link_latency_us`; there is no loss and no
-    reordering within a (src, dst, tag-stream).  A delivery goes to the one
-    engine registered for (dst, cid), so schedules make progress without
-    any process being scheduled.
+    reordering within a stream.  A delivery goes to the one engine
+    registered for (dst, cid), so schedules make progress without any
+    process being scheduled.
     """
 
     def __init__(self, p: int, link_latency_us: int = 0):
@@ -316,7 +314,7 @@ class SimTransport:
 # ---------------------------------------------------------------------------
 # socket backend
 
-_FRAME = struct.Struct("<iiiqiiI")  # src, dst, cid, rnd, phase, step, paylen
+_FRAME = struct.Struct("<iiiqiiI")  # Message's fields up to payload, then its length
 _JOIN_TIMEOUT_S = 2.0  # a join of a thread set waits no longer than this in all
 
 
@@ -370,11 +368,11 @@ class SocketTransport:
     def _reader(cls, conn: socket.socket, inbox: queue.SimpleQueue) -> None:
         with contextlib.suppress(OSError):  # close() shut the socket down
             while (header := cls._read_exact(conn, _FRAME.size)) is not None:
-                src, dst, cid, rnd, phase, step, n = _FRAME.unpack(header)
+                *head, n = _FRAME.unpack(header)
                 payload = cls._read_exact(conn, n)
                 if payload is None:
                     return
-                inbox.put(Message(src, dst, Tag(cid, rnd, phase, step), payload))
+                inbox.put(Message(*head, payload))
 
     @staticmethod
     def _read_exact(conn: socket.socket, n: int) -> bytearray | None:
@@ -394,8 +392,8 @@ class SocketTransport:
         if not self._open:
             raise TransportClosed("send on closed transport")
         _check_ranks(self.p, msg.src, msg.dst)
-        t, dst = msg.tag, msg.dst
-        header = _FRAME.pack(msg.src, dst, t.cid, t.rnd, t.phase, t.step, len(msg.payload))
+        dst = msg.dst
+        header = _FRAME.pack(*msg[:6], len(msg.payload))
         with self._locks[dst]:
             self._sent[dst] += 1  # before the reader can see the frame
             self._tx[dst].sendall(header)

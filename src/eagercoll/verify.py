@@ -8,15 +8,15 @@ suite validates each violation class by fault injection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .collectives import (
-    CollectiveConfig, SOLO, allreduce_peers, parse_payload, rank_programs, tree_order_sum,
+    CollectiveConfig, SOLO, build_allreduce_template, parse_payload, tree_order_sum,
     write_payload,
 )
-from .schedule import Engine
+from .schedule import Engine, Program
 from .trace import TraceRecorder
 from .transport import Message
 
@@ -38,7 +38,8 @@ class EngineStateDrift(RuntimeError):
 
 @dataclass
 class Violation:
-    kind: str            # liveness | mismatch | subset-sum | nap | staleness | double-delivery | time-travel
+    kind: str  # liveness | mismatch | subset-sum | nap | staleness | time-travel | undelivered
+               # | double-generation | unknown-gradient | double-delivery
     rnd: int
     rank: int | None
     detail: str
@@ -53,8 +54,8 @@ class DeliveryLedger:
     into a completed collective sum.  Delivered at most once, ever."""
 
     def __init__(self):
+        # in generation order: a dict keeps its keys' insertion order
         self._delivered: dict[tuple[int, int], int | None] = {}
-        self._order: list[tuple[int, int]] = []
         self._early_violations: list[Violation] = []
 
     def generated(self, rank: int, rnd: int) -> None:
@@ -64,7 +65,6 @@ class DeliveryLedger:
                 Violation("double-generation", rnd, rank, "gradient generated twice"))
             return
         self._delivered[key] = None
-        self._order.append(key)
 
     def delivered(self, rank: int, generated_round: int, delivered_round: int) -> None:
         key = (rank, generated_round)
@@ -81,7 +81,7 @@ class DeliveryLedger:
         self._delivered[key] = delivered_round
 
     def entries(self) -> list[tuple[int, int, int | None]]:
-        return [(r, g, self._delivered[(r, g)]) for r, g in self._order]
+        return [(r, g, d) for (r, g), d in self._delivered.items()]
 
     def staleness_of(self, rank: int, rnd: int) -> int | None:
         d = self._delivered.get((rank, rnd))
@@ -356,14 +356,14 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
     streams: dict[tuple, tuple[Message, ...]] = {}
 
     def send_fn(msg: Message) -> None:
-        key = (msg.src, msg.dst, msg.tag.phase, msg.tag.step)
+        key = (msg.src, msg.dst, msg.phase, msg.step)
         streams[key] = streams.get(key, ()) + (msg,)
 
     engines: list[Engine] = []
-    for r, program in enumerate(rank_programs(cfg)):
+    for r in range(p):
         # single round; terminal state is generation 0 done
-        eng = Engine(program, r, 0, send_fn, lambda: 0,
-                     peers=allreduce_peers(r, cfg), persistent=False)
+        template = replace(build_allreduce_template(r, cfg), persistent=False)
+        eng = Engine(Program(template), r, 0, send_fn, lambda: 0)
         eng.commit()
         engines.append(eng)
     # each rank's result, read where its chain left it; restore() writes in place

@@ -379,6 +379,11 @@ def test_cli_rejects_bad_config(capsys):
         (["train", "--n-samples", "1"], "n_samples must be >= 2"),
         (["bench", "--delay-kind", "random_subset", "--delay-seed", "-1"],
          "seed must be >= 0"),
+        (["bench", "--flavors", "solo,sync,solo"], "duplicate flavors"),
+        (["bench", "--rounds", "0"], "rounds must be >= 1"),
+        (["bench", "--link-latency-us", "-1"], "link_latency_us must be >= 0"),
+        (["train", "--resync-period", "0"], "resync_period must be >= 1"),
+        (["train", "--tau", "0"], "tau must be >= 1 (or unset for no guard)"),
     ]:
         assert main(argv) == 2, argv
         assert "config error: " + why in capsys.readouterr().err, argv
@@ -438,12 +443,14 @@ def test_cli_train_smoke(tmp_path):
     assert (tmp_path / "train.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_train_divergence_exits_three(capsys):
+    """The weights overflow on purpose; the run reports that as a divergence,
+    not as a numpy warning."""
     argv = ["train", "--p", "4", "--flavors", "solo", "--epochs", "8",
             "--steps-per-epoch", "8", "--dim", "4", "--n-samples", "64",
             "--batch-per-rank", "4", "--lr", "1e9"]
-    with np.errstate(over="ignore", invalid="ignore"):  # the weights overflow on purpose
-        assert main(argv) == 3
+    assert main(argv) == 3
     assert "divergence: flavor solo:" in capsys.readouterr().err
 
 
@@ -535,6 +542,16 @@ def test_cli_report_bad_files_are_config_errors(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("".join(good.read_text().splitlines(keepends=True)[:2]))
     assert main(["report", str(empty)]) == 2
+
+    columns = tmp_path / "columns.csv"
+    columns.write_text(good.read_text().replace(",initiator", ",leader"))
+    assert main(["report", str(columns)]) == 2
+    assert "unexpected columns" in capsys.readouterr().err
+
+    no_equals = tmp_path / "no_equals.conf"
+    no_equals.write_text("p = 4\nrounds 2\n")
+    assert main(["bench", "--config", str(no_equals)]) == 2
+    assert "line 2: expected key = value" in capsys.readouterr().err
 
     assert main(["bench", "--config", str(tmp_path / "nope.conf")]) == 2
     assert "nope.conf" in capsys.readouterr().err

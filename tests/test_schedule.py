@@ -18,7 +18,7 @@ from eagercoll.schedule import (
     ScheduleError,
     ScheduleTemplate,
 )
-from eagercoll.transport import Message, Tag, PHASE_ACT, PHASE_RED
+from eagercoll.transport import Message, PHASE_ACT, PHASE_RED
 
 
 class FireLog:
@@ -57,7 +57,7 @@ def test_entry_waits_for_activation():
     assert eng.done_generation == -1
     assert sent == []
     eng.activate_internal()
-    assert len(sent) == 1 and sent[0].tag.step == 0
+    assert len(sent) == 1 and sent[0].step == 0
 
 
 def test_chain_runs_to_completion_on_matching_recv():
@@ -66,7 +66,7 @@ def test_chain_runs_to_completion_on_matching_recv():
     eng.commit()
     eng.activate_internal()
     payload = np.arange(2, dtype=np.float64).tobytes()
-    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_RED, 1), payload))
+    eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 1, payload))
     assert eng.done_generation == 0
     acc = eng.buffer("acc").view(np.float64)
     assert acc.tolist() == [0.0, 1.0]
@@ -125,7 +125,7 @@ def test_refiring_a_consumed_op_raises():
     eng = make_engine(chain_template(), [])
     eng.commit()
     eng.activate_internal()
-    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16))
+    eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 1, b"\0" * 16))
     with pytest.raises(ScheduleError, match="fired twice"):
         eng._fire_recv(2, b"\0" * 16)
 
@@ -136,7 +136,7 @@ def test_state_restore_round_trip():
     before = eng.state()
     eng.buffer("acc").view(np.float64)[:] = 2.0
     eng.activate_internal()
-    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_RED, 1), np.full(2, 3.0).tobytes()))
+    eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 1, np.full(2, 3.0).tobytes()))
     assert eng.done_generation == 0
     after = eng.state()
     eng.restore(before)
@@ -279,11 +279,11 @@ def test_future_generation_messages_wait_in_mailbox():
     tpl.persistent = True
     eng = make_engine(tpl, [])
     eng.commit()
-    eng.deliver(Message(1, 0, Tag(0, 1, PHASE_RED, 1), b"\0" * 16))
+    eng.deliver(Message(1, 0, 0, 1, PHASE_RED, 1, b"\0" * 16))
     assert eng.done_generation == -1
     assert len(eng.mailbox) == 1  # still parked
     eng.activate_internal()
-    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\0" * 16))
+    eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 1, b"\0" * 16))
     assert eng.done_generation == 0
     assert eng.generation == 1
     assert len(eng.mailbox) == 1  # now current, but generation 1 is not yet activated
@@ -311,7 +311,7 @@ def test_hold_policy_defers_activation_messages():
     eng.commit()
     held = {"on": True}
     eng.hold_policy = lambda gen: held["on"]
-    eng.deliver(Message(1, 0, Tag(0, 0, PHASE_ACT, 0), b""))
+    eng.deliver(Message(1, 0, 0, 0, PHASE_ACT, 0, b""))
     assert eng.done_generation == -1 and len(eng.mailbox) == 1
     held["on"] = False
     eng.pump()
@@ -331,7 +331,7 @@ def test_deliver_drops_or_parks_what_it_cannot_fire():
         OpSpec(4, K_NOP, deps=(2, 3), publish=True),
     ]
     tpl = ScheduleTemplate(ops=ops, buffers={"inbox": 8}, persistent=True)
-    red = Message(1, 0, Tag(0, 0, PHASE_RED, 1), b"\1" * 8)
+    red = Message(1, 0, 0, 0, PHASE_RED, 1, b"\1" * 8)
 
     def engine():
         sent = []
@@ -344,7 +344,7 @@ def test_deliver_drops_or_parks_what_it_cannot_fire():
     assert (bytes(eng.consumed), eng.mailbox, sent) == (b"\0\0\0\1\0", [], [])
     eng.deliver(red)  # duplicate
     assert (bytes(eng.consumed), eng.mailbox, sent) == (b"\0\0\0\1\0", [], [])
-    early = red._replace(tag=red.tag._replace(rnd=1))
+    early = red._replace(rnd=1)
     eng.deliver(early)  # future generation
     assert (bytes(eng.consumed), eng.mailbox, sent) == (b"\0\0\0\1\0", [early], [])
 
@@ -358,7 +358,7 @@ def test_deliver_drops_or_parks_what_it_cannot_fire():
     eng, sent = engine()
     asked = []
     eng.hold_policy = lambda gen: asked.append(gen) or True
-    act = Message(1, 0, Tag(0, 0, PHASE_ACT, 0), b"")
+    act = Message(1, 0, 0, 0, PHASE_ACT, 0, b"")
     eng.deliver(act)  # held: the policy is asked once, and no rescan asks again
     assert (bytes(eng.consumed), eng.mailbox, sent, asked) == (bytes(5), [act], [], [0])
 
@@ -422,6 +422,42 @@ def test_validate_rejects_bad_snapshot(snapshot, why):
                            **snapshot)
     with pytest.raises(ScheduleError, match=why):
         tpl.validate()
+
+
+_WIDE = [OpSpec(i, K_NOP, deps=(0,)) for i in range(1, 257)]
+
+
+@pytest.mark.parametrize("ops, extra, why", [
+    ([OpSpec(2, K_NOP, deps=(0,))], {}, "op ids must be dense"),
+    ([OpSpec(1, "warp", deps=(0,))], {}, "unknown op kind 'warp'"),
+    ([OpSpec(1, K_NOP, logic="xor", deps=(0,))], {}, "unknown dep logic 'xor'"),
+    ([OpSpec(1, K_NOP, deps=(5,))], {}, "op 1 depends on missing op 5"),
+    ([OpSpec(1, K_SEND, deps=(0,), peer=1, phase=PHASE_RED, step=0, send_buf="nope")], {},
+     "send op 1 names unknown buffer"),
+    ([OpSpec(1, K_RECV, peer=1, phase=PHASE_RED, step=0, recv_buf="nope")], {},
+     "recv op 1 names unknown buffer"),
+    ([], {"publish_from": "nope"}, "publish_from names unknown buffer"),
+    (_WIDE + [OpSpec(257, K_NOP, deps=tuple(range(1, 257)))], {},
+     "op 257 has more than 255 and-dependencies"),
+], ids=["sparse-ids", "unknown-kind", "unknown-logic", "missing-dep", "send-buffer",
+        "recv-buffer", "publish-from", "256-and-deps"])
+def test_program_rejects_a_malformed_template(ops, extra, why):
+    tpl = ScheduleTemplate(ops=[OpSpec(0, K_NOP, entry=True), *ops], buffers={"buf": 8},
+                           **extra)
+    with pytest.raises(ScheduleError, match=why):
+        Program(tpl)
+
+
+def test_engine_checks_its_lifecycle_and_recv_lengths():
+    eng = make_engine(chain_template(), [])
+    with pytest.raises(ScheduleError, match="activate before commit"):
+        eng.activate_internal()
+    eng.commit()
+    with pytest.raises(ScheduleError, match="already committed"):
+        eng.commit()
+    eng.activate_internal()
+    with pytest.raises(ScheduleError, match="recv 2 payload 8B != buffer 16B"):
+        eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 1, b"\0" * 8))
 
 
 def test_two_recvs_on_one_stream_rejected():
@@ -630,7 +666,7 @@ def _apply(eng, tpl, held, event):
     else:
         _, rnd, phase, step = event
         known = any(op.kind == K_RECV and op.step == step for op in tpl.ops)
-        eng.deliver(Message(1, 0, Tag(0, rnd, phase, step),
+        eng.deliver(Message(1, 0, 0, rnd, phase, step,
                             _payload(tpl, step) if known else b""))
 
 
@@ -644,7 +680,7 @@ def _apply_ref(ref, event):
 
 
 def _sends(sent):
-    return [(m.tag.rnd, m.dst, m.tag.phase, m.tag.step) for m in sent]
+    return [(m.rnd, m.dst, m.phase, m.step) for m in sent]
 
 
 @settings(max_examples=400, deadline=None)
@@ -674,7 +710,7 @@ def test_counters_fire_what_the_reference_fires(case):
     assert _sends(sent) == ref.sent
     assert bytes(eng.consumed) == bytes(ref.consumed)
     assert (eng.generation, eng.done_generation) == (ref.generation, ref.done_generation)
-    assert [(m.tag.rnd, m.tag.phase, m.tag.step) for m in eng.mailbox] == ref.box
+    assert [(m.rnd, m.phase, m.step) for m in eng.mailbox] == ref.box
 
     if mid is None:
         return

@@ -22,7 +22,7 @@ from eagercoll.eagersgd import TrainState, training_process
 from eagercoll.models import batch_table, gen_dataset
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import (
-    PHASE_RED, Message, SocketTransport, Sleep, Tag, TransportClosed, UnroutedMessage,
+    PHASE_RED, Message, SocketTransport, Sleep, TransportClosed, UnroutedMessage,
 )
 from eagercoll.verify import DeliveryLedger, check_round_contracts
 
@@ -110,7 +110,7 @@ def test_reader_failure_is_raised_from_run_processes():
     net = SocketTransport(2)
     try:
         bodies = _sync_pair(net)
-        net.send(Message(0, 1, Tag(5, 0, PHASE_RED, 0), b""))
+        net.send(Message(0, 1, 5, 0, PHASE_RED, 0, b""))
         with pytest.raises(RuntimeError) as info:
             net.run_processes(bodies, timeout=2)
     finally:
@@ -122,7 +122,7 @@ def test_reader_failure_is_raised_from_run_processes():
 def _failed_run(net):
     """The _sync_pair round after a cid-5 message has failed rank 1's driver."""
     bodies = _sync_pair(net)
-    net.send(Message(0, 1, Tag(5, 0, PHASE_RED, 0), b""))
+    net.send(Message(0, 1, 5, 0, PHASE_RED, 0, b""))
     with pytest.raises(RuntimeError, match="UnroutedMessage"):
         net.run_processes(bodies, timeout=10)
 
@@ -218,7 +218,7 @@ def test_reader_failure_is_raised_at_once():
     net = SocketTransport(2)
     try:
         bodies = _sync_pair(net)
-        net.send(Message(0, 1, Tag(5, 0, PHASE_RED, 0), b""))
+        net.send(Message(0, 1, 5, 0, PHASE_RED, 0, b""))
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="UnroutedMessage"):
             net.run_processes(bodies, timeout=10)
@@ -231,7 +231,7 @@ def test_send_after_close_raises_transport_closed():
     net = SocketTransport(2)
     net.close()
     with pytest.raises(TransportClosed):
-        net.send(Message(0, 1, Tag(0, 0, PHASE_RED, 0), b"x"))
+        net.send(Message(0, 1, 0, 0, PHASE_RED, 0, b"x"))
 
 
 def test_read_exact_reassembles_a_chunked_frame():

@@ -3,6 +3,7 @@ delay models, deadlock; rank checks on both backends; socket frames that
 stay whole and in order under concurrent senders."""
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from eagercoll.transport import (
     SimTransport,
     SocketTransport,
     Sleep,
-    Tag,
     PHASE_RED,
     UnknownRank,
     UnroutedMessage,
@@ -50,7 +50,7 @@ class FakeEngine:
 
 
 def _msg(src, dst, step=0, payload=b"", cid=0):
-    return Message(src, dst, Tag(cid, 0, PHASE_RED, step), payload)
+    return Message(src, dst, cid, 0, PHASE_RED, step, payload)
 
 
 def _engines(sim, cid=0):
@@ -94,7 +94,7 @@ def test_sleep_advances_virtual_time_exactly():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=20))
 def test_fifo_within_a_stream(payloads):
-    """Same (src, dst) stream, same tag pattern: arrival order == send order."""
+    """Same (src, dst) stream, same phase: arrival order == send order."""
     sim = SimTransport(2, link_latency_us=3)
     engines = _engines(sim)
 
@@ -177,6 +177,56 @@ def test_both_backends_reject_ranks_outside_the_world(backend, bad):
             net.close()
 
 
+@pytest.mark.parametrize("backend", [SimTransport, SocketTransport])
+def test_both_backends_reject_an_empty_world(backend):
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        backend(0)
+
+
+def test_spawn_twice_for_one_rank_rejected():
+    sim = SimTransport(2)
+    sim.spawn(0, iter(()))
+    with pytest.raises(ValueError, match="rank 0 already has a process"):
+        sim.spawn(0, iter(()))
+
+
+def _yields_a_non_command():
+    yield "sleep"
+
+
+def test_a_process_yielding_a_non_command_fails_the_sim_run():
+    sim = SimTransport(2)
+    sim.spawn(0, _yields_a_non_command())
+    with pytest.raises(TypeError, match="process yielded 'sleep'"):
+        sim.run()
+
+
+def test_a_process_yielding_a_non_command_fails_the_socket_run():
+    net = SocketTransport(2)
+    try:
+        with pytest.raises(RuntimeError, match="rank 0 failed") as info:
+            net.run_processes({0: _yields_a_non_command()}, timeout=5)
+    finally:
+        net.close()
+    assert isinstance(info.value.__cause__, TypeError)
+
+
+def test_socket_run_raises_at_its_timeout():
+    """A body still sleeping at the timeout ends the run with TimeoutError,
+    and its driver stops with the run rather than at the end of its sleep."""
+    def sleeper():
+        yield Sleep(10_000_000)
+
+    net = SocketTransport(2)
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError, match="did not finish within the timeout"):
+            net.run_processes({0: sleeper()}, timeout=0.2)
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        net.close()
+
+
 def test_socket_frames_stay_whole_and_fifo_under_concurrent_senders():
     """Three ranks write to rank 0's one socket at once, with frames up to
     256 KiB (more than a socket buffer holds); rank 0 only serves.  Every
@@ -207,8 +257,8 @@ def test_socket_frames_stay_whole_and_fifo_under_concurrent_senders():
         got.setdefault(m.src, []).append(m)
     assert sorted(got) == [1, 2, 3]
     for src, msgs in got.items():
-        assert [m.tag.step for m in msgs] == list(range(n))
-        assert all(m.dst == 0 and m.payload == payload(src, m.tag.step) for m in msgs)
+        assert [m.step for m in msgs] == list(range(n))
+        assert all(m.dst == 0 and m.payload == payload(src, m.step) for m in msgs)
 
 
 def test_negative_sleep_is_rejected():
@@ -324,7 +374,7 @@ class EventLog:
             for act in actions:
                 if act[0] == "send":
                     eid = self.push(sim.now_us() + self.latency, 1)
-                    sim.send(Message(rank, act[1], Tag(cid, 0, PHASE_RED, 0),
+                    sim.send(Message(rank, act[1], cid, 0, PHASE_RED, 0,
                                      eid.to_bytes(4, "little")))
                 else:
                     eid = self.push(sim.now_us(), 1)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from eagercoll import schedule
-from eagercoll.collectives import AllreduceHandle, CollectiveConfig, run_allreduce, simulate
+from eagercoll.collectives import (
+    AllreduceHandle, CollectiveConfig, run_allreduce, simulate, tree_order_sum,
+)
 from eagercoll.schedule import Engine
 from eagercoll.trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from eagercoll.transport import Sleep
@@ -99,6 +101,50 @@ def test_flipped_fresh_flag_is_caught_as_a_mask_mismatch():
     masks = [v for v in rep.violations if v.detail.startswith("mask ")]
     assert [(v.kind, v.rnd, v.rank) for v in masks] == [("subset-sum", 1, None)]
     assert masks[0].detail == "mask 0xf != consumed-fresh set 0xb"
+
+
+def _one_ulp_off(rec, p):
+    """Every rank gets the same u, one ulp above the tree-order sum / p."""
+    for row in rec.rounds:
+        if row.rnd == 1:
+            row.u = np.nextafter(row.u, np.inf)
+
+
+def _cancelling_contributions(rec, p):
+    """Round 1's contributions cancel, so the tree-order sum that u holds
+    has lost the small terms a serial sum keeps."""
+    vals = [np.full(4, v) for v in (1e16, 1.0, -1e16, 1.0)]
+    for s in rec.snapshots:
+        if s.rnd == 1:
+            s.data, s.fresh = vals[s.rank], True
+    for row in rec.rounds:
+        if row.rnd == 1:
+            row.u, row.included, row.nap = tree_order_sum(vals) / p, 0b1111, 4
+
+
+def _no_fresh_contribution(rec, p):
+    """Round 1 took every rank's slot empty and published zeros."""
+    for s in rec.snapshots:
+        if s.rnd == 1:
+            s.data, s.fresh = np.zeros(4), False
+    for row in rec.rounds:
+        if row.rnd == 1:
+            row.u, row.included, row.nap = np.zeros(4), 0, 0
+
+
+@pytest.mark.parametrize("fault, violation", [
+    (_one_ulp_off,
+     ("subset-sum", 1, None, "u does not equal the tree-ordered contribution sum / p")),
+    (_cancelling_contributions,
+     ("subset-sum", 1, None, "u*p deviates from the serial contribution sum")),
+    (_no_fresh_contribution, ("nap", 1, None, "round completed with no fresh data")),
+], ids=["tree-sum", "serial-sum", "no-fresh-data"])
+def test_each_sum_and_nap_check_fires_alone(fault, violation):
+    rec, p = clean_trace()
+    assert check_round_contracts(rec, p, expect_rounds=3).ok
+    fault(rec, p)
+    rep = check_round_contracts(rec, p, expect_rounds=3)
+    assert [(v.kind, v.rnd, v.rank, v.detail) for v in rep.violations] == [violation]
 
 
 def test_checker_is_idempotent():
