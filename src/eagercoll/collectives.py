@@ -346,6 +346,9 @@ def simulate(configs, body, *, link_latency_us: int = 0,
     config), a generator process.
 
     Returns (handles, sim) where handles[i][rank] is config i's handle.
+    The handles and engines let go of the recorder once the run ends, so
+    the caller's last reference to it frees it: engines and handles live in
+    reference cycles, which only the cyclic collector frees.
     """
     p = configs[0].p
     sim = SimTransport(p, link_latency_us=link_latency_us)
@@ -356,6 +359,9 @@ def simulate(configs, body, *, link_latency_us: int = 0,
     for r in range(p):
         sim.spawn(r, body(r, *(hs[r] for hs in handles)))
     sim.run()
+    for hs in handles:
+        for h in hs:
+            h.recorder = h.engine.recorder = None
     return handles, sim
 
 
@@ -401,12 +407,12 @@ def tree_order_sum(vectors: list[np.ndarray]) -> np.ndarray:
     if p == 0:
         raise ValueError("no vectors")
     p2 = floor_pow2(p)
-    leaves = []
-    for b in range(p2):
-        v = np.array(vectors[b], dtype=np.asarray(vectors[b]).dtype, copy=True)
-        if b + p2 < p:
-            v = v + np.asarray(vectors[b + p2])
-        leaves.append(v)
+    leaves = [np.asarray(vectors[b]) + np.asarray(vectors[b + p2]) if b + p2 < p
+              else np.asarray(vectors[b]) for b in range(p2)]
     while len(leaves) > 1:
         leaves = [leaves[i] + leaves[i + 1] for i in range(0, len(leaves), 2)]
-    return leaves[0]
+    # Every engine's accumulator starts at +0.0 and adds its contribution in,
+    # so an element that is -0.0 in every contribution sums to +0.0 there.
+    # Only then does this sum differ, as -0.0, and + 0 turns that into +0.0
+    # (it also returns a new array when p is 1).
+    return leaves[0] + 0

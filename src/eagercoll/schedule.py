@@ -29,14 +29,17 @@ consumed, counted down and reported to the recorder on its own, in order.
 One fire loop, _cascade, fires every op, recvs included: it binds the
 program to locals once, follows each chain, goes straight on to a ready
 cascade target and keeps the others on a LIFO stack, until the stack
-empties or the generation moves on.  Every buffer but the snapshot source
-is a slice of one byte arena, and the arena plus the snapshot source is
-the engine's whole payload state.  The landing buffers go last, and a
-replication zeroes the rest with a single fill: a recv overwrites a landing
-buffer whole before any op reads it, so it keeps the last generation's
-bytes until then.  No payload is copied to hand it out: the owner reads the
-send buffer in on_snapshot and the publish buffer in on_done, where the
-chain left them, before the engine reuses them.
+empties or the generation moves on.  A recv overwrites a landing buffer
+whole before any op reads it, so a landing buffer keeps the last
+generation's bytes until then.  A large one that ops only read is bound: a
+recv points it at the message's payload instead of copying the payload in,
+as MPI's rendezvous protocol hands large messages over without an eager
+copy.  Every other buffer but the snapshot source is a slice of one byte
+arena, the landing ones last, and a replication zeroes the rest with a
+single fill.  The arena, the snapshot source and the bound payloads are the
+engine's whole payload state.  No payload is copied to hand it out: the
+owner reads the send buffer in on_snapshot and the publish buffer in
+on_done, where the chain left them, before the engine reuses them.
 
 The engine is passive and single-threaded: it is driven by whoever owns
 its rank (the simulator's event loop, the rank's socket driver thread, or
@@ -69,6 +72,10 @@ K_SEND, K_RECV, K_COMPUTE, K_NOP = "send", "recv", "compute", "nop"
 _KINDS = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
 _new, _add, _bor = tuple.__new__, np.add, np.bitwise_or
 _DROP, _WAIT = -1, -2  # Engine._match's verdicts besides a recv oid
+# A landing buffer larger than this that ops only read is bound to each
+# payload it receives (see _bound_buffers); at or below it, copying the
+# payload in is cheaper than rebinding the views that read it.
+_BIND_NBYTES = 64 * 1024
 
 
 class ScheduleError(Exception):
@@ -215,6 +222,24 @@ def _landing_buffers(template: ScheduleTemplate) -> set[str]:
     return landing
 
 
+def _bound_buffers(template: ScheduleTemplate, landing: set[str]) -> dict[str, tuple[int, ...]]:
+    """The landing buffers larger than _BIND_NBYTES that ops only read, as
+    a compute's src_buf or as publish_from, each with the computes that read
+    it.  Its recv binds such a buffer to the payload (Engine._bind), so no
+    op may write it and no send reads it."""
+    bound = {b: [] for b in landing if template.buffers[b] > _BIND_NBYTES}
+    if not bound:
+        return {}
+    for op in template.ops:
+        if op.kind == K_COMPUTE:
+            if op.src_buf in bound:
+                bound[op.src_buf].append(op.oid)
+            bound.pop(op.dst_buf, None)
+        elif op.kind == K_SEND:
+            bound.pop(op.send_buf, None)
+    return {b: tuple(readers) for b, readers in bound.items()}
+
+
 class Program:
     """A template validated and compiled once into what the fire loop reads
     that names no buffer view and no peer, shared by every engine running it.
@@ -222,16 +247,20 @@ class Program:
     Each op compiles to a fire record (dependents, label, send, reduce,
     tail, targets, then).  Here send is (template peer, phase, step, buffer
     name or None) and reduce is (dst name, src name), which an Engine binds
-    to its own peer and views; `bound` lists those ops.  tail has bit 1 set
-    if the op takes the snapshot and bit 2 if it publishes, and targets are
-    the dependents a cascade may go on to, all but the recvs.  An op X whose
+    to its own peer and views; `per_engine` lists those ops.  tail has bit 1
+    set if the op takes the snapshot and bit 2 if it publishes, and targets
+    are the dependents a cascade may go on to, all but the recvs.  An op X whose
     only target is an op Y depending on X alone makes Y ready exactly when
     X fires: X's `then` is Y (else -1), so a maximal straight-line chain
     runs from its head as one unit, with no readiness check or stack
     between its ops.
 
-    The arena holds the landing buffers last, from zero_nbytes on; a
-    replication zeroes only the bytes before them.
+    binds maps each recv of a bound buffer (see _bound_buffers) to the
+    buffer's name and the computes that read it.  A bound buffer has no
+    arena slice: it starts as a view of `zeros`, one read-only zero buffer
+    shared by every engine, and a recv rebinds it.  The arena holds the
+    other buffers but the snapshot source, the landing ones last, from
+    zero_nbytes on; a replication zeroes only the bytes before them.
     """
 
     def __init__(self, template: ScheduleTemplate):
@@ -240,10 +269,16 @@ class Program:
         self.buffers, self.mask_offset = template.buffers, template.mask_offset
         self.snapshot_last, self.snapshot_src = template.snapshot_last, template.snapshot_src
         self.publish_from, self.persistent = template.publish_from, template.persistent
-        # every buffer but the snapshot source is an 8-byte-aligned slice of
-        # one arena, the landing buffers last
+        # every buffer but the snapshot source and the bound ones is an
+        # 8-byte-aligned slice of one arena, the landing buffers last
         landing = _landing_buffers(template)
-        scratch = [n for n in template.buffers if n != template.snapshot_src]
+        bound = _bound_buffers(template, landing)
+        self.zeros = b""
+        if bound:
+            landing -= bound.keys()
+            self.zeros = bytes(max(template.buffers[b] for b in bound))
+        scratch = [n for n in template.buffers
+                   if n != template.snapshot_src and n not in bound]
         start, end = {}, 0
         for name in [n for n in scratch if n not in landing] + [n for n in scratch if n in landing]:
             start[name], end = end, end + -(-template.buffers[name] // 8) * 8
@@ -253,7 +288,8 @@ class Program:
         seeds = self.seeds = []
         recv_index = self.recv_index = {}            # (phase, step) -> recv oid
         recv_bufs = self.recv_bufs = []              # (recv oid, buffer name)
-        bound = self.bound = []
+        binds = self.binds = {}                      # recv oid -> (name, readers)
+        per_engine = self.per_engine = []
         recvs = {op.oid for op in ops if op.kind == K_RECV}
         records = self.records = []
         # one unpack of each OpSpec is much cheaper than its field lookups
@@ -276,12 +312,14 @@ class Program:
                 recv_index[key] = oid
                 if recv_buf is not None:
                     recv_bufs.append((oid, recv_buf))
+                    if recv_buf in bound:
+                        binds[oid] = (recv_buf, bound[recv_buf])
             elif kind == K_SEND:
                 send = (peer, phase, step, send_buf)
-                bound.append(oid)
+                per_engine.append(oid)
             elif kind == K_COMPUTE:
                 reduce = (dst_buf, src_buf)
-                bound.append(oid)
+                per_engine.append(oid)
             tail = (oid == template.snapshot_last) | (publish << 1)
             # a recv fires only when a delivery matches it, so no cascade goes to one
             ds = tuple(ds)
@@ -301,9 +339,10 @@ class Engine:
     peers maps a send's (phase, step) to this rank's peer (default: the
     peers of the template the Program was compiled from).  A replication
     zeroes the arena up to the Program's zero_nbytes, so the landing
-    buffers keep the last generation's bytes and state() includes them: a
-    search over several generations tells apart states that differ only in
-    bytes no op reads.
+    buffers keep the last generation's bytes, and a bound buffer keeps the
+    last payload it was bound to; state() includes both: a search over
+    several generations tells apart states that differ only in bytes no op
+    reads.
 
     Public surface: commit(), activate_internal(), deliver(), which a
     transport calls with each of this collective's messages, pump(), which
@@ -311,8 +350,10 @@ class Engine:
     read-only state (program, generation, done_generation, consumed,
     mailbox).  on_snapshot(generation, send buffer) and on_done(generation,
     publish buffer) get live views that are valid only during the call: a
-    callback that keeps the bytes copies them.  Nothing here locks: one
-    thread, the owner of the engine's rank, makes every call.
+    callback that keeps the bytes copies them.  A bound buffer's view, from
+    buffer() or as the publish buffer, is read-only, and a recv replaces it
+    with a new one.  Nothing here locks: one thread, the owner of the
+    engine's rank, makes every call.
     """
 
     def __init__(self, program: Program, rank: int, cid: int,
@@ -338,14 +379,16 @@ class Engine:
         start = program.start
         self._arena = np.zeros(program.arena_nbytes, dtype=np.uint8)
         self._zeroed = self._arena[:program.zero_nbytes]  # what a replication zeroes
-        bufs = self._buf = {
+        self._binds = program.binds
+        bufs = self._buf = {  # outside the arena: the snapshot source and bound buffers
             name: (self._arena[start[name]:start[name] + size] if name in start
-                   else np.zeros(size, dtype=np.uint8))
+                   else np.zeros(size, dtype=np.uint8) if name == program.snapshot_src
+                   else np.frombuffer(program.zeros, np.uint8, size))
             for name, size in program.buffers.items()
         }
         records = list(program.records)
         mo = program.mask_offset
-        for oid in program.bound:
+        for oid in program.per_engine:
             ds, label, send, reduce, tail, targets, then = records[oid]
             if send is not None:
                 peer, phase, step, name = send
@@ -357,9 +400,12 @@ class Engine:
                           dst[mo:], src[mo:])
             records[oid] = (ds, label, send, reduce, tail, targets, then)
         self._program = records
-        self._recv_dst: list[np.ndarray | None] = [None] * len(records)
+        # each recv's buffer as a memoryview, whose slice assignment copies
+        # more cheaply than numpy's; of a bound buffer's, its first view's,
+        # only the length is read
+        self._recv_dst: list[memoryview | None] = [None] * len(records)
         for oid, name in program.recv_bufs:
-            self._recv_dst[oid] = bufs[name]
+            self._recv_dst[oid] = bufs[name].data
         self._recv_index = program.recv_index
         self._snap_buf = bufs[program.snapshot_src] if program.snapshot_src else None
         self._publish_buf = bufs[program.publish_from] if program.publish_from else None
@@ -374,16 +420,20 @@ class Engine:
 
     def state(self) -> tuple:
         """Everything a run changes (op states and dependency counters,
-        generations, the arena and the send buffer, the mailbox) as a
-        hashable value; restore() puts it back.  The arena includes the
-        landing buffers' bytes from past generations."""
-        snap = self._snap_buf
+        generations, the arena, the send buffer and each bound buffer's
+        payload, the mailbox) as a hashable value; restore() puts it back.
+        The arena and the bound payloads include the landing buffers' bytes
+        from past generations."""
+        snap, binds = self._snap_buf, self._binds
         return (bytes(self.consumed) + self._waiting,
                 self.generation, self.done_generation, self._arena.tobytes(),
-                b"" if snap is None else snap.tobytes(), tuple(self.mailbox))
+                b"" if snap is None else snap.tobytes(),
+                tuple([self._buf[name].tobytes() for name, _ in binds.values()])
+                if binds else (),
+                tuple(self.mailbox))
 
     def restore(self, state: tuple) -> None:
-        ops, self.generation, self.done_generation, arena, snap, box = state
+        ops, self.generation, self.done_generation, arena, snap, bound, box = state
         n = len(self.ops)
         self.consumed = bytearray(ops[:n])
         self._waiting = bytearray(ops[n:])
@@ -391,6 +441,9 @@ class Engine:
         self._arena.data[:] = arena
         if self._snap_buf is not None:
             self._snap_buf.data[:] = snap
+        if bound:
+            for (name, readers), raw in zip(self._binds.values(), bound):
+                self._bind(name, readers, raw)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -502,6 +555,9 @@ class Engine:
     # -- message matching ---------------------------------------------------
 
     def _fire_recv(self, oid: int, payload: bytes) -> None:
+        """Fire recv `oid` on a message's payload: check its length against
+        the recv's buffer, copy it in, or bind the buffer to it if the
+        buffer is bound, then cascade from the recv."""
         if self.consumed[oid]:
             raise ScheduleError("op fired twice in one generation")
         dst = self._recv_dst[oid]
@@ -509,8 +565,32 @@ class Engine:
             if len(payload) != len(dst):
                 raise ScheduleError(
                     f"recv {oid} payload {len(payload)}B != buffer {len(dst)}B")
-            dst.data[:] = payload  # a memoryview copy, cheaper than numpy's
+            if oid in self._binds:
+                self._bind(*self._binds[oid], payload)
+            else:
+                dst[:] = payload
         self._cascade([], oid)
+
+    def _bind(self, name: str, readers: tuple[int, ...], raw) -> None:
+        """Point bound buffer `name` at the bytes `raw`, with no copy:
+        buffer(name) and, if it is publish_from, the publish buffer, both
+        read-only, and the source views of the computes `readers`.  Sharing
+        the bytes is sound because no payload is written after it is sent:
+        SimTransport sends a tobytes() copy, the socket reader reads each
+        payload into a bytearray of its own, and the explorer's Messages,
+        which its states share, hold immutable bytes."""
+        view = np.frombuffer(raw, np.uint8)
+        if type(raw) is not bytes:  # a socket payload is a bytearray
+            view.flags.writeable = False
+        self._buf[name] = view
+        mo, records = self.program.mask_offset, self._program
+        for oid in readers:
+            ds, label, send, (dst, _, dst_mask, _), tail, targets, then = records[oid]
+            records[oid] = (ds, label, send,
+                            (dst, np.frombuffer(raw, np.float64, mo >> 3), dst_mask, view[mo:]),
+                            tail, targets, then)
+        if name == self.program.publish_from:
+            self._publish_buf = view
 
     def _match(self, msg: Message) -> int:
         """The one rule every message meets, in this order: a past generation

@@ -366,8 +366,6 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
         eng = Engine(Program(template), r, 0, send_fn, lambda: 0)
         eng.commit()
         engines.append(eng)
-    # each rank's result, read where its chain left it; restore() writes in place
-    published = [e.buffer(e.program.publish_from) for e in engines]
 
     def arrive(rank: int) -> None:
         eng = engines[rank]
@@ -449,6 +447,10 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
             done = [e.done_generation == 0 and e.generation == 0 for e in engines]
             if not all(done):
                 violations.append(f"terminal state with incomplete round: {done} via {path}")
+            # each rank's result, read where its chain left it; a bound
+            # buffer's view changes with each recv and restore(), so it is
+            # read anew here
+            published = [e.buffer(e.program.publish_from) for e in engines]
             res = tuple(b.tobytes() for b in published)
             if len(set(res)) != 1:
                 violations.append(f"ranks disagree at terminal via {path}")

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eagercoll import schedule
 from eagercoll.collectives import CollectiveConfig
 from eagercoll.eagersgd import LrBoundParams, max_learning_rate, min_iterations
 from eagercoll.harness import (
@@ -54,6 +55,13 @@ def report(capsys, n, ok, detail):
 # shared runs
 
 
+ZERO_SKEW = RunConfig(mode="train", p=8, flavors=("sync", "solo", "majority"),
+                      epochs=10, steps_per_epoch=5, dim=16, n_samples=256,
+                      batch_per_rank=8, lr=0.03, tau=4, resync_period=1000,
+                      delay=DelayModel("none"), link_latency_us=10,
+                      seed=1234, data_seed=99)
+
+
 @pytest.fixture(scope="module")
 def bench32():
     """P=32, per-round skew 1..32 ms, 64 rounds, all three flavors."""
@@ -66,14 +74,9 @@ def bench32():
 
 @pytest.fixture(scope="module")
 def zero_skew_run():
-    cfg = RunConfig(mode="train", p=8, flavors=("sync", "solo", "majority"),
-                    epochs=10, steps_per_epoch=5, dim=16, n_samples=256,
-                    batch_per_rank=8, lr=0.03, tau=4, resync_period=1000,
-                    delay=DelayModel("none"), link_latency_us=10,
-                    seed=1234, data_seed=99)
     t0 = time.perf_counter()
-    rep = run_training(cfg)
-    return cfg, rep, time.perf_counter() - t0
+    rep = run_training(ZERO_SKEW)
+    return ZERO_SKEW, rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -306,14 +309,15 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
            f"{len(paths[0][1])} bytes)")
 
 
-def test_golden_csv_digests(bench32, hyperplane_run, zero_skew_run, tmp_path):
+def check_golden_csvs(bench_records, hyperplane_rows, zero_skew_rows, tmp_path):
     """The pinned runs' CSVs match the digests above, so a change to any
     virtual-time result fails here (criterion 11 only compares two runs of
-    the same code).  The last run resyncs every other epoch under a tight
-    tau, so the gradient (cid 0) and resync (cid 1) collectives both carry
-    traffic on every rank, and the guard holds rounds.  The p=12 bench run is
-    not a power of two, so its schedules carry the fold and final ops beside
-    the butterfly, and majority's CSV rows record the drawn initiator."""
+    the same code).  The two-collective run resyncs every other epoch under
+    a tight tau, so the gradient (cid 0) and resync (cid 1) collectives both
+    carry traffic on every rank, and the guard holds rounds.  The p=12 bench
+    run is not a power of two, so its schedules carry the fold and final ops
+    beside the butterfly, and majority's CSV rows record the drawn
+    initiator."""
     two_cid = RunConfig(mode="train", p=5, flavors=("sync", "solo", "majority"),
                         epochs=6, steps_per_epoch=4, dim=8, n_samples=256,
                         batch_per_rank=8, lr=0.02, tau=1, resync_period=2,
@@ -324,9 +328,9 @@ def test_golden_csv_digests(bench32, hyperplane_run, zero_skew_run, tmp_path):
                     delay=DelayModel("random_subset", unit_ms=0.5, k=3, seed=21),
                     link_latency_us=10, seed=77)
     runs = [
-        (write_bench_csv, bench32[2], GOLDEN_BENCH_SHA256),
-        (write_train_csv, hyperplane_run[1].rows, GOLDEN_TRAIN_SHA256),
-        (write_train_csv, zero_skew_run[1].rows, GOLDEN_ZERO_SKEW_SHA256),
+        (write_bench_csv, bench_records, GOLDEN_BENCH_SHA256),
+        (write_train_csv, hyperplane_rows, GOLDEN_TRAIN_SHA256),
+        (write_train_csv, zero_skew_rows, GOLDEN_ZERO_SKEW_SHA256),
         (write_train_csv, run_training(two_cid).rows, GOLDEN_TWO_CID_SHA256),
         (write_bench_csv, bench_collectives(p12), GOLDEN_P12_BENCH_SHA256),
     ]
@@ -334,6 +338,19 @@ def test_golden_csv_digests(bench32, hyperplane_run, zero_skew_run, tmp_path):
         path = tmp_path / f"run{i}.csv"
         write(rows, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, path.name
+
+
+def test_golden_csv_digests(bench32, hyperplane_run, zero_skew_run, tmp_path):
+    check_golden_csvs(bench32[2], hyperplane_run[1].rows, zero_skew_run[1].rows, tmp_path)
+
+
+def test_golden_csv_digests_with_every_eligible_recv_bound(monkeypatch, tmp_path):
+    """With the gate at 0, every recv whose buffer may bind does, at every
+    payload size of the pinned runs: the CSVs must not change."""
+    monkeypatch.setattr(schedule, "_BIND_NBYTES", 0)
+    check_golden_csvs(bench_collectives(load_config(str(CONFIGS / "microbench.conf"))),
+                      run_training(load_config(str(CONFIGS / "hyperplane.conf"))).rows,
+                      run_training(ZERO_SKEW).rows, tmp_path)
 
 
 @pytest.mark.parametrize("cmd, preset, want", [

@@ -25,7 +25,9 @@ from eagercoll.collectives import (
     write_payload,
 )
 from eagercoll.schedule import Engine, K_SEND, Program
+from eagercoll.trace import TraceRecorder
 from eagercoll.transport import PHASE_ACT, SimTransport
+from eagercoll.verify import check_round_contracts
 
 
 def rand_contributions(p, vlen, seed):
@@ -52,6 +54,25 @@ def test_sync_matches_tree_oracle_bitwise(p):
         assert res[(r, 0)].nap == p
     # and the tree order stays within float tolerance of the serial sum
     assert np.allclose(want * p, contrib.sum(axis=0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("flavor", ["solo", "majority", "sync"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_negative_zero_contributions_sum_as_the_engine_sums_them(p, flavor):
+    """Every accumulator starts at +0.0 and adds its contribution in, so an
+    element that is -0.0 in every contribution comes out +0.0.  The
+    reference sum starts its leaves the same way: the run checks clean and
+    each u is the reference's bytes."""
+    cfg = CollectiveConfig(p=p, flavor=flavor, vector_len=3)
+    rows = np.tile([-0.0, 1.0, -0.0], (p, 1))
+    rec = TraceRecorder()
+    res, _, _ = run_allreduce(cfg, rows, recorder=rec)
+    assert check_round_contracts(rec, p).violations == []
+    for r in range(p):
+        got = res[(r, 0)]
+        fresh = [rows[q] if (got.included >> q) & 1 else np.zeros(3) for q in range(p)]
+        assert got.u.tobytes() == (tree_order_sum(fresh) / p).tobytes()
+        assert not np.signbit(got.u).any()
 
 
 def test_solo_first_arrival_defines_the_round():
@@ -275,7 +296,8 @@ def _compiled(eng):
                for ds, label, send, reduce, tail, targets, then in eng._program]
     prog = eng.program
     return (records, prog.waiting0, prog.seeds, prog.entry, eng._recv_index,
-            [place(v) for v in eng._recv_dst], place(eng._publish_buf), eng._arena.nbytes)
+            [place(v if v is None else np.asarray(v)) for v in eng._recv_dst],
+            place(eng._publish_buf), eng._arena.nbytes)
 
 
 @pytest.mark.parametrize("flavor", ["sync", "solo", "majority"])

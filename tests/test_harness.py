@@ -148,6 +148,21 @@ class _CountingSim(SimTransport):
         super().send(msg)
 
 
+def test_a_finished_bench_run_lets_go_of_its_recorder():
+    """With the cyclic collector off, the recorder dies as soon as the
+    caller drops it, though the run's engines and handles, which live in
+    reference cycles, stay alive through the returned sim."""
+    gc.disable()
+    try:
+        _, rec, sim = bench_flavor(bench_cfg(), "solo")
+        assert rec.rounds
+        dead = weakref.ref(rec)
+        del rec
+        assert dead() is None
+    finally:
+        gc.enable()
+
+
 def test_bench_flavor_compiles_one_program_per_rank_class(monkeypatch):
     """p=12 has three rank classes (base ranks with and without an extra
     partner, extra ranks), so a bench run compiles three Programs, and the

@@ -1,9 +1,12 @@
 """Schedule DAG semantics: consumable ops, dep logic, replication, validation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eagercoll import schedule
 from eagercoll.collectives import CollectiveConfig, rank_programs
 from eagercoll.schedule import (
     CycleError,
@@ -190,6 +193,15 @@ _NOPS = [OpSpec(0, K_NOP, entry=True), OpSpec(1, K_NOP, deps=(0,), publish=True)
 # a recv landing in "land", which this generation never fires
 _RECV_LAND = _NOPS + [OpSpec(2, K_RECV, phase=PHASE_RED, step=0, recv_buf="land")]
 _LAND_SIZES = {"send": 16, "land": 16, "acc": 16, "out": 16}
+# every reader of land depends on its recv, but ops also write and send it
+_LAND_KEPT = _RECV_LAND + [
+    OpSpec(3, K_COMPUTE, deps=(2,), src_buf="land", dst_buf="acc"),
+    OpSpec(4, K_SEND, deps=(2, 3), peer=1, phase=PHASE_RED, step=1, send_buf="land"),
+    OpSpec(5, K_COMPUTE, deps=(2, 0), src_buf="out", dst_buf="land")]
+# one reader of land lacks the dependency on its recv
+_LAND_ZEROED = _RECV_LAND + [
+    OpSpec(3, K_COMPUTE, deps=(2,), src_buf="land", dst_buf="acc"),
+    OpSpec(4, K_COMPUTE, deps=(1,), src_buf="land", dst_buf="out")]
 
 
 @pytest.mark.parametrize("ops, sizes, kept", [
@@ -197,15 +209,9 @@ _LAND_SIZES = {"send": 16, "land": 16, "acc": 16, "out": 16}
      {"send"}),
     (_NOPS, {"a": 5, "send": 3, "b": 16, "c": 1, "d": 0}, {"send"}),  # odd sizes, so slices pad
     # every reader of land depends on its recv, so land keeps its bytes
-    (_RECV_LAND + [OpSpec(3, K_COMPUTE, deps=(2,), src_buf="land", dst_buf="acc"),
-                   OpSpec(4, K_SEND, deps=(2, 3), peer=1, phase=PHASE_RED, step=1,
-                          send_buf="land"),
-                   OpSpec(5, K_COMPUTE, deps=(2, 0), src_buf="out", dst_buf="land")],
-     _LAND_SIZES, {"send", "land"}),
+    (_LAND_KEPT, _LAND_SIZES, {"send", "land"}),
     # one reader lacks the dependency, so land is zeroed like the rest
-    (_RECV_LAND + [OpSpec(3, K_COMPUTE, deps=(2,), src_buf="land", dst_buf="acc"),
-                   OpSpec(4, K_COMPUTE, deps=(1,), src_buf="land", dst_buf="out")],
-     _LAND_SIZES, {"send"}),
+    (_LAND_ZEROED, _LAND_SIZES, {"send"}),
 ], ids=["sizes0", "sizes1", "land-kept", "land-zeroed"])
 def test_replication_zeroes_every_scratch_buffer_and_keeps_send(ops, sizes, kept):
     """Scratch buffers share one arena: each holds its own bytes, and a
@@ -242,6 +248,53 @@ def test_allreduce_zeroes_only_its_accumulator_on_replication(p):
     for rank, program in enumerate(rank_programs(CollectiveConfig(p, "solo", 3))):
         assert program.start["acc"] == 0, rank
         assert program.zero_nbytes == program.buffers["acc"], rank
+        assert program.binds == {}, rank
+
+
+@pytest.mark.parametrize("p", [2, 4, 5, 7])
+def test_large_landing_buffers_are_bound_outside_the_arena(p):
+    """Above the gate every land* buffer is bound to its recv's payload:
+    the arena holds acc alone, and a recv leaves buffer() a read-only view
+    of the message bytes, which the reduce adds from and the publish reads."""
+    vlen = schedule._BIND_NBYTES // 8  # payload: one mask word above the gate
+    cfg = CollectiveConfig(p, "solo", vlen)
+    for rank, program in enumerate(rank_programs(cfg)):
+        lands = {n for n in program.buffers if n.startswith("land")}
+        assert {name for name, _ in program.binds.values()} == lands, rank
+        assert lands.isdisjoint(program.start), rank
+        assert program.arena_nbytes == program.zero_nbytes == cfg.payload_nbytes, rank
+    ops = [OpSpec(0, K_NOP, entry=True),
+           OpSpec(1, K_RECV, phase=PHASE_RED, step=0, recv_buf="land"),
+           OpSpec(2, K_COMPUTE, deps=(1,), src_buf="land", dst_buf="acc"),
+           OpSpec(3, K_NOP, deps=(1, 2), publish=True)]
+    nbytes = cfg.payload_nbytes
+    tpl = ScheduleTemplate(ops=ops, buffers={"acc": nbytes, "land": nbytes},
+                           mask_offset=8 * vlen, publish_from="land")
+    published = []
+    eng = Engine(Program(tpl), 0, 0, lambda m: None, lambda: 0,
+                 on_done=lambda g, buf: published.append(buf))
+    eng.commit()
+    payload = np.arange(nbytes // 8, dtype=np.float64).tobytes()
+    eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 0, payload))
+    land = eng.buffer("land")
+    assert not land.flags.writeable and land.base is payload
+    assert published == [land]
+    assert eng.buffer("acc")[:8 * vlen].tobytes() == payload[:8 * vlen]
+    restored = eng.state()
+    eng.restore(restored)
+    assert eng.state() == restored and eng.buffer("land").tobytes() == payload
+
+
+@pytest.mark.parametrize("ops", [_LAND_KEPT, _LAND_ZEROED], ids=["land-kept", "land-zeroed"])
+def test_a_landing_buffer_that_is_written_or_read_early_is_never_bound(ops):
+    """Even with the gate at 0, land stays in the arena when an op writes
+    or sends it ([land-kept]) or a reader does not wait for its recv
+    ([land-zeroed])."""
+    tpl = ScheduleTemplate(ops=ops, buffers=_LAND_SIZES, persistent=True,
+                           snapshot_src="send")
+    with mock.patch.object(schedule, "_BIND_NBYTES", 0):
+        program = Program(tpl)
+    assert program.binds == {} and "land" in program.start
 
 
 @settings(max_examples=200, deadline=None)
@@ -604,7 +657,8 @@ def random_schedules(draw):
     a chain or not, publishes.  Persistent unless the publisher would fire
     with no activation and no message.  Plus the events to feed it in a
     random order: an activation and one message per recv for each of its
-    generations (two when persistent, so the second generation's messages
+    generations (b, the recvs' buffer, may be publish_from, and a may be
+    the snapshot source) (two when persistent, so the second generation's messages
     arrive early), some duplicates, perhaps a message no recv matches, and
     perhaps a hold on activation messages and its release."""
     n = draw(st.integers(2, 12))
@@ -635,9 +689,13 @@ def random_schedules(draw):
         else:
             ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps, **mark))
     persistent = draw(st.booleans()) and publisher not in _unprompted(ops)
+    snapshot_last = draw(st.sampled_from((None, *range(n + 1))))
     # listed in any order: the engine compiles the oid order regardless
     tpl = ScheduleTemplate(ops=draw(st.permutations(ops)), buffers=buffers,
-                           mask_offset=draw(st.sampled_from((0, 8))), persistent=persistent)
+                           mask_offset=draw(st.sampled_from((0, 8))), persistent=persistent,
+                           publish_from=draw(st.sampled_from((None, "a", "b"))),
+                           snapshot_last=snapshot_last,
+                           snapshot_src=None if snapshot_last is None else "a")
     dups = draw(st.lists(st.sampled_from(streams), max_size=2)) if streams else []
     gens = (0, 1) if persistent else (0,)
     events = [("activate",) for _ in gens]
@@ -723,3 +781,55 @@ def test_counters_fire_what_the_reference_fires(case):
     assert eng.state() == end
     assert log.fires[len(ref.fired):] == ref.fired[n_fired:]
     assert _sends(sent[len(ref.sent):]) == ref.sent[n_sent:]
+
+
+def _recording_engine(program, hold, held):
+    """A committed engine and the list its callbacks append what they see to."""
+    seen = []
+    eng = Engine(program, 0, 0, lambda m: None, lambda: 0,
+                 on_snapshot=lambda g, buf: seen.append(("snap", g, buf.tobytes())),
+                 on_done=lambda g, buf: seen.append(
+                     ("done", g, None if buf is None else buf.tobytes())))
+    if hold:
+        eng.hold_policy = lambda gen: held[0]
+    eng.commit()
+    return eng, seen
+
+
+def _observed(eng, tpl, seen):
+    """Every buffer's bytes and what the callbacks have seen so far."""
+    return [eng.buffer(name).tobytes() for name in tpl.buffers], list(seen)
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_schedules())
+def test_bound_recvs_leave_the_bytes_that_copying_recvs_leave(case):
+    """With the gate at 0 every recv that may bind does: each event leaves
+    the same buffer bytes, and the callbacks see the same bytes, as at the
+    default gate, where these 8-byte buffers are copied into; and a
+    restore() mid-run, which rebinds, replays to the same end."""
+    tpl, hold, events, cut = case
+    with mock.patch.object(schedule, "_BIND_NBYTES", 0):
+        bound = Program(tpl)
+    held = [False]
+    runs = [_recording_engine(program, hold, held) for program in (Program(tpl), bound)]
+    (copying, copy_seen), (binding, bind_seen) = runs
+    mid = None
+    for i, event in enumerate(events):
+        if i == cut:
+            mid = (binding.state(), held[0], _observed(binding, tpl, bind_seen))
+        for eng, _ in runs:
+            if event[0] in ("hold", "release"):
+                held[0] = event[0] == "hold"
+            _apply(eng, tpl, held, event)
+        assert _observed(binding, tpl, bind_seen) == _observed(copying, tpl, copy_seen)
+    if mid is None:
+        return
+    end = _observed(binding, tpl, bind_seen)
+    state, held[0], at_cut = mid
+    binding.restore(state)
+    del bind_seen[len(at_cut[1]):]
+    assert _observed(binding, tpl, bind_seen) == at_cut
+    for event in events[cut:]:
+        _apply(binding, tpl, held, event)
+    assert _observed(binding, tpl, bind_seen) == end

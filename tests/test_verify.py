@@ -532,3 +532,26 @@ def test_explorer_raises_on_a_state_change_it_did_not_record(monkeypatch):
     monkeypatch.setattr(Engine, "deliver", leaky_deliver)
     with pytest.raises(EngineStateDrift):
         explore_interleavings(CollectiveConfig(p=2, flavor="solo", vector_len=2))
+
+
+@pytest.mark.parametrize("flavor", ["solo", "majority", "sync"])
+@pytest.mark.parametrize("p, arrivals_first", [(2, False), (2, True), (3, False), (3, True),
+                                               (4, True)],
+                         ids=["p2-free", "p2-arrivals-first", "p3-free", "p3-arrivals-first",
+                              "p4-arrivals-first"])
+@pytest.mark.parametrize("fault", [None, _no_mask_or, _rank1_never_completes,
+                                   _rank1_publishes_other_bytes],
+                         ids=["clean", "no-mask-or", "rank1-never-completes",
+                              "rank1-publishes-other-bytes"])
+def test_explorer_reports_the_same_with_every_eligible_recv_bound(
+        monkeypatch, flavor, p, arrivals_first, fault):
+    """With the gate at 0 every land* buffer is bound to the explorer's
+    shared Messages, and restore() rebinds it: the search must visit the
+    same states and report the same terminals, results and violations as
+    with the payloads copied in."""
+    cfg = CollectiveConfig(p=p, flavor=flavor, vector_len=2, seed=1234)
+    if fault is not None:
+        fault(monkeypatch)
+    copied = explore_interleavings(cfg, arrivals_first=arrivals_first)
+    monkeypatch.setattr(schedule, "_BIND_NBYTES", 0)
+    assert explore_interleavings(cfg, arrivals_first=arrivals_first) == copied
