@@ -261,11 +261,12 @@ class AllreduceHandle:
 
     def _snap_cb(self, rnd: int, taken: np.ndarray) -> None:
         data, mask = parse_payload(taken, self.cfg)
-        fresh = bool((mask >> self.rank) & 1)
         if self.recorder is not None:
-            self.recorder.snapshot(SnapshotRecord(self.rank, rnd, data, fresh))
+            # fresh if offered, whatever the bytes taken: a lost offer shows
+            self.recorder.snapshot(
+                SnapshotRecord(self.rank, rnd, data, self.contributed_round == rnd))
         if self.user_snapshot_cb is not None:
-            self.user_snapshot_cb(rnd, data, fresh)
+            self.user_snapshot_cb(rnd, data, bool((mask >> self.rank) & 1))
 
     def _done_cb(self, rnd: int, published: np.ndarray) -> None:
         data, mask = parse_payload(published, self.cfg)

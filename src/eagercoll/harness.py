@@ -523,10 +523,11 @@ def cmd_verify(args) -> int:
 
     free = explore_interleavings()
     if not free.ok:
-        failures["interleavings_free"] = free.violations[:5]
+        failures["interleavings_free"] = [dataclasses.asdict(v) for v in free.violations[:5]]
     fixed = explore_interleavings(arrivals_first=True)
     if not fixed.ok or fixed.unique_results != 1:
-        failures["interleavings_fixed"] = fixed.violations[:5] or "results differ"
+        failures["interleavings_fixed"] = (
+            [dataclasses.asdict(v) for v in fixed.violations[:5]] or "results differ")
 
     # tau=1 and one straggler per round keep the undelivered backlog a single
     # gradient deep, the regime the operational drift bound is stated for.

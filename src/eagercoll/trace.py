@@ -6,7 +6,7 @@ kept twice: a round's later results whose bytes equal its first one share
 that round's first array, and a stale snapshot of all-zero bytes shares one
 read-only zero vector of its size.  Smaller vectors are recorded as they
 come.  So a recorded array must not be mutated: replace it instead, as
-verify's tamper_* helpers do.
+the tamper helpers in tests/test_verify.py do.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class SnapshotRecord:
     rank: int
     rnd: int
     data: np.ndarray       # contribution consumed from the send buffer
-    fresh: bool            # own-rank flag bit was set
+    fresh: bool            # the rank offered a value for rnd before the snapshot
 
 
 @dataclass

@@ -16,8 +16,8 @@ from .collectives import (
     CollectiveConfig, SOLO, build_allreduce_template, parse_payload, tree_order_sum,
     write_payload,
 )
-from .schedule import Engine, Program
-from .trace import TraceRecorder
+from .schedule import Engine, Program, ScheduleError
+from .trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from .transport import Message
 
 _SERIAL_RTOL = 1e-12  # relative tolerance of u*p against a serial re-sum
@@ -123,7 +123,6 @@ class DeliveryLedger:
 class RoundContractReport:
     violations: list[Violation]
     rounds_checked: int
-    p: int
 
     @property
     def ok(self) -> bool:
@@ -136,107 +135,97 @@ class RoundContractReport:
         return out
 
 
+def check_round(rnd: int, p: int, results: list[CollectiveResult],
+                snapshots: list[SnapshotRecord]) -> list[Violation]:
+    """The partial-collective rule for one round, given the results the
+    ranks returned for it and each rank's snapshot of its contribution:
+
+    1. every rank returned a result (liveness) and has a snapshot;
+    2. all ranks' (u, included) are bit-identical;
+    3. the mask is exactly the set of fresh snapshots, every stale snapshot
+       is all-zero bytes, and u*p equals the sum of the snapshots,
+       bit-exact in the reduction-tree order and within _SERIAL_RTOL of a
+       serial recomputation;
+    4. at least one fresh contribution, and nap == popcount(included).
+
+    A snapshot is fresh when its rank offered a value for the round before
+    the snapshot took it, whatever bytes the snapshot found: so an offer
+    lost on its way to the snapshot shows as a mask that lacks its rank.
+    """
+    vs: list[Violation] = []
+    present = {r.rank for r in results}
+    for rank in range(p):
+        if rank not in present:
+            vs.append(Violation("liveness", rnd, rank, "no result returned"))
+    if not results:
+        return vs
+    ref = results[0]
+    for r in results[1:]:
+        # a recorder keeps a result equal to the round's first by sharing its u
+        if r.included != ref.included or (
+                r.u is not ref.u and r.u.tobytes() != ref.u.tobytes()):
+            vs.append(Violation("mismatch", rnd, r.rank,
+                                "result differs from rank %d's" % ref.rank))
+    # reconstruct the reduction from the consumed contributions
+    snaps = {s.rank: s for s in snapshots}
+    contributions, mask_expected, missing = [], 0, False
+    for rank in range(p):
+        s = snaps.get(rank)
+        if s is None:
+            vs.append(Violation("liveness", rnd, rank, "no snapshot recorded"))
+            missing = True
+            continue
+        contributions.append(s.data)
+        if s.fresh:
+            mask_expected |= 1 << rank
+        elif np.count_nonzero(s.data.view(np.uint64)):
+            vs.append(Violation("subset-sum", rnd, rank,
+                                "stale snapshot holds a value its mask bit does not flag"))
+    if missing:
+        return vs
+    if ref.included != mask_expected:
+        vs.append(Violation("subset-sum", rnd, None,
+                            f"mask {ref.included:#x} != consumed-fresh set {mask_expected:#x}"))
+    tree = tree_order_sum(contributions)
+    if (tree / p).tobytes() != ref.u.tobytes():
+        vs.append(Violation("subset-sum", rnd, None,
+                            "u does not equal the tree-ordered contribution sum / p"))
+    serial = np.sum(np.stack(contributions), axis=0)
+    err = np.abs(ref.u * p - serial)
+    tol = _SERIAL_RTOL * np.maximum(np.abs(serial), 1e-300)
+    if np.any(err > np.maximum(tol, _SERIAL_RTOL)):
+        vs.append(Violation("subset-sum", rnd, None,
+                            "u*p deviates from the serial contribution sum"))
+    if ref.nap < 1:
+        vs.append(Violation("nap", rnd, None, "round completed with no fresh data"))
+    if ref.nap != ref.included.bit_count():
+        vs.append(Violation("nap", rnd, None, "nap is not popcount(included)"))
+    return vs
+
+
 def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = None,
                  ledger: DeliveryLedger | None = None,
                  expect_rounds: int | None = None,
                  allow_pending_after: int | None = None) -> RoundContractReport:
     """Audit a completed run against the partial-collective contracts:
-
-    1. every rank returned a result for every round (liveness);
-    2. all ranks' (u, included) for a round are bit-identical;
-    3. u*p equals the sum of exactly the contributions the mask flags,
-       bit-exact in the reduction-tree order and within _SERIAL_RTOL of a
-       serial recomputation, and every stale snapshot is all-zero bytes;
-    4. at least one fresh contribution per round;
-    5. with a ledger and tau: delivery ages within bound, exactly-once.
+    check_round over each round's recorded results and snapshots, whose
+    freshness the handle records from its offer (AllreduceHandle._snap_cb),
+    and, with a ledger and tau, delivery ages within bound, exactly-once.
     """
-    vs: list[Violation] = []
     by_round: dict[int, list] = {}
     for r in recorder.rounds:
         by_round.setdefault(r.rnd, []).append(r)
-    snaps = {(s.rank, s.rnd): s for s in recorder.snapshots}
+    snaps: dict[int, list] = {}
+    for s in recorder.snapshots:
+        snaps.setdefault(s.rnd, []).append(s)
     n_rounds = expect_rounds if expect_rounds is not None else (
         max(by_round) + 1 if by_round else 0)
-
+    vs: list[Violation] = []
     for rnd in range(n_rounds):
-        rows = by_round.get(rnd, [])
-        present = {r.rank for r in rows}
-        for rank in range(p):
-            if rank not in present:
-                vs.append(Violation("liveness", rnd, rank, "no result returned"))
-        if not rows:
-            continue
-        ref = rows[0]
-        for r in rows[1:]:
-            # a recorder keeps a result equal to the round's first by sharing its u
-            if r.included != ref.included or (
-                    r.u is not ref.u and r.u.tobytes() != ref.u.tobytes()):
-                vs.append(Violation("mismatch", rnd, r.rank,
-                                    "result differs from rank %d's" % ref.rank))
-        # reconstruct the reduction from the consumed contributions
-        contributions, mask_expected, missing = [], 0, False
-        for rank in range(p):
-            s = snaps.get((rank, rnd))
-            if s is None:
-                vs.append(Violation("liveness", rnd, rank, "no snapshot recorded"))
-                missing = True
-                continue
-            contributions.append(s.data)
-            if s.fresh:
-                mask_expected |= 1 << rank
-            elif np.count_nonzero(s.data.view(np.uint64)):
-                vs.append(Violation("subset-sum", rnd, rank,
-                                    "stale snapshot holds a value its mask bit does not flag"))
-        if missing:
-            continue
-        if ref.included != mask_expected:
-            vs.append(Violation("subset-sum", rnd, None,
-                                f"mask {ref.included:#x} != consumed-fresh set {mask_expected:#x}"))
-        tree = tree_order_sum(contributions)
-        if (tree / p).tobytes() != ref.u.tobytes():
-            vs.append(Violation("subset-sum", rnd, None,
-                                "u does not equal the tree-ordered contribution sum / p"))
-        serial = np.sum(np.stack(contributions), axis=0)
-        err = np.abs(ref.u * p - serial)
-        tol = _SERIAL_RTOL * np.maximum(np.abs(serial), 1e-300)
-        if np.any(err > np.maximum(tol, _SERIAL_RTOL)):
-            vs.append(Violation("subset-sum", rnd, None,
-                                "u*p deviates from the serial contribution sum"))
-        if ref.nap < 1:
-            vs.append(Violation("nap", rnd, None, "round completed with no fresh data"))
-        if ref.nap != ref.included.bit_count():
-            vs.append(Violation("nap", rnd, None, "nap is not popcount(included)"))
-
+        vs.extend(check_round(rnd, p, by_round.get(rnd, []), snaps.get(rnd, [])))
     if ledger is not None:
         vs.extend(ledger.audit(tau, allow_pending_after=allow_pending_after))
-    return RoundContractReport(vs, n_rounds, p)
-
-
-# ---------------------------------------------------------------------------
-# fault injection (used to validate the checker itself)
-
-
-def tamper_result(recorder: TraceRecorder, rank: int, rnd: int,
-                  delta: float = 1.0) -> None:
-    for r in recorder.rounds:
-        if r.rank == rank and r.rnd == rnd:
-            r.u = r.u + delta
-            return
-    raise KeyError((rank, rnd))
-
-
-def tamper_mask(recorder: TraceRecorder, rank: int, rnd: int, bit: int) -> None:
-    for r in recorder.rounds:
-        if r.rank == rank and r.rnd == rnd:
-            r.included ^= 1 << bit
-            r.nap = r.included.bit_count()
-            return
-    raise KeyError((rank, rnd))
-
-
-def drop_round(recorder: TraceRecorder, rank: int, rnd: int) -> None:
-    recorder.rounds = [r for r in recorder.rounds
-                       if not (r.rank == rank and r.rnd == rnd)]
+    return RoundContractReport(vs, n_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +296,14 @@ class InterleavingReport:
     states: int
     terminals: int
     unique_results: int
-    violations: list[str]
+    violations: list[Violation]
 
     @property
     def ok(self) -> bool:
-        # Single execution, liveness, cross-rank agreement and mask soundness
-        # hold in every order.  The result VALUE may differ across orders
-        # when arrivals race the snapshot (that is what a partial collective
-        # is); callers using arrivals_first additionally assert
-        # unique_results == 1.
+        # Every terminal passes check_round in every order.  The result
+        # VALUE may differ across orders when arrivals race the snapshot
+        # (that is what a partial collective is); callers using
+        # arrivals_first additionally assert unique_results == 1.
         return not self.violations and self.terminals > 0
 
 
@@ -326,18 +314,24 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
 
     Events are rank arrivals (contribute-if-not-snapshotted + activate
     internally, exactly the application protocol) and per-stream message
-    deliveries; streams keep FIFO order, everything else interleaves freely.
-    States are deduplicated on their full value (every engine's state, the
-    network and the pending arrivals), so the search is exhaustive over
-    distinct executions.  They are stored as shared per-engine deltas: an
-    event changes one engine, so a state's engine-state tuple reuses its
-    parent's entries for the others, and a restore puts back only the
-    engines whose state object differs from the one they hold.  Checks per
-    terminal state: the round completed at every rank exactly once (the
-    engine faults on any double firing), all ranks hold identical result
-    bytes, and the result equals the tree-ordered sum of exactly the
-    contributions its mask flags.  A terminal also re-reads every engine's
-    state and raises EngineStateDrift if it differs from the stored one.
+    deliveries; everything interleaves freely.  A stream (src, dst, phase,
+    step) names one send op, which fires once a round, so it holds at most
+    one message, and a second one raises ScheduleError.  States are
+    deduplicated on their full value (every engine's state, the network,
+    the pending arrivals and the ranks whose arrival boarded), so the
+    search is exhaustive over distinct executions.  They are stored as
+    shared per-engine deltas: an event changes one engine, so a state's
+    engine-state tuple reuses its parent's entries for the others, and a
+    restore puts back only the engines whose state object differs from the
+    one they hold.
+
+    Each terminal goes through check_round, given a result per finished
+    rank (the engine faults on any double firing), read from its publish
+    buffer, and a snapshot per rank, fresh with its contribution iff its
+    arrival boarded: freshness comes from the offer, as in a recorded trace.
+    Each violation's detail ends with the path to its terminal.  A terminal
+    also re-reads every engine's state and raises EngineStateDrift if it
+    differs from the stored one.
 
     arrivals_first performs all arrivals before exploring, which restricts
     the enumeration to message delivery orders; in that regime the final
@@ -348,16 +342,17 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
     p = cfg.p
     contributions = [np.arange(1, cfg.vector_len + 1, dtype=np.float64) * (r + 1)
                      for r in range(p)]
+    zeros = np.zeros(cfg.vector_len)
     if arrive_ranks is None:
         arrive_ranks = tuple(range(p))
 
-    # each non-empty stream's Messages in FIFO order, as a tuple a state can
-    # hold as it is
-    streams: dict[tuple, tuple[Message, ...]] = {}
+    streams: dict[tuple, Message] = {}
 
     def send_fn(msg: Message) -> None:
         key = (msg.src, msg.dst, msg.phase, msg.step)
-        streams[key] = streams.get(key, ()) + (msg,)
+        if key in streams:
+            raise ScheduleError(f"second message on stream {key} in one round")
+        streams[key] = msg
 
     engines: list[Engine] = []
     for r in range(p):
@@ -367,20 +362,22 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
         eng.commit()
         engines.append(eng)
 
-    def arrive(rank: int) -> None:
+    def arrive(rank: int) -> bool:
         eng = engines[rank]
         # too late if the round already took this rank's (null) slot
-        if not eng.consumed[eng.program.snapshot_last]:
+        boards = not eng.consumed[eng.program.snapshot_last]
+        if boards:
             write_payload(eng.buffer("send"), cfg, rank, contributions[rank])
         eng.activate_internal(expected_generation=0)
+        return boards
 
-    # A state is (engine states, net, pending arrivals), where net is the
-    # streams' items by key.  The engines and streams are live: `held` is
-    # the state object each engine holds and `held_net` the net the streams
-    # hold, so a restore puts back only what differs.
+    # A state is (engine states, net, pending arrivals, boarded ranks),
+    # where net is the streams' items by key.  The engines and streams are
+    # live: `held` is the state object each engine holds and `held_net` the
+    # net the streams hold, so a restore puts back only what differs.
     def restore(s) -> None:
         nonlocal held_net
-        engs, net, _ = s
+        engs, net, _, _ = s
         for r, state in enumerate(engs):
             if held[r] is not state:
                 engines[r].restore(state)
@@ -394,40 +391,37 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
         """Run `action` from the live state s; return the state it leads to.
 
         An explorer engine has no recorder and no callbacks, and it reaches
-        another rank only through send_fn, which appends to a stream.  So an
+        another rank only through send_fn, which fills a stream.  So an
         arrival or a delivery changes one engine, the one it names, plus the
         streams, and only that engine's state() is read again."""
         nonlocal held_net
-        engs, _, arrivals = s
+        engs, _, arrivals, boarded = s
         kind, x = action
         if kind == "arrive":
             arrivals = arrivals - {x}
-            arrive(x)
+            if arrive(x):
+                boarded = boarded | {x}
             r = x
         else:
-            q = streams.pop(x)
-            msg = q[0]
-            if len(q) > 1:
-                streams[x] = q[1:]
+            msg = streams.pop(x)
             r = msg.dst
             engines[r].deliver(msg)
         state = held[r] = engines[r].state()
         net = held_net = tuple(sorted(streams.items()))
-        return (engs[:r] + (state,) + engs[r + 1:], net, arrivals)
+        return (engs[:r] + (state,) + engs[r + 1:], net, arrivals, boarded)
 
-    pending = frozenset(arrive_ranks)
+    pending, boarded = frozenset(arrive_ranks), frozenset()
     if arrivals_first:
-        for r in sorted(pending):
-            arrive(r)
+        boarded = frozenset([r for r in sorted(pending) if arrive(r)])
         pending = frozenset()
     held = [e.state() for e in engines]
     held_net = tuple(sorted(streams.items()))
 
     seen: set = set()
     results: set = set()
-    violations: list[str] = []
+    violations: list[Violation] = []
     terminals = 0
-    stack = [((tuple(held), held_net, pending), ())]
+    stack = [((tuple(held), held_net, pending, boarded), ())]
     while stack:
         s, path = stack.pop()
         if s in seen:
@@ -435,7 +429,7 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
         seen.add(s)
         if len(seen) > max_states:
             raise StateSpaceTooLarge(f"exceeded {max_states} states")
-        engs, net, arrivals = s
+        engs, net, arrivals, boarded = s
         ch = [("arrive", r) for r in sorted(arrivals)] + [("deliver", k) for k, _ in net]
         if not ch:
             restore(s)
@@ -444,22 +438,20 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
             if drifted:
                 raise EngineStateDrift(
                     f"ranks {drifted} hold states the search did not record, via {path}")
-            done = [e.done_generation == 0 and e.generation == 0 for e in engines]
-            if not all(done):
-                violations.append(f"terminal state with incomplete round: {done} via {path}")
             # each rank's result, read where its chain left it; a bound
             # buffer's view changes with each recv and restore(), so it is
             # read anew here
             published = [e.buffer(e.program.publish_from) for e in engines]
-            res = tuple(b.tobytes() for b in published)
-            if len(set(res)) != 1:
-                violations.append(f"ranks disagree at terminal via {path}")
-            results.add(res[0])
-            data, mask = parse_payload(published[0], cfg)
-            vecs = [contributions[r] if (mask >> r) & 1
-                    else np.zeros_like(contributions[r]) for r in range(p)]
-            if tree_order_sum(vecs).tobytes() != data.tobytes():
-                violations.append(f"terminal sum does not match its mask via {path}")
+            results.add(published[0].tobytes())
+            finished = []
+            for r, e in enumerate(engines):
+                if e.done_generation == 0:
+                    data, mask = parse_payload(published[r], cfg)
+                    finished.append(CollectiveResult(r, 0, data / p, mask, mask.bit_count()))
+            snaps = [SnapshotRecord(r, 0, contributions[r] if r in boarded else zeros,
+                                    r in boarded) for r in range(p)]
+            violations += [replace(v, detail=f"{v.detail} via {path}")
+                           for v in check_round(0, p, finished, snaps)]
             continue
         # each choice restores s, so no restore is needed before the loop
         for c in ch:

@@ -36,7 +36,7 @@ from eagercoll.harness import (
 from eagercoll.schedule import Program
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import DelayModel, SimTransport
-from eagercoll.verify import RoundContractReport, Violation
+from eagercoll.verify import InterleavingReport, RoundContractReport, Violation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -481,7 +481,7 @@ def test_cli_verify_clean_run_exits_zero(capsys):
 
 def test_cli_verify_violation_exits_three(monkeypatch, capsys):
     def one_mismatch(recorder, p, **kw):
-        return RoundContractReport([Violation("mismatch", 0, 1, "injected")], 1, p)
+        return RoundContractReport([Violation("mismatch", 0, 1, "injected")], 1)
 
     monkeypatch.setattr(harness, "check_round_contracts", one_mismatch)
     rc = main(VERIFY_ARGS)
@@ -498,6 +498,19 @@ def test_cli_verify_violation_exits_three(monkeypatch, capsys):
     assert all(row[3] == {"mismatch": 1} for row in sweep)
 
 
+def test_cli_verify_lists_explorer_violations_as_data(monkeypatch, capsys):
+    """Each explorer violation prints as its fields, as the ledger's do."""
+    bad = Violation("liveness", 0, 1, "no result returned via ()")
+    monkeypatch.setattr(harness, "explore_interleavings",
+                        lambda **kw: InterleavingReport(3, 1, 1, [bad]))
+    rc = main(VERIFY_ARGS)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    listed = [{"kind": "liveness", "rnd": 0, "rank": 1,
+               "detail": "no result returned via ()"}]
+    assert out["failures"] == {"interleavings_free": listed, "interleavings_fixed": listed}
+
+
 def test_cli_verify_checks_the_run_it_was_given(monkeypatch, capsys):
     """--p and --rounds size the checked bench run as given, not clamped to
     p=8 and 16 rounds; without them verify checks exactly that default."""
@@ -505,7 +518,7 @@ def test_cli_verify_checks_the_run_it_was_given(monkeypatch, capsys):
 
     def capture(recorder, p, *, tau, expect_rounds):
         seen.append((p, expect_rounds))
-        return RoundContractReport([], expect_rounds, p)
+        return RoundContractReport([], expect_rounds)
 
     monkeypatch.setattr(harness, "check_round_contracts", capture)
     assert main(["verify", "--flavors", "solo", "--p", "12", "--rounds", "20"]) == 0

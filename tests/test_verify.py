@@ -11,7 +11,7 @@ from eagercoll import schedule
 from eagercoll.collectives import (
     AllreduceHandle, CollectiveConfig, run_allreduce, simulate, tree_order_sum,
 )
-from eagercoll.schedule import Engine
+from eagercoll.schedule import Engine, ScheduleError
 from eagercoll.trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from eagercoll.transport import Sleep
 from eagercoll.verify import (
@@ -19,13 +19,38 @@ from eagercoll.verify import (
     EngineStateDrift,
     IncompleteTrace,
     StateSpaceTooLarge,
+    Violation,
     check_round_contracts,
-    drop_round,
     explore_interleavings,
-    tamper_mask,
-    tamper_result,
     track_shadow,
 )
+
+
+# Trace faults: each edits a recorded run in place of a faulty engine.  A
+# recorded array is shared (see trace.py), so a fault replaces it.
+
+
+def tamper_result(recorder: TraceRecorder, rank: int, rnd: int,
+                  delta: float = 1.0) -> None:
+    for r in recorder.rounds:
+        if r.rank == rank and r.rnd == rnd:
+            r.u = r.u + delta
+            return
+    raise KeyError((rank, rnd))
+
+
+def tamper_mask(recorder: TraceRecorder, rank: int, rnd: int, bit: int) -> None:
+    for r in recorder.rounds:
+        if r.rank == rank and r.rnd == rnd:
+            r.included ^= 1 << bit
+            r.nap = r.included.bit_count()
+            return
+    raise KeyError((rank, rnd))
+
+
+def drop_round(recorder: TraceRecorder, rank: int, rnd: int) -> None:
+    recorder.rounds = [r for r in recorder.rounds
+                       if not (r.rank == rank and r.rnd == rnd)]
 
 
 def clean_trace(p=4, rounds=3, flavor="solo", link=10):
@@ -498,20 +523,73 @@ def _rank1_publishes_other_bytes(monkeypatch):
     monkeypatch.setattr(Engine, "_complete", flip_then_complete)
 
 
+def _rank1_loses_its_offer(monkeypatch, lost=None):
+    """Rank 1's activation zeroes its send buffer first, so an offer that
+    boarded never reaches its snapshot; `lost`, if given, collects the
+    generations whose offer was zeroed."""
+    activate = Engine.activate_internal
+
+    def zero_then_activate(self, expected_generation=None):
+        if self.rank == 1:
+            send = self.buffer("send")
+            if lost is not None and send.any():
+                lost.append(self.generation)
+            send[:] = 0
+        activate(self, expected_generation)
+    monkeypatch.setattr(Engine, "activate_internal", zero_then_activate)
+
+
 @pytest.mark.parametrize("flavor", ["solo", "majority", "sync"])
-@pytest.mark.parametrize("fault, reported", [
-    (_no_mask_or, "terminal sum does not match its mask"),
-    (_rank1_never_completes, "terminal state with incomplete round"),
-    (_rank1_publishes_other_bytes, "ranks disagree at terminal"),
-], ids=["no-mask-or", "rank1-never-completes", "rank1-publishes-other-bytes"])
-def test_explorer_reports_each_fault(monkeypatch, flavor, fault, reported):
+@pytest.mark.parametrize("fault, kind", [
+    (_no_mask_or, "subset-sum"),
+    (_rank1_never_completes, "liveness"),
+    (_rank1_publishes_other_bytes, "mismatch"),
+    (_rank1_loses_its_offer, "subset-sum"),
+], ids=["no-mask-or", "rank1-never-completes", "rank1-publishes-other-bytes",
+        "rank1-loses-its-offer"])
+def test_explorer_reports_each_fault(monkeypatch, flavor, fault, kind):
     cfg = CollectiveConfig(p=3, flavor=flavor, vector_len=2, seed=1234)
     clean = explore_interleavings(cfg)
     assert clean.ok, clean.violations[:3]
     fault(monkeypatch)
     rep = explore_interleavings(cfg)
     assert not rep.ok
-    assert any(v.startswith(reported) for v in rep.violations), rep.violations[:3]
+    assert all(type(v) is Violation and " via ((" in v.detail for v in rep.violations)
+    assert any(v.kind == kind for v in rep.violations), rep.violations[:3]
+
+
+@pytest.mark.parametrize("flavor", ["solo", "majority", "sync"])
+def test_an_offer_lost_before_its_snapshot_is_caught(monkeypatch, flavor):
+    """p=4: rank 1's offer boards and its activation then zeroes it, so the
+    snapshot takes zeros and the round's bytes agree with each other.  The
+    offer makes rank 1 fresh, so each round that lost it is reported as a
+    mask without rank 1."""
+    rec, p = clean_trace(rounds=6, flavor=flavor)
+    assert check_round_contracts(rec, p, expect_rounds=6).ok
+    lost = []
+    _rank1_loses_its_offer(monkeypatch, lost)
+    rec, p = clean_trace(rounds=6, flavor=flavor)
+    masks = {r.rnd: r.included for r in rec.rounds}
+    assert lost and not any(masks[t] & 2 for t in lost)
+    rep = check_round_contracts(rec, p, expect_rounds=6)
+    assert [(v.kind, v.rnd, v.rank, v.detail) for v in rep.violations] == [
+        ("subset-sum", t, None, f"mask {masks[t]:#x} != consumed-fresh set {masks[t] | 2:#x}")
+        for t in lost]
+
+
+def test_explorer_raises_on_a_second_message_on_one_stream(monkeypatch):
+    """A stream carries one message per round, as each names one send op:
+    rank 0 sending every message twice must raise, not queue the copy."""
+    init = Engine.__init__
+
+    def doubling_init(self, program, rank, cid, send_fn, *args, **kwargs):
+        def twice(msg):
+            send_fn(msg)
+            send_fn(msg)
+        init(self, program, rank, cid, twice if rank == 0 else send_fn, *args, **kwargs)
+    monkeypatch.setattr(Engine, "__init__", doubling_init)
+    with pytest.raises(ScheduleError, match="second message on stream"):
+        explore_interleavings(CollectiveConfig(p=2, flavor="solo", vector_len=2))
 
 
 def test_explorer_raises_on_a_state_change_it_did_not_record(monkeypatch):
