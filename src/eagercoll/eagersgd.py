@@ -180,17 +180,17 @@ def resync_step(state: TrainState, resync_handle, k: int):
 
 
 def training_process(rank: int, state: TrainState, handle, resync_handle,
-                     dataset, rows: np.ndarray, *, epochs: int, steps_per_epoch: int,
-                     delay_fn=None, metrics=None, ledger=None, val_out=None):
+                     dataset, rows: np.ndarray, delays: np.ndarray, *, epochs: int,
+                     steps_per_epoch: int, metrics=None, ledger=None, val_out=None):
     """Full per-rank training loop (generator process body).
 
-    rows[t] are the train-split rows of round t's minibatch, this rank's
-    slice of models.batch_table, which a run draws once for every flavor;
-    delay_fn(rank, round) -> us of injected computation delay before the
-    gradient; metrics, if given, collects one train-CSV row dict per round,
-    t_us being the transport clock when the round's result was applied;
-    val_out, if given, gets val_out[(rank, epoch)] = validation MSE at each
-    epoch end.
+    rows[t] are the train-split rows of round t's minibatch and delays[t]
+    the us of injected computation delay before its gradient: this rank's
+    rows of models.batch_table and transport.delay_table, which a run draws
+    once for every flavor; metrics, if given, collects one train-CSV row
+    dict per round, t_us being the transport clock when the round's result
+    was applied; val_out, if given, gets val_out[(rank, epoch)] =
+    validation MSE at each epoch end.
     """
     staleness_guard(handle, state)
     attach_delivery_tracking(handle, state, ledger)
@@ -199,10 +199,9 @@ def training_process(rank: int, state: TrainState, handle, resync_handle,
         for _ in range(steps_per_epoch):
             t = state.t
             state.in_progress = t
-            if delay_fn is not None:
-                d = delay_fn(rank, t)
-                if d:
-                    yield Sleep(int(d))
+            d = delays[t]
+            if d:
+                yield Sleep(int(d))
             if ledger is not None:
                 ledger.generated(rank, t)
             batch = (dataset.x_train.take(rows[t], axis=0), dataset.y_train.take(rows[t]))

@@ -293,9 +293,8 @@ def run_training(cfg: RunConfig) -> TrainReport:
 
         def body(rank: int, handle, resync):
             return training_process(
-                rank, states[rank], handle, resync, ds, batches[rank],
+                rank, states[rank], handle, resync, ds, batches[rank], delays[rank],
                 epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch,
-                delay_fn=lambda r, t: int(delays[r, t]),
                 metrics=rows, ledger=ledger, val_out=fval)
 
         configs = [CollectiveConfig(p=cfg.p, flavor=f, vector_len=cfg.dim, seed=cfg.seed)
@@ -448,13 +447,13 @@ def read_bench_csv(path: str) -> list[BenchRecord]:
 
 
 # The config keys each subcommand takes as flags: key a_b or a.b is --a-b.
-_COMMON_KEYS = ("p", "flavors", "vector_len", "link_latency_us", "delay.kind",
+_COMMON_KEYS = ("p", "flavors", "link_latency_us", "delay.kind",
                 "delay.unit_ms", "delay.k", "delay.seed", "seed")
-_BENCH_KEYS = _COMMON_KEYS + ("rounds", "out")
+_BENCH_KEYS = _COMMON_KEYS + ("vector_len", "rounds", "out")
 _TRAIN_KEYS = _COMMON_KEYS + ("epochs", "steps_per_epoch", "dim", "n_samples",
                               "batch_per_rank", "lr", "resync_period", "tau",
                               "data_seed", "out")
-_VERIFY_KEYS = _COMMON_KEYS + ("rounds",)
+_VERIFY_KEYS = _COMMON_KEYS + ("vector_len", "rounds")
 _FLAG_HELP = {"flavors": "comma-separated subset of sync,solo,majority",
               "out": "output stem; writes <stem>.csv and <stem>.jsonl"}
 

@@ -72,15 +72,14 @@ def mse(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(r @ r) / x.shape[0]
 
 
-def sample_batch(seed: int, rank: int, step: int, batch: int, n_train: int) -> np.ndarray:
-    """The train-split rows of the deterministic per-(rank, step) minibatch."""
-    return np.random.default_rng([seed, rank, step]).integers(0, n_train, size=batch)
-
-
 def batch_table(seed: int, p: int, rounds: int, batch: int, n_train: int) -> np.ndarray:
-    """Every rank's minibatch rows for every round in the smallest unsigned
-    dtype that holds n_train - 1: table[rank, step] == sample_batch(...)."""
+    """Every rank's minibatch rows for every round, in the smallest unsigned
+    dtype that holds n_train - 1: the one statement of the minibatch draw.
+    table[rank, step] are the train-split rows drawn from
+    default_rng([seed, rank, step]) alone, so a run draws them once for
+    every flavor."""
     table = np.empty((p, rounds, batch), dtype=np.min_scalar_type(n_train - 1))
     for rank, step in np.ndindex(p, rounds):
-        table[rank, step] = sample_batch(seed, rank, step, batch, n_train)
+        table[rank, step] = np.random.default_rng([seed, rank, step]).integers(
+            0, n_train, size=batch)
     return table

@@ -257,8 +257,9 @@ class Program:
 
     binds maps each recv of a bound buffer (see _bound_buffers) to the
     buffer's name and the computes that read it.  A bound buffer has no
-    arena slice: it starts as a view of `zeros`, one read-only zero buffer
-    shared by every engine, and a recv rebinds it.  The arena holds the
+    arena slice: it starts as a view of `zeros[size]`, one zero bytes object
+    per bound size shared by every engine, and a recv rebinds it, so a
+    bound view's .base is exactly its bytes payload.  The arena holds the
     other buffers but the snapshot source, the landing ones last, from
     zero_nbytes on; a replication zeroes only the bytes before them.
     """
@@ -273,10 +274,8 @@ class Program:
         # 8-byte-aligned slice of one arena, the landing buffers last
         landing = _landing_buffers(template)
         bound = _bound_buffers(template, landing)
-        self.zeros = b""
-        if bound:
-            landing -= bound.keys()
-            self.zeros = bytes(max(template.buffers[b] for b in bound))
+        landing -= bound.keys()
+        self.zeros = {size: bytes(size) for size in {template.buffers[b] for b in bound}}
         scratch = [n for n in template.buffers
                    if n != template.snapshot_src and n not in bound]
         start, end = {}, 0
@@ -383,7 +382,7 @@ class Engine:
         bufs = self._buf = {  # outside the arena: the snapshot source and bound buffers
             name: (self._arena[start[name]:start[name] + size] if name in start
                    else np.zeros(size, dtype=np.uint8) if name == program.snapshot_src
-                   else np.frombuffer(program.zeros, np.uint8, size))
+                   else np.frombuffer(program.zeros[size], np.uint8))
             for name, size in program.buffers.items()
         }
         records = list(program.records)
@@ -421,14 +420,17 @@ class Engine:
     def state(self) -> tuple:
         """Everything a run changes (op states and dependency counters,
         generations, the arena, the send buffer and each bound buffer's
-        payload, the mailbox) as a hashable value; restore() puts it back.
-        The arena and the bound payloads include the landing buffers' bytes
-        from past generations."""
+        payload, the mailbox) as a value; restore() puts it back.  The arena
+        and the bound payloads include the landing buffers' bytes from past
+        generations.  A bound payload is held as its view's .base, with no
+        copy: for bytes, as the simulated and explorer payloads are, that is
+        the payload itself, so the value is hashable; a socket payload is a
+        bytearray, so a socket engine's is not."""
         snap, binds = self._snap_buf, self._binds
         return (bytes(self.consumed) + self._waiting,
                 self.generation, self.done_generation, self._arena.tobytes(),
                 b"" if snap is None else snap.tobytes(),
-                tuple([self._buf[name].tobytes() for name, _ in binds.values()])
+                tuple([self._buf[name].base for name, _ in binds.values()])
                 if binds else (),
                 tuple(self.mailbox))
 
@@ -443,7 +445,8 @@ class Engine:
             self._snap_buf.data[:] = snap
         if bound:
             for (name, readers), raw in zip(self._binds.values(), bound):
-                self._bind(name, readers, raw)
+                if self._buf[name].base is not raw:
+                    self._bind(name, readers, raw)
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -126,43 +126,23 @@ class DelayModel:
             raise ValueError("seed must be >= 0")
 
 
-def delayed_ranks(model: DelayModel, rnd: int, p: int) -> tuple[int, ...]:
-    """The set of ranks a random_subset model delays in round `rnd`.
-
-    Pure function of (seed, rnd, p): replaying a round re-draws the same set.
-    """
-    k = min(model.k, p)
-    rng = np.random.default_rng([model.seed, rnd])
-    return tuple(int(r) for r in rng.choice(p, size=k, replace=False))
-
-
-def inject_delay(rank: Rank, rnd: int, model: DelayModel, p: int) -> int:
-    """Delay in microseconds for `rank` in round `rnd` under `model`."""
-    if model.kind == "none":
-        return 0
-    if model.kind == "constant":
-        return int(round(model.unit_ms * 1000))
-    if model.kind == "linear_skew":
-        return int(round((rank + 1) * model.unit_ms * 1000))
-    if model.kind == "random_subset":
-        if rank in delayed_ranks(model, rnd, p):
-            return int(round(model.unit_ms * 1000))
-        return 0
-    raise ValueError(model.kind)
-
-
 def delay_table(model: DelayModel, p: int, rounds: int) -> np.ndarray:
-    """Every rank's delay in microseconds for every round, as int64:
-    table[rank, rnd] == inject_delay(rank, rnd, model, p).  A random_subset
-    model's set is drawn once per round, not once per rank."""
+    """Every rank's delay in microseconds for every round, as int64
+    table[rank, rnd]: the one statement of the delay model.
+
+    A random_subset column t is drawn from default_rng([seed, t]) alone, so
+    replaying a round re-draws the same set, and the first r columns do not
+    depend on how many rounds are drawn."""
+    us = round(model.unit_ms * 1000)
     table = np.zeros((p, rounds), dtype=np.int64)
-    if model.kind == "random_subset":
-        us = int(round(model.unit_ms * 1000))
+    if model.kind == "constant":
+        table[:] = us
+    elif model.kind == "linear_skew":
+        table[:] = [[round((r + 1) * model.unit_ms * 1000)] for r in range(p)]
+    elif model.kind == "random_subset":
         for t in range(rounds):
-            table[list(delayed_ranks(model, t, p)), t] = us
-    else:
-        # no other kind depends on the round
-        table[:] = [[inject_delay(r, 0, model, p)] for r in range(p)]
+            rng = np.random.default_rng([model.seed, t])
+            table[rng.choice(p, size=min(model.k, p), replace=False), t] = us
     return table
 
 

@@ -312,9 +312,12 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
                           max_states: int = 250_000) -> InterleavingReport:
     """Enumerate every reachable event order of one collective round.
 
-    Events are rank arrivals (contribute-if-not-snapshotted + activate
-    internally, exactly the application protocol) and per-stream message
-    deliveries; everything interleaves freely.  A stream (src, dst, phase,
+    Events are rank arrivals (contribute-if-not-snapshotted, then activate
+    internally) and per-stream message deliveries; everything interleaves
+    freely.  Every arrival activates, so this is not the application's
+    protocol: call_round activates only when the offer boarded, and a
+    majority rank only when it is the round's initiator, so majority is
+    explored exactly as solo (ROADMAP item 10(a)).  A stream (src, dst, phase,
     step) names one send op, which fires once a round, so it holds at most
     one message, and a second one raises ScheduleError.  States are
     deduplicated on their full value (every engine's state, the network,

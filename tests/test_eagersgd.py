@@ -128,8 +128,8 @@ def test_gradient_conservation_under_random_skew():
 
     def body(r, handle):
         return training_process(
-            r, states[r], handle, None, ds, rows[r], epochs=epochs,
-            steps_per_epoch=steps, delay_fn=lambda rank, t: int(delays[rank, t]), ledger=ledger)
+            r, states[r], handle, None, ds, rows[r], delays[r], epochs=epochs,
+            steps_per_epoch=steps, ledger=ledger)
 
     simulate([cfg], body, link_latency_us=5, recorder=rec)
 

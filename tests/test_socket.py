@@ -330,6 +330,8 @@ def _socket_training_report(p, epochs, steps, tau):
     resync_cfg = CollectiveConfig(p=p, flavor="sync", vector_len=4, seed=5)
     ds = gen_dataset(dim=4, n=64, seed=6)
     rows = batch_table(13, p, rounds, 4, ds.n_train)
+    delays = np.zeros((p, rounds), dtype=np.int64)
+    delays[p - 1] = 2000
     rec, ledger = TraceRecorder(), DeliveryLedger()
     net = SocketTransport(p)
     try:
@@ -340,8 +342,8 @@ def _socket_training_report(p, epochs, steps, tau):
             state = TrainState.fresh(np.zeros(4), lr=0.02, rank=r, resync_period=1,
                                      tau=tau)
             return training_process(
-                r, state, handles[r], resyncs[r], ds, rows[r], epochs=epochs,
-                steps_per_epoch=steps, delay_fn=lambda rank, t: 2000 if rank == p - 1 else 0, ledger=ledger)
+                r, state, handles[r], resyncs[r], ds, rows[r], delays[r], epochs=epochs,
+                steps_per_epoch=steps, ledger=ledger)
 
         net.run_processes({r: body(r) for r in range(p)}, timeout=30)
     finally:

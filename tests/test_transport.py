@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eagercoll import transport
 from eagercoll.collectives import AllreduceHandle, CollectiveConfig
@@ -22,8 +22,6 @@ from eagercoll.transport import (
     UnknownRank,
     UnroutedMessage,
     delay_table,
-    delayed_ranks,
-    inject_delay,
 )
 
 
@@ -430,10 +428,11 @@ def test_event_loop_faults_raise_from_run(case, data):
 
 
 def test_delay_model_analytic_values():
-    assert inject_delay(3, 0, DelayModel("none"), 8) == 0
-    assert inject_delay(3, 0, DelayModel("constant", unit_ms=2.0), 8) == 2000
-    assert inject_delay(0, 5, DelayModel("linear_skew", unit_ms=1.5), 8) == 1500
-    assert inject_delay(7, 5, DelayModel("linear_skew", unit_ms=1.5), 8) == 12000
+    assert not delay_table(DelayModel("none"), 8, 6).any()
+    assert (delay_table(DelayModel("constant", unit_ms=2.0), 8, 6) == 2000).all()
+    skew = delay_table(DelayModel("linear_skew", unit_ms=1.5), 8, 6)
+    assert skew[0, 5] == 1500 and skew[7, 5] == 12000
+    assert (skew == skew[:, :1]).all()
 
 
 def test_delay_model_validation():
@@ -445,34 +444,52 @@ def test_delay_model_validation():
         DelayModel("random_subset", k=-2)
 
 
+def _oracle(model, p, rounds):
+    """The delay model stated per (rank, round): the table's oracle."""
+    def delay(rank, rnd):
+        if model.kind == "constant":
+            return int(round(model.unit_ms * 1000))
+        if model.kind == "linear_skew":
+            return int(round((rank + 1) * model.unit_ms * 1000))
+        if model.kind == "random_subset":
+            rng = np.random.default_rng([model.seed, rnd])
+            if rank in rng.choice(p, size=min(model.k, p), replace=False):
+                return int(round(model.unit_ms * 1000))
+        return 0
+    return [[delay(r, t) for t in range(rounds)] for r in range(p)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31), st.integers(0, 500), st.integers(1, 16), st.integers(1, 16))
-def test_random_subset_replay_determinism(seed, rnd, p, k):
+@given(st.integers(0, 2**31), st.integers(1, 40), st.integers(1, 16), st.integers(0, 20))
+def test_random_subset_replay_determinism(seed, rounds, p, k):
     m = DelayModel("random_subset", unit_ms=1.0, k=k, seed=seed)
-    first = delayed_ranks(m, rnd, p)
-    again = delayed_ranks(m, rnd, p)
-    assert first == again
-    assert len(first) == min(k, p)
-    assert len(set(first)) == len(first)
-    assert all(0 <= r < p for r in first)
-    for r in range(p):
-        want = 1000 if r in first else 0
-        assert inject_delay(r, rnd, m, p) == want
+    table = delay_table(m, p, rounds)
+    for t in range(rounds):
+        col = table[:, t]
+        assert ((col == 0) | (col == 1000)).all()
+        assert np.count_nonzero(col) == min(k, p)
+    # a round's column does not depend on how many rounds were drawn
+    for r in range(rounds + 1):
+        assert delay_table(m, p, r).tobytes() == table[:, :r].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["none", "constant", "linear_skew", "random_subset"]),
        st.floats(0.0, 5.0), st.integers(0, 20), st.integers(0, 2**31),
        st.integers(1, 16), st.integers(0, 12))
-def test_delay_table_matches_inject_delay(kind, unit_ms, k, seed, p, rounds):
+@example("random_subset", 1.0, 0, 3, 4, 5)     # k = 0
+@example("random_subset", 1.0, 20, 3, 4, 5)    # k > p
+@example("random_subset", 0.0, 2, 3, 4, 5)     # unit_ms = 0
+@example("linear_skew", 1.5, 1, 0, 4, 0)       # rounds = 0
+@example("random_subset", 1.0, 2, 3, 4, 0)     # rounds = 0
+def test_delay_table_matches_the_per_rank_draw(kind, unit_ms, k, seed, p, rounds):
     m = DelayModel(kind, unit_ms=unit_ms, k=k, seed=seed)
     table = delay_table(m, p, rounds)
     assert table.shape == (p, rounds) and table.dtype == np.int64
-    assert [[int(x) for x in row] for row in table] == [
-        [inject_delay(r, t, m, p) for t in range(rounds)] for r in range(p)]
+    assert table.tolist() == _oracle(m, p, rounds)
 
 
 def test_random_subset_varies_across_rounds():
     m = DelayModel("random_subset", unit_ms=1.0, k=2, seed=7)
-    draws = {delayed_ranks(m, t, 8) for t in range(32)}
-    assert len(draws) > 1
+    table = delay_table(m, 8, 32)
+    assert len({col.tobytes() for col in table.T}) > 1

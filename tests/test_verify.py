@@ -375,8 +375,10 @@ def test_ledger_trailing_exemption():
 # shadow trajectory
 
 
-def run_training_trace(p=2, rounds=6, flavor="sync", alpha=0.05, delay_fn=None,
+def run_training_trace(p=2, rounds=6, flavor="sync", alpha=0.05, delays=None,
                        tau=None):
+    """A recorded training run; delays[rank, t] us before each gradient
+    (default none)."""
     from eagercoll.collectives import simulate
     from eagercoll.eagersgd import TrainState, training_process
     from eagercoll.models import batch_table, gen_dataset
@@ -386,12 +388,14 @@ def run_training_trace(p=2, rounds=6, flavor="sync", alpha=0.05, delay_fn=None,
     ds = gen_dataset(dim=4, n=64, seed=6)
     w0 = np.zeros(4)
     rows = batch_table(13, p, rounds, 4, ds.n_train)
+    if delays is None:
+        delays = np.zeros((p, rounds), dtype=np.int64)
 
     def body(r, handle):
         state = TrainState.fresh(w0, lr=alpha, rank=r, tau=tau)
         return training_process(
-            r, state, handle, None, ds, rows[r], epochs=1,
-            steps_per_epoch=rounds, delay_fn=delay_fn)
+            r, state, handle, None, ds, rows[r], delays[r], epochs=1,
+            steps_per_epoch=rounds)
 
     simulate([cfg], body, link_latency_us=10, recorder=rec)
     return rec
@@ -408,7 +412,7 @@ def test_shadow_drift_is_zero_when_nothing_is_ever_late():
 def test_shadow_drift_bounded_with_one_straggler():
     rec = run_training_trace(
         p=4, rounds=8, flavor="solo", alpha=0.02, tau=1,
-        delay_fn=lambda r, t: 500 if r == (t % 4) else 0)
+        delays=[[500 if r == (t % 4) else 0 for t in range(8)] for r in range(4)])
     rep = track_shadow(rec, alpha=0.02, p=4, tau=1)
     assert rep.max_drift <= rep.bound * (1 + rep.slack) + 1e-300
     assert rep.m2_hat > 0
