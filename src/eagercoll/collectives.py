@@ -270,7 +270,11 @@ class AllreduceHandle:
 
     def _done_cb(self, rnd: int, published: np.ndarray) -> None:
         data, mask = parse_payload(published, self.cfg)
-        res = CollectiveResult(self.rank, rnd, data / self.cfg.p, mask, mask.bit_count())
+        p = self.cfg.p
+        # 1/p is exact for a power of two, so the cheaper product rounds the
+        # same real number as the quotient: the bytes are the same
+        u = data * (1.0 / p) if p & (p - 1) == 0 else data / p
+        res = CollectiveResult(self.rank, rnd, u, mask, mask.bit_count())
         self._last = res
         if self.recorder is not None:
             self.recorder.round_done(res)
@@ -347,9 +351,11 @@ def simulate(configs, body, *, link_latency_us: int = 0,
     config), a generator process.
 
     Returns (handles, sim) where handles[i][rank] is config i's handle.
-    The handles and engines let go of the recorder once the run ends, so
-    the caller's last reference to it frees it: engines and handles live in
-    reference cycles, which only the cyclic collector frees.
+    Once the run ends, the handles and engines let go of the recorder, so
+    the caller's last reference to it frees it, and every engine lets go of
+    the payloads its bound buffers hold (Engine.release_payloads): engines
+    and handles live in reference cycles, which only the cyclic collector
+    frees, and until then would keep each rank's last large payloads.
     """
     p = configs[0].p
     sim = SimTransport(p, link_latency_us=link_latency_us)
@@ -363,6 +369,7 @@ def simulate(configs, body, *, link_latency_us: int = 0,
     for hs in handles:
         for h in hs:
             h.recorder = h.engine.recorder = None
+            h.engine.release_payloads()
     return handles, sim
 
 

@@ -202,13 +202,18 @@ class BenchRecord:
             raise ValueError("nap < 1")
 
 
+def _round_period(cfg: RunConfig, delays: np.ndarray) -> int:
+    """The cadence, in virtual us between round origins: every round fits in
+    its slot, so the skew pattern per round is exactly the configured one
+    (see module docstring)."""
+    hops = max(1, ceil_log2(cfg.p))
+    return int(delays.max()) + (3 * hops + 4) * cfg.link_latency_us + 1000
+
+
 def bench_flavor(cfg: RunConfig, flavor: str):
     """One flavor's full bench run.  Returns (records, recorder, sim)."""
     delays = delay_table(cfg.delay, cfg.p, cfg.rounds)
-    # Cadence: every round fits in its slot, so the skew pattern per round is
-    # exactly the configured one (see module docstring).
-    hops = max(1, ceil_log2(cfg.p))
-    period = int(delays.max()) + (3 * hops + 4) * cfg.link_latency_us + 1000
+    period = _round_period(cfg, delays)
 
     rec = TraceRecorder()
     records: list[BenchRecord] = []
@@ -468,9 +473,16 @@ def _add_keys(sp: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
 
 
 def _cfg_from_args(args: argparse.Namespace, mode: str, **defaults) -> RunConfig:
+    """The subcommand's config: `defaults`, then the --config file, whose
+    keys must be ones the subcommand takes (or mode), then the flags."""
     base = RunConfig(mode=mode, **defaults)
     if args.config:
-        base = dataclasses.replace(load_config(args.config, base), mode=mode)
+        with _open_input(args.config) as f:
+            pairs = parse_config_text(f.read())
+        base = dataclasses.replace(config_from_pairs(pairs, base), mode=mode)
+        extra = sorted(pairs.keys() - {"mode", *args.keys})
+        if extra:
+            raise ConfigError(f"{args.config}: {args.cmd} does not take {', '.join(extra)}")
     pairs = {key: v for key in args.keys if (v := getattr(args, key)) is not None}
     return config_from_pairs(pairs, base)
 

@@ -345,7 +345,8 @@ class Engine:
 
     Public surface: commit(), activate_internal(), deliver(), which a
     transport calls with each of this collective's messages, pump(), which
-    matches what waits in the mailbox, buffer(), state()/restore(), plus
+    matches what waits in the mailbox, buffer(), state()/restore(),
+    release_payloads(), which lets go of what the bound buffers hold, plus
     read-only state (program, generation, done_generation, consumed,
     mailbox).  on_snapshot(generation, send buffer) and on_done(generation,
     publish buffer) get live views that are valid only during the call: a
@@ -447,6 +448,14 @@ class Engine:
             for (name, readers), raw in zip(self._binds.values(), bound):
                 if self._buf[name].base is not raw:
                     self._bind(name, readers, raw)
+
+    def release_payloads(self) -> None:
+        """Let go of the payloads the bound buffers still hold: bind each
+        back to its Program's shared zero bytes, as a fresh engine starts.
+        Sound whenever the engine runs on, as a landing buffer's stale
+        bytes are: no op reads a bound buffer before its recv rebinds it."""
+        for name, readers in self._binds.values():
+            self._bind(name, readers, self.program.zeros[self.program.buffers[name]])
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -3,10 +3,12 @@
 The verifier consumes these records directly.  A vector larger than one
 page (_SHARE_NBYTES) that equals one the recorder already holds is not
 kept twice: a round's later results whose bytes equal its first one share
-that round's first array, and a stale snapshot of all-zero bytes shares one
-read-only zero vector of its size.  Smaller vectors are recorded as they
-come.  So a recorded array must not be mutated: replace it instead, as
-the tamper helpers in tests/test_verify.py do.
+that round's first array, a fresh snapshot whose bytes equal its rank's
+last kept fresh one shares that array, and a stale snapshot of all-zero
+bytes shares one read-only zero vector of its size.  Bytes are compared as
+uint64, so -0.0 and +0.0 are kept apart.  Smaller vectors are recorded as
+they come.  So a recorded array must not be mutated: replace it instead,
+as the tamper helpers in tests/test_verify.py do.
 """
 
 from __future__ import annotations
@@ -45,15 +47,19 @@ class TraceRecorder:
 
     round_done and snapshot may be called from every rank's thread at
     once (the socket backend); each decides what it shares with one
-    dict.setdefault, so two threads never keep different first vectors."""
+    dict.setdefault, so two threads never keep different first vectors,
+    or through a key only one thread writes: a rank's last fresh snapshot,
+    which only that rank's driver thread records."""
 
     rounds: list[CollectiveResult] = field(default_factory=list)
     snapshots: list[SnapshotRecord] = field(default_factory=list)
     # training-side records, keyed (rank, round)
     gradients: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
-    # what is shared: round -> its first u, and nbytes -> read-only zeros
+    # what is shared: round -> its first u, rank -> its last kept fresh
+    # snapshot, and nbytes -> read-only zeros
     _first_u: dict = field(default_factory=dict, init=False, repr=False)
+    _last_fresh: dict = field(default_factory=dict, init=False, repr=False)
     _zeros: dict = field(default_factory=dict, init=False, repr=False)
 
     def op_fired(self, t: int, rank: int, cid: int, gen: int, oid: int, label: str) -> None:
@@ -71,11 +77,17 @@ class TraceRecorder:
 
     def snapshot(self, rec: SnapshotRecord) -> None:
         """Keep rec with its data, which may be a live view, replaced: by
-        the shared zero vector of its size for a stale snapshot of all-zero
-        bytes, else by a copy."""
+        the rank's last kept fresh array for a fresh snapshot of equal
+        bytes, by the shared zero vector of its size for a stale snapshot
+        of all-zero bytes, else by a copy."""
         data = rec.data
-        if (not rec.fresh and data.nbytes > _SHARE_NBYTES
-                and not np.count_nonzero(data.view(np.uint64))):
+        big = data.nbytes > _SHARE_NBYTES
+        if big and rec.fresh:
+            last = self._last_fresh.get(rec.rank)
+            if last is None or not np.array_equal(last.view(np.uint64), data.view(np.uint64)):
+                last = self._last_fresh[rec.rank] = data.copy()
+            rec.data = last
+        elif big and not np.count_nonzero(data.view(np.uint64)):
             zero = self._zeros.get(data.nbytes)
             if zero is None:
                 zero = np.zeros_like(data)

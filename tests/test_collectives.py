@@ -223,6 +223,32 @@ def test_wait_done_fast_path_returns_latest():
     assert res.rnd == 2 and res.rank == 0 and res.nap == 2
 
 
+# signed zeros, infinities, quiet NaNs of either sign (one with a payload),
+# subnormals, the extremes and ordinary values
+_SPECIAL_BITS = [0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+                 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                 0x7FF8000000000123, 0x0000000000000001, 0x8000000000000003,
+                 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+                 0x3FF0000000000000, 0xC008000000000000, 0x3FB999999999999A]
+
+
+@pytest.mark.parametrize("p", [1 << k for k in range(1, 11)] + [3, 6, 1000])
+def test_a_result_divides_by_p_bitwise(p):
+    """_done_cb multiplies by 1/p when p is a power of two: 1/p is then
+    exact, so the product rounds the same real number as data / p and the
+    bytes agree on every special value.  Other p divide."""
+    vals = np.array(_SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+    want = (vals / p).view(np.uint64).tolist()
+    if p & (p - 1) == 0:
+        assert (vals * (1.0 / p)).view(np.uint64).tolist() == want
+    cfg = CollectiveConfig(p=p, flavor="sync", vector_len=len(vals))
+    published = np.zeros(cfg.payload_nbytes, dtype=np.uint8)
+    write_payload(published, cfg, 0, vals)
+    handle = AllreduceHandle(cfg, 0, SimTransport(p))
+    handle._done_cb(0, published)
+    assert handle._last.u.view(np.uint64).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # activation topology
 

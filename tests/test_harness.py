@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from eagercoll import collectives, harness
-from eagercoll.collectives import CollectiveConfig, build_allreduce_template
+from eagercoll.collectives import CollectiveConfig, RoundOrderError, build_allreduce_template
 from eagercoll.harness import (
     BenchRecord,
     ConfigError,
@@ -36,7 +36,9 @@ from eagercoll.harness import (
 from eagercoll.schedule import Program
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import DelayModel, SimTransport
-from eagercoll.verify import InterleavingReport, RoundContractReport, Violation
+from eagercoll.verify import (
+    InterleavingReport, RoundContractReport, Violation, check_round_contracts,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -151,7 +153,8 @@ class _CountingSim(SimTransport):
 def test_a_finished_bench_run_lets_go_of_its_recorder():
     """With the cyclic collector off, the recorder dies as soon as the
     caller drops it, though the run's engines and handles, which live in
-    reference cycles, stay alive through the returned sim."""
+    reference cycles, stay alive through the returned sim; those keep no
+    payload of the run either (the next test)."""
     gc.disable()
     try:
         _, rec, sim = bench_flavor(bench_cfg(), "solo")
@@ -161,6 +164,40 @@ def test_a_finished_bench_run_lets_go_of_its_recorder():
         assert dead() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("flavor", ["sync", "solo"])
+def test_a_finished_bench_run_lets_go_of_its_payloads(flavor):
+    """Above 64 KiB every landing buffer that ops only read binds its
+    payload; once the run ends, each is bound back to its Program's shared
+    zero bytes, the publish buffer of an extra rank (p=6 has two) too."""
+    _, _, sim = bench_flavor(bench_cfg(p=6, rounds=2, vector_len=8200), flavor)
+    engines = [e for by_cid in sim._engines for e in by_cid.values()]
+    bound = 0
+    for eng in engines:
+        prog = eng.program
+        names = {name for name, _ in prog.binds.values()}
+        for name in names:
+            assert eng.buffer(name).base is prog.zeros[prog.buffers[name]], (eng.rank, name)
+        if prog.publish_from in names:
+            assert eng._publish_buf.base is prog.zeros[prog.buffers[prog.publish_from]]
+        bound += len(names)
+    # base ranks 0-1: fold + two butterfly landings; 2-3: two; extras 4-5: final
+    assert len(engines) == 6 and bound == 12
+
+
+def test_a_round_that_overruns_its_slot_raises(monkeypatch):
+    """With rounds 1 us apart, solo's first rank finishes every round alone
+    before rank 1 arrives at 2 ms, so rank 1's call for round 0 returns
+    round 3, which bench_flavor refuses.  The real cadence runs clean."""
+    cfg = bench_cfg(flavors=("solo",))
+    records, rec, _ = bench_flavor(cfg, "solo")
+    assert len(records) == cfg.p * cfg.rounds
+    assert check_round_contracts(rec, cfg.p, tau=None, expect_rounds=cfg.rounds).ok
+    monkeypatch.setattr(harness, "_round_period", lambda cfg, delays: 1)
+    with pytest.raises(RoundOrderError, match="rank 1 called round 0 but got round 3; "
+                                              "each round must fit its slot"):
+        bench_flavor(cfg, "solo")
 
 
 def test_bench_flavor_compiles_one_program_per_rank_class(monkeypatch):
@@ -393,6 +430,21 @@ def test_cli_rejects_bad_config(capsys):
     ]:
         assert main(argv) == 2, argv
         assert "config error: " + why in capsys.readouterr().err, argv
+
+
+def test_cli_config_rejects_keys_the_subcommand_does_not_take(tmp_path, capsys):
+    """A config line the subcommand would ignore is an error, as its flag
+    would be; every subcommand takes mode, and sets it itself."""
+    path = tmp_path / "run.conf"
+    for cmd, key, value in [("train", "vector_len", "999"), ("train", "rounds", "3"),
+                            ("bench", "dim", "5"), ("verify", "lr", "0.5")]:
+        path.write_text(f"p = 4\n{key} = {value}\n")
+        assert main([cmd, "--config", str(path)]) == 2, key
+        assert f"config error: {path}: {cmd} does not take {key}\n" in capsys.readouterr().err
+    path.write_text("mode = bench\np = 4\n")
+    cfg = harness._cfg_from_args(harness.build_cli().parse_args(
+        ["train", "--config", str(path)]), "train")
+    assert (cfg.mode, cfg.p) == ("train", 4)
 
 
 # A non-default value for every key bench or train takes as a flag.

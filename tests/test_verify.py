@@ -48,6 +48,15 @@ def tamper_mask(recorder: TraceRecorder, rank: int, rnd: int, bit: int) -> None:
     raise KeyError((rank, rnd))
 
 
+def tamper_snapshot(recorder: TraceRecorder, rank: int, rnd: int,
+                    delta: float = 1.0) -> None:
+    for s in recorder.snapshots:
+        if s.rank == rank and s.rnd == rnd:
+            s.data = s.data + delta
+            return
+    raise KeyError((rank, rnd))
+
+
 def drop_round(recorder: TraceRecorder, rank: int, rnd: int) -> None:
     recorder.rounds = [r for r in recorder.rounds
                        if not (r.rank == rank and r.rnd == rnd)]
@@ -220,7 +229,8 @@ def test_stale_value_summed_without_its_mask_bit_is_caught(monkeypatch, flavor):
 
 
 # ---------------------------------------------------------------------------
-# recorder: one array per round's result, one per size of late zeros
+# recorder: one array per round's result, one per rank's repeated fresh
+# snapshot, one per size of late zeros
 
 
 def _recorded_run(vector_len, p=4, rounds=4, flavor="solo"):
@@ -256,19 +266,71 @@ def test_recorder_shares_one_zero_vector_for_late_ranks():
     assert kept is not live and kept is not stale[0].data and np.signbit(kept[5])
 
 
+def _repeated_run(step):
+    """p=4 sync, every rank fresh every round; rank r offers r + step * t."""
+    rec = TraceRecorder()
+    run_allreduce(CollectiveConfig(p=4, flavor="sync", vector_len=1024, seed=2),
+                  lambda r, t: np.full(1024, r + step * t), rounds=4,
+                  link_latency_us=10, recorder=rec)
+    return rec
+
+
+@pytest.mark.parametrize("step, arrays", [(0.0, 4), (0.5, 16)])
+def test_recorder_keeps_a_rank_s_repeated_fresh_snapshot_once(step, arrays):
+    """A rank that offers the same bytes every round keeps one array for
+    all its fresh snapshots; offers that change each keep their own."""
+    rec = _repeated_run(step)
+    fresh = [s for s in rec.snapshots if s.fresh]
+    assert len(fresh) == 16 and len({id(s.data) for s in fresh}) == arrays
+    for r in range(4):
+        assert all(np.array_equal(s.data, np.full(1024, r + step * s.rnd))
+                   for s in fresh if s.rank == r)
+    assert check_round_contracts(rec, 4, expect_rounds=4).ok
+
+
+def test_recorder_keeps_negative_and_positive_zero_apart():
+    """Fresh snapshots are compared as uint64, so -0.0 is not +0.0; a copy
+    is kept for each change, and equal bytes share the last one."""
+    rec = TraceRecorder()
+    pos, neg = np.zeros(1024), np.zeros(1024)
+    neg[7] = -0.0
+    for t, data in enumerate([pos, neg, neg, pos]):
+        rec.snapshot(SnapshotRecord(0, t, data, True))
+    kept = [s.data for s in rec.snapshots]
+    assert kept[0] is not pos and kept[1] is not neg
+    assert kept[1] is kept[2]
+    assert len({id(k) for k in kept}) == 3
+    assert [bool(np.signbit(k[7])) for k in kept] == [False, True, True, False]
+
+
+def test_a_replaced_shared_snapshot_is_caught_in_its_round_alone():
+    """Rank 1's four snapshots share one array; replacing the one of round 2
+    leaves the other rounds' untouched, and only round 2 is flagged."""
+    rec = _repeated_run(0.0)
+    mine = [s for s in rec.snapshots if s.rank == 1]
+    assert len({id(s.data) for s in mine}) == 1
+    tamper_snapshot(rec, rank=1, rnd=2)
+    rep = check_round_contracts(rec, 4, expect_rounds=4)
+    assert rep.violations and {(v.kind, v.rnd) for v in rep.violations} == {("subset-sum", 2)}
+    assert [s.data[0] for s in mine] == [1.0, 1.0, 2.0, 1.0]
+
+
 def test_recorder_shares_one_array_per_round_across_threads():
     """On sockets every rank's driver thread records into one recorder:
     under a short switch interval, eight threads recording equal results
-    and zero snapshots for the same rounds still keep one array each."""
+    and zero snapshots for the same rounds still keep one array each, and
+    each rank's repeated fresh snapshots one array of that rank's."""
     rec, rounds = TraceRecorder(), 300
     u, zeros = np.arange(1024.0), np.zeros(1024)
     start = threading.Barrier(8)
 
     def record(rank):
+        offer = np.full(1024, float(rank))
         start.wait(timeout=30)
         for t in range(rounds):
             rec.round_done(CollectiveResult(rank, t, u + t, 1, 1))
             rec.snapshot(SnapshotRecord(rank, t, zeros, False))
+            rec.snapshot(SnapshotRecord(rank, t, offer, True))
 
     threads = [threading.Thread(target=record, args=(r,)) for r in range(8)]
     interval = sys.getswitchinterval()
@@ -281,10 +343,13 @@ def test_recorder_shares_one_array_per_round_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert len(rec.rounds) == len(rec.snapshots) == 8 * rounds
+    assert len(rec.rounds) == len(rec.snapshots) // 2 == 8 * rounds
     for t in range(rounds):
         assert len({id(r.u) for r in rec.rounds if r.rnd == t}) == 1
-    assert len({id(s.data) for s in rec.snapshots}) == 1
+    assert len({id(s.data) for s in rec.snapshots if not s.fresh}) == 1
+    for rank in range(8):
+        kept = {id(s.data): s.data for s in rec.snapshots if s.fresh and s.rank == rank}
+        assert len(kept) == 1 and (list(kept.values())[0] == rank).all()
 
 
 @pytest.mark.parametrize("vector_len, shared", [(64, False), (512, False), (513, True)])
