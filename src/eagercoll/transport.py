@@ -42,6 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .models import key_pcg64, key_states
+
 # A rank is a plain int in [0, p).  Validated at the transport boundary.
 Rank = int
 
@@ -132,7 +134,9 @@ def delay_table(model: DelayModel, p: int, rounds: int) -> np.ndarray:
 
     A random_subset column t is drawn from default_rng([seed, t]) alone, so
     replaying a round re-draws the same set, and the first r columns do not
-    depend on how many rounds are drawn."""
+    depend on how many rounds are drawn. The keys are hashed together
+    (models.key_states), so each column's bytes equal default_rng's, which a
+    test holds to the installed numpy."""
     us = round(model.unit_ms * 1000)
     table = np.zeros((p, rounds), dtype=np.int64)
     if model.kind == "constant":
@@ -140,8 +144,8 @@ def delay_table(model: DelayModel, p: int, rounds: int) -> np.ndarray:
     elif model.kind == "linear_skew":
         table[:] = [[round((r + 1) * model.unit_ms * 1000)] for r in range(p)]
     elif model.kind == "random_subset":
-        for t in range(rounds):
-            rng = np.random.default_rng([model.seed, t])
+        for t, state in enumerate(key_states(model.seed, np.arange(rounds))):
+            rng = np.random.Generator(key_pcg64(state))
             table[rng.choice(p, size=min(model.k, p), replace=False), t] = us
     return table
 

@@ -1,5 +1,7 @@
 """Eager-SGD mechanics: stale folds, delivery tracking, resync, step-size bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +295,22 @@ def test_resync_step_raises_when_the_round_is_already_done():
     s = TrainState.fresh(np.zeros(2), lr=0.1)
     with pytest.raises(ResyncError):
         next(resync_step(s, h, 0))
+
+
+def test_resync_step_raises_when_wait_done_returns_another_round(monkeypatch):
+    cfg = CollectiveConfig(p=1, flavor="sync", vector_len=2)
+    h = AllreduceHandle(cfg, 0, SimTransport(1))
+    wait_done = h.wait_done
+
+    def later_round(t):
+        res = yield from wait_done(t)
+        return dataclasses.replace(res, rnd=t + 1)
+
+    monkeypatch.setattr(h, "wait_done", later_round)
+    s = TrainState.fresh(np.zeros(2), lr=0.1)
+    with pytest.raises(ResyncError, match="resync round 0 returned round 1"):
+        next(resync_step(s, h, 0))
+    assert s.w.tolist() == [0.0, 0.0]
 
 
 def test_train_step_rejects_dimension_mismatch():

@@ -10,6 +10,7 @@ from eagercoll.models import (
     gen_dataset,
     loss_and_grad,
     mse,
+    seed_states,
 )
 
 
@@ -96,7 +97,10 @@ def _draw(seed, rank, step, batch, n_train):
 
 
 @pytest.mark.parametrize("n_train, dtype", [
-    (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)])
+    (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+    # numpy's Lemire draw rejects about half and a quarter of these draws
+    (2**31 + 5, np.uint32), (3 * 2**30, np.uint32),
+    (2**32, np.uint32), (1, np.uint8)])
 def test_batch_table_rows_are_the_per_rank_step_draws(n_train, dtype):
     table = batch_table(7, p=3, rounds=5, batch=64, n_train=n_train)
     assert table.dtype == dtype and table.shape == (3, 5, 64)
@@ -115,6 +119,44 @@ def test_batch_table_matches_the_draw(seed, p, rounds, batch, n_train):
     assert table.dtype == smallest
     for r, t in np.ndindex(p, rounds):
         assert table[r, t].tolist() == _draw(seed, r, t, batch, n_train).tolist()
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 2**96 - 1, 2**200 + 7])
+def test_batch_table_seeds_longer_than_the_pool(seed):
+    # entropy of five words and more: the hash mixes the words past the pool
+    table = batch_table(seed, p=2, rounds=3, batch=5, n_train=1000)
+    for r, t in np.ndindex(2, 3):
+        assert table[r, t].tolist() == _draw(seed, r, t, 5, 1000).tolist()
+
+
+def test_batch_table_of_empty_batches():
+    table = batch_table(3, p=2, rounds=3, batch=0, n_train=10)
+    assert table.shape == (2, 3, 0) and table.dtype == np.uint8
+
+
+@pytest.mark.parametrize("n_train", [0, 2**32 + 1])
+def test_batch_table_rejects_n_train_outside_one_to_two_to_the_32(n_train):
+    with pytest.raises(ValueError, match="n_train"):
+        batch_table(3, p=2, rounds=3, batch=4, n_train=n_train)
+
+
+def test_batch_table_rejects_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        _draw(-1, 0, 0, 4, 10)
+    with pytest.raises(ValueError, match="negative"):
+        batch_table(-1, p=2, rounds=3, batch=4, n_train=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_seed_states_is_numpys_seed_sequence(rows):
+    keys = np.array(rows, np.uint32).T
+    states = seed_states(keys)
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    for row, state in zip(rows, states):
+        assert state.tolist() == np.random.SeedSequence(row).generate_state(
+            4, np.uint64).tolist()
 
 
 def test_linear_model_init_scale():
