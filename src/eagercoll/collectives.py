@@ -10,10 +10,11 @@ majority  one rank per round, drawn by a counter-based PRNG every rank can
 The wire payload is the float64 value vector followed by an inclusion
 bitmask (one bit per rank, packed in 64-bit words at byte 8*vector_len);
 write_payload and parse_payload are its only writer and parser, and the
-template states the split once, as its mask_offset.  Each reduction step is
-one schedule op that combines payloads elementwise: sum over the vector,
-bitwise-or over the mask, so the result always says exactly which ranks'
-fresh contributions it contains.
+template states the split once, as its mask_offset.  offer and round_result
+are a rank's two rules on top, which the handle and the explorer share.
+Each reduction step is one schedule op that combines payloads elementwise:
+sum over the vector, bitwise-or over the mask, so the result always says
+exactly which ranks' fresh contributions it contains.
 
 The reduction is a recursive-doubling butterfly over the largest power of
 two p2 <= p; ranks beyond p2 fold their contribution into a base partner
@@ -83,6 +84,28 @@ def parse_payload(raw: np.ndarray, cfg: CollectiveConfig) -> tuple[np.ndarray, i
     values are a view into raw."""
     mask = int.from_bytes(raw[8 * cfg.vector_len:].tobytes(), "little")
     return raw[:8 * cfg.vector_len].view(np.float64), mask
+
+
+def offer(engine: Engine, cfg: CollectiveConfig, rank: int, vec: np.ndarray) -> bool:
+    """Write `vec` into engine's send buffer as rank's fresh contribution to
+    the current generation, unless that generation's snapshot has already
+    consumed the buffer (the value missed the bus).  True iff it boarded."""
+    if engine.consumed[engine.program.snapshot_last]:
+        return False
+    write_payload(engine.buffer("send"), cfg, rank, vec)
+    return True
+
+
+def round_result(rank: int, rnd: int, published: np.ndarray,
+                 cfg: CollectiveConfig) -> CollectiveResult:
+    """Rank's read-out of round rnd's published payload: the reduced sum
+    divided by the full world size, the inclusion mask and its popcount."""
+    data, mask = parse_payload(published, cfg)
+    p = cfg.p
+    # 1/p is exact for a power of two, so the cheaper product rounds the
+    # same real number as the quotient: the bytes are the same
+    u = data * (1.0 / p) if p & (p - 1) == 0 else data / p
+    return CollectiveResult(rank, rnd, u, mask, mask.bit_count())
 
 
 def initiator_for_round(seed: int, t: int, p: int) -> int:
@@ -269,13 +292,7 @@ class AllreduceHandle:
             self.user_snapshot_cb(rnd, data, bool((mask >> self.rank) & 1))
 
     def _done_cb(self, rnd: int, published: np.ndarray) -> None:
-        data, mask = parse_payload(published, self.cfg)
-        p = self.cfg.p
-        # 1/p is exact for a power of two, so the cheaper product rounds the
-        # same real number as the quotient: the bytes are the same
-        u = data * (1.0 / p) if p & (p - 1) == 0 else data / p
-        res = CollectiveResult(self.rank, rnd, u, mask, mask.bit_count())
-        self._last = res
+        res = self._last = round_result(self.rank, rnd, published, self.cfg)
         if self.recorder is not None:
             self.recorder.round_done(res)
         if self._waiters:
@@ -285,10 +302,6 @@ class AllreduceHandle:
                 cb(wrank, res)
 
     # -- app protocol -------------------------------------------------------
-
-    @property
-    def done_generation(self) -> int:
-        return self.engine.done_generation
 
     def add_waiter(self, generation: int, rank: int, cb) -> None:
         """cb(rank, result) runs once a round >= `generation` has published:
@@ -308,9 +321,8 @@ class AllreduceHandle:
             raise RoundOrderError(
                 f"rank {self.rank} offered round {t} while round "
                 f"{eng.generation} is current; rounds must be driven in order")
-        if eng.consumed[eng.program.snapshot_last]:
+        if not offer(eng, self.cfg, self.rank, vec):
             return False
-        write_payload(eng.buffer("send"), self.cfg, self.rank, vec)
         self.contributed_round = t
         eng.pump()
         return True

@@ -51,10 +51,6 @@ class GradientBuffer:
     def null(cls, dim: int) -> "GradientBuffer":
         return cls(data=np.zeros(dim))
 
-    @property
-    def is_null(self) -> bool:
-        return not self.pending_rounds
-
     def fold(self, grad: np.ndarray, rnd: int) -> None:
         self.data = self.data + grad
         self.pending_rounds.append(rnd)

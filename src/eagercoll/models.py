@@ -52,9 +52,6 @@ class LinearModel:
         rng = np.random.default_rng(seed)
         return cls(w=scale * rng.standard_normal(dim))
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w
-
 
 def loss_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Mean squared error over the batch and its gradient in w.

@@ -12,10 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collectives import (
-    CollectiveConfig, SOLO, build_allreduce_template, parse_payload, tree_order_sum,
-    write_payload,
-)
+from . import collectives
+from .collectives import CollectiveConfig, SOLO, build_allreduce_template, tree_order_sum
 from .schedule import Engine, Program, ScheduleError
 from .trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from .transport import Message
@@ -312,26 +310,28 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
                           max_states: int = 250_000) -> InterleavingReport:
     """Enumerate every reachable event order of one collective round.
 
-    Events are rank arrivals (contribute-if-not-snapshotted, then activate
-    internally) and per-stream message deliveries; everything interleaves
-    freely.  Every arrival activates, so this is not the application's
-    protocol: call_round activates only when the offer boarded, and a
-    majority rank only when it is the round's initiator, so majority is
-    explored exactly as solo (ROADMAP item 10(a)).  A stream (src, dst, phase,
-    step) names one send op, which fires once a round, so it holds at most
-    one message, and a second one raises ScheduleError.  States are
-    deduplicated on their full value (every engine's state, the network,
-    the pending arrivals and the ranks whose arrival boarded), so the
-    search is exhaustive over distinct executions.  They are stored as
-    shared per-engine deltas: an event changes one engine, so a state's
-    engine-state tuple reuses its parent's entries for the others, and a
-    restore puts back only the engines whose state object differs from the
-    one they hold.
+    Events are rank arrivals and per-stream message deliveries; everything
+    interleaves freely.  An arrival is collectives.offer, the handle's own
+    offer (it boards only if the snapshot has not taken the send buffer),
+    then activate internally.  Every arrival activates, so this is the one
+    step that is not the application's protocol: call_round activates only
+    when the offer boarded, and a majority rank only when it is the round's
+    initiator, so majority is explored exactly as solo (ROADMAP item 10(a)).
+    A stream (src, dst, phase, step) names one send op, which fires once a
+    round, so it holds at most one message, and a second one raises
+    ScheduleError.  States are deduplicated on their full value (every
+    engine's state, the network, the pending arrivals and the ranks whose
+    arrival boarded), so the search is exhaustive over distinct executions.
+    They are stored as shared per-engine deltas: an event changes one
+    engine, so a state's engine-state tuple reuses its parent's entries for
+    the others, and a restore puts back only the engines whose state object
+    differs from the one they hold.
 
     Each terminal goes through check_round, given a result per finished
-    rank (the engine faults on any double firing), read from its publish
-    buffer, and a snapshot per rank, fresh with its contribution iff its
-    arrival boarded: freshness comes from the offer, as in a recorded trace.
+    rank (the engine faults on any double firing), read out of its publish
+    buffer by collectives.round_result as the handle reads it, and a
+    snapshot per rank, fresh with its contribution iff its arrival boarded:
+    freshness comes from the offer, as in a recorded trace.
     Each violation's detail ends with the path to its terminal.  A terminal
     also re-reads every engine's state and raises EngineStateDrift if it
     differs from the stored one.
@@ -366,12 +366,9 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
         engines.append(eng)
 
     def arrive(rank: int) -> bool:
-        eng = engines[rank]
-        # too late if the round already took this rank's (null) slot
-        boards = not eng.consumed[eng.program.snapshot_last]
-        if boards:
-            write_payload(eng.buffer("send"), cfg, rank, contributions[rank])
-        eng.activate_internal(expected_generation=0)
+        # looked up on the module, as the handle does, so both run one rule
+        boards = collectives.offer(engines[rank], cfg, rank, contributions[rank])
+        engines[rank].activate_internal(expected_generation=0)
         return boards
 
     # A state is (engine states, net, pending arrivals, boarded ranks),
@@ -446,11 +443,8 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
             # read anew here
             published = [e.buffer(e.program.publish_from) for e in engines]
             results.add(published[0].tobytes())
-            finished = []
-            for r, e in enumerate(engines):
-                if e.done_generation == 0:
-                    data, mask = parse_payload(published[r], cfg)
-                    finished.append(CollectiveResult(r, 0, data / p, mask, mask.bit_count()))
+            finished = [collectives.round_result(r, 0, published[r], cfg)
+                        for r, e in enumerate(engines) if e.done_generation == 0]
             snaps = [SnapshotRecord(r, 0, contributions[r] if r in boarded else zeros,
                                     r in boarded) for r in range(p)]
             violations += [replace(v, detail=f"{v.detail} via {path}")

@@ -169,6 +169,13 @@ def test_initiator_is_a_pure_function():
     assert all(0 <= v < 8 for v in vals)
 
 
+def test_initiator_and_the_reference_sum_reject_an_empty_world():
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        initiator_for_round(123, 0, 0)
+    with pytest.raises(ValueError, match="no vectors"):
+        tree_order_sum([])
+
+
 def test_initiator_draws_are_uniform_enough():
     n, p = 20000, 8
     counts = np.zeros(p)
@@ -188,7 +195,7 @@ def test_late_contribution_is_refused():
     assert handles[0].try_contribute(0, contrib[0])
     handles[0].activate(0)
     sim.run()
-    assert handles[0].done_generation == 0
+    assert handles[0].engine.done_generation == 0
     assert not handles[1].try_contribute(0, contrib[1])
     with pytest.raises(StopIteration) as ei:
         next(handles[1].wait_done(0))

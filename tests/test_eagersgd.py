@@ -36,13 +36,13 @@ from eagercoll.verify import DeliveryLedger
 
 def test_gradient_buffer_accumulates_and_resets():
     gb = GradientBuffer.null(3)
-    assert gb.is_null
+    assert not gb.pending_rounds
     gb.fold(np.array([1.0, 0.0, 2.0]), 0)
     gb.fold(np.array([0.5, 0.5, 0.5]), 1)
     assert gb.data.tolist() == [1.5, 0.5, 2.5]
     assert gb.pending_rounds == [0, 1]
     gb.reset()
-    assert gb.is_null and gb.data.tolist() == [0.0, 0.0, 0.0]
+    assert not gb.pending_rounds and gb.data.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_staleness_max_counts_from_oldest_pending():
@@ -236,6 +236,12 @@ def test_min_iterations_frozen_example():
     assert min_iterations(FROZEN, 0.01) == 20000  # ceil(24 * 1 / (0.01 * 0.12))
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.01])
+def test_min_iterations_rejects_a_step_size_that_is_not_positive(alpha):
+    with pytest.raises(ValueError, match="strictly positive"):
+        min_iterations(FROZEN, alpha)
+
+
 def test_full_quorum_drops_the_straggler_terms():
     full = LrBoundParams(L=2.0, M=0.5, tau=9, p=4, q=4, eps=0.3, f0_minus_m=1.0)
     assert max_learning_rate(full) == pytest.approx(0.3 / (12 * 0.25 * 2.0), rel=1e-12)
@@ -291,7 +297,7 @@ def test_resync_step_raises_when_the_round_is_already_done():
     h = AllreduceHandle(cfg, 0, SimTransport(1))
     assert h.try_contribute(0, np.ones(2))
     h.activate(0)
-    assert h.done_generation == 0
+    assert h.engine.done_generation == 0
     s = TrainState.fresh(np.zeros(2), lr=0.1)
     with pytest.raises(ResyncError):
         next(resync_step(s, h, 0))

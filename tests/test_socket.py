@@ -6,6 +6,7 @@ protocol outcomes (results agree, rounds complete), never latencies.
 
 import gc
 import os
+import queue
 import socket
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from eagercoll.eagersgd import TrainState, training_process
 from eagercoll.models import batch_table, gen_dataset
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import (
-    PHASE_RED, Message, SocketTransport, Sleep, TransportClosed, UnroutedMessage,
+    _FRAME, PHASE_RED, Message, SocketTransport, Sleep, TransportClosed, UnroutedMessage,
 )
 from eagercoll.verify import DeliveryLedger, check_round_contracts
 
@@ -258,6 +259,20 @@ def test_read_exact_returns_none_at_end_of_stream_mid_frame():
         assert SocketTransport._read_exact(b, 100) is None
 
 
+def test_reader_returns_when_the_stream_ends_inside_a_payload():
+    """A whole frame reaches the inbox; a frame whose header arrived whole
+    but whose payload the stream cuts short does not, and the reader returns."""
+    a, b = socket.socketpair()
+    inbox = queue.SimpleQueue()
+    with b:
+        with a:
+            a.sendall(_FRAME.pack(0, 1, 0, 0, PHASE_RED, 0, 3) + b"abc")
+            a.sendall(_FRAME.pack(0, 1, 0, 1, PHASE_RED, 0, 100) + b"x" * 10)
+        SocketTransport._reader(b, inbox)
+    assert inbox.get_nowait() == Message(0, 1, 0, 0, PHASE_RED, 0, b"abc")
+    assert inbox.empty()
+
+
 def test_socket_round_with_multi_mib_payloads():
     p, vlen = 2, 2**19  # 4 MiB of values per message
     cfg = CollectiveConfig(p=p, flavor="sync", vector_len=vlen)
@@ -315,7 +330,7 @@ def test_a_rank_without_a_body_still_serves():
                     results.append((yield from handles[rank].call_round(t, np.ones(2))))
 
             net.run_processes({r: body(r) for r in range(2)})
-            assert handles[2].done_generation == rounds - 1
+            assert handles[2].engine.done_generation == rounds - 1
         finally:
             net.close()
         assert len(results) == 2 * rounds

@@ -7,13 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from eagercoll import schedule
+from eagercoll import collectives, schedule
 from eagercoll.collectives import (
     AllreduceHandle, CollectiveConfig, run_allreduce, simulate, tree_order_sum,
 )
 from eagercoll.schedule import Engine, ScheduleError
 from eagercoll.trace import CollectiveResult, SnapshotRecord, TraceRecorder
-from eagercoll.transport import Sleep
+from eagercoll.transport import SimTransport, Sleep
 from eagercoll.verify import (
     DeliveryLedger,
     EngineStateDrift,
@@ -500,6 +500,11 @@ def test_shadow_requires_a_complete_trace():
         track_shadow(rec, alpha=0.05, p=2, tau=1)
 
 
+def test_shadow_requires_weight_records():
+    with pytest.raises(IncompleteTrace, match="no weight records"):
+        track_shadow(TraceRecorder(), alpha=0.05, p=2, tau=1)
+
+
 def test_shadow_requires_common_start():
     rec = run_training_trace()
     rec.weights[(1, 0)] = rec.weights[(1, 0)] + 1.0
@@ -644,6 +649,75 @@ def test_an_offer_lost_before_its_snapshot_is_caught(monkeypatch, flavor):
     assert [(v.kind, v.rnd, v.rank, v.detail) for v in rep.violations] == [
         ("subset-sum", t, None, f"mask {masks[t]:#x} != consumed-fresh set {masks[t] | 2:#x}")
         for t in lost]
+
+
+# The handle and the explorer board and read out through one offer and one
+# round_result, which both look up on the collectives module: a fault
+# patched there once reaches both.
+
+
+def _read_out_one_ulp_high(monkeypatch):
+    """Every rank reads each round's u one ulp above the sum / p."""
+    read_out = collectives.round_result
+
+    def high(rank, rnd, published, cfg):
+        res = read_out(rank, rnd, published, cfg)
+        res.u = np.nextafter(res.u, np.inf)
+        return res
+    monkeypatch.setattr(collectives, "round_result", high)
+
+
+def _offer_ignores_the_snapshot(monkeypatch):
+    """An offer writes its value and boards even once its round's snapshot
+    has taken the send buffer."""
+    def always(engine, cfg, rank, vec):
+        collectives.write_payload(engine.buffer("send"), cfg, rank, vec)
+        return True
+    monkeypatch.setattr(collectives, "offer", always)
+
+
+def _offer_after_the_snapshot() -> bool:
+    """Rank 1 of p=2 activates alone, which takes its snapshot while the
+    round is still open, and then offers a value."""
+    h = AllreduceHandle(CollectiveConfig(p=2, flavor="solo", vector_len=2), 1, SimTransport(2))
+    h.engine.activate_internal(expected_generation=0)
+    assert h.engine.done_generation == -1
+    return h.try_contribute(0, np.ones(2))
+
+
+@pytest.mark.parametrize("flavor", ["solo", "majority", "sync"])
+def test_the_handle_and_the_explorer_read_out_by_one_rule(monkeypatch, flavor):
+    tree_sum = "u does not equal the tree-ordered contribution sum / p"
+    cfg = CollectiveConfig(p=3, flavor=flavor, vector_len=2, seed=1234)
+    assert explore_interleavings(cfg).ok
+    rec, p = clean_trace(p=3, flavor=flavor)
+    assert check_round_contracts(rec, p, expect_rounds=3).ok
+    _read_out_one_ulp_high(monkeypatch)
+    rep = explore_interleavings(cfg)
+    assert rep.violations and all(
+        v.kind == "subset-sum" and v.detail.startswith(f"{tree_sum} via ((")
+        for v in rep.violations), rep.violations[:3]
+    rec, p = clean_trace(p=3, flavor=flavor)
+    rep = check_round_contracts(rec, p, expect_rounds=3)
+    assert [(v.kind, v.rnd, v.detail) for v in rep.violations] == [
+        ("subset-sum", t, tree_sum) for t in range(3)]
+
+
+@pytest.mark.parametrize("flavor, kinds", [
+    ("solo", {"subset-sum"}), ("majority", {"subset-sum"}), ("sync", set()),
+])
+def test_the_handle_and_the_explorer_board_by_one_rule(monkeypatch, flavor, kinds):
+    """An offer that ignores the snapshot boards late at the handle, and
+    the explorer reports the late value as fresh yet missing from the
+    round.  Under sync a rank's snapshot waits for its own arrival, so no
+    arrival comes late and the explorer stays clean."""
+    cfg = CollectiveConfig(p=3, flavor=flavor, vector_len=2, seed=1234)
+    assert explore_interleavings(cfg).ok
+    assert not _offer_after_the_snapshot()
+    _offer_ignores_the_snapshot(monkeypatch)
+    assert _offer_after_the_snapshot()
+    rep = explore_interleavings(cfg)
+    assert rep.terminals and {v.kind for v in rep.violations} == kinds, rep.violations[:3]
 
 
 def test_explorer_raises_on_a_second_message_on_one_stream(monkeypatch):
