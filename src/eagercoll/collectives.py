@@ -99,13 +99,13 @@ def offer(engine: Engine, cfg: CollectiveConfig, rank: int, vec: np.ndarray) -> 
 def round_result(rank: int, rnd: int, published: np.ndarray,
                  cfg: CollectiveConfig) -> CollectiveResult:
     """Rank's read-out of round rnd's published payload: the reduced sum
-    divided by the full world size, the inclusion mask and its popcount."""
+    divided by the full world size, and the inclusion mask."""
     data, mask = parse_payload(published, cfg)
     p = cfg.p
     # 1/p is exact for a power of two, so the cheaper product rounds the
     # same real number as the quotient: the bytes are the same
     u = data * (1.0 / p) if p & (p - 1) == 0 else data / p
-    return CollectiveResult(rank, rnd, u, mask, mask.bit_count())
+    return CollectiveResult(rank, rnd, u, mask)
 
 
 def initiator_for_round(seed: int, t: int, p: int) -> int:
@@ -268,7 +268,7 @@ class AllreduceHandle:
         self.rank = rank
         self.transport = transport
         self.recorder = recorder
-        # callable(rnd, data, fresh); data is a view valid only during the call
+        # callable(rnd, fresh): fresh iff this rank's offer for rnd boarded
         self.user_snapshot_cb = None
         self.contributed_round = -1
         self._last: CollectiveResult | None = None
@@ -283,13 +283,12 @@ class AllreduceHandle:
     # -- engine callbacks ---------------------------------------------------
 
     def _snap_cb(self, rnd: int, taken: np.ndarray) -> None:
-        data, mask = parse_payload(taken, self.cfg)
+        fresh = self.contributed_round == rnd  # whatever the bytes: a lost offer shows
         if self.recorder is not None:
-            # fresh if offered, whatever the bytes taken: a lost offer shows
-            self.recorder.snapshot(
-                SnapshotRecord(self.rank, rnd, data, self.contributed_round == rnd))
+            values = taken[:self.engine.program.mask_offset].view(np.float64)
+            self.recorder.snapshot(SnapshotRecord(self.rank, rnd, values, fresh))
         if self.user_snapshot_cb is not None:
-            self.user_snapshot_cb(rnd, data, bool((mask >> self.rank) & 1))
+            self.user_snapshot_cb(rnd, fresh)
 
     def _done_cb(self, rnd: int, published: np.ndarray) -> None:
         res = self._last = round_result(self.rank, rnd, published, self.cfg)

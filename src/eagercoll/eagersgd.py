@@ -111,7 +111,7 @@ def attach_delivery_tracking(handle, state: TrainState, ledger=None) -> None:
     """Wire the snapshot callback: when a round consumes this rank's fresh
     stash, record delivery for every pending gradient and reset the stash."""
 
-    def on_snapshot(rnd: int, data: np.ndarray, fresh: bool) -> None:
+    def on_snapshot(rnd: int, fresh: bool) -> None:
         if not fresh:
             return  # null contribution taken on our behalf; stash untouched
         if ledger is not None:

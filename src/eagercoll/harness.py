@@ -518,11 +518,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Run the invariant suites at a small scale: the round-contract checker
-    over fresh bench traces, exhaustive interleavings, and the reference-
-    trajectory drift check over a short training run; --sweep N adds the
-    contract sweep over N random training configs drawn from --seed.
-    Without flags it checks p=8 and 16 rounds per flavor."""
+    """Run the invariant suites at a small scale: per flavor, the round-
+    contract checker over a fresh bench trace and exhaustive interleavings
+    of one round at p = min(--p, 3), free and arrivals-first; then the
+    reference-trajectory drift check over a short training run.  --sweep N
+    adds the contract sweep over N random training configs drawn from
+    --seed.  Without flags it checks p=8 and 16 rounds per flavor."""
     cfg = _cfg_from_args(args, "bench", p=8, rounds=16)
     failures: dict[str, object] = {}
 
@@ -531,14 +532,16 @@ def cmd_verify(args) -> int:
         rep = check_round_contracts(rec, cfg.p, tau=None, expect_rounds=cfg.rounds)
         if not rep.ok:
             failures[f"contracts[{flavor}]"] = rep.by_kind()
-
-    free = explore_interleavings()
-    if not free.ok:
-        failures["interleavings_free"] = [dataclasses.asdict(v) for v in free.violations[:5]]
-    fixed = explore_interleavings(arrivals_first=True)
-    if not fixed.ok or fixed.unique_results != 1:
-        failures["interleavings_fixed"] = (
-            [dataclasses.asdict(v) for v in fixed.violations[:5]] or "results differ")
+        # a free search at p=4 passes the explorer's state cap
+        ecfg = CollectiveConfig(p=min(cfg.p, 3), flavor=flavor, vector_len=2, seed=cfg.seed)
+        free = explore_interleavings(ecfg)
+        if not free.ok:
+            failures[f"interleavings_free[{flavor}]"] = [
+                dataclasses.asdict(v) for v in free.violations[:5]]
+        fixed = explore_interleavings(ecfg, arrivals_first=True)
+        if not fixed.ok or fixed.unique_results != 1:
+            failures[f"interleavings_fixed[{flavor}]"] = (
+                [dataclasses.asdict(v) for v in fixed.violations[:5]] or "results differ")
 
     # tau=1 and one straggler per round keep the undelivered backlog a single
     # gradient deep, the regime the operational drift bound is stated for.

@@ -16,12 +16,12 @@ in the manner of an offloaded NIC's triggered operations: each op has a
 counter of dependencies it still waits for (its dep count under and-logic,
 1 under or-logic, 0 with none), firing an op counts down its dependents,
 and an op is ready when its counter reaches 0.  The data each fire needs
-(headers, the seeds of a fresh generation, chain successors) is resolved then
-too, into one fire record per op.  Ranks whose templates differ only in
-their peers share one Program; each Engine binds its own buffer views and
-send peers into the records that name them, and compiles nothing.  Where an op
-is the only cascade target of its one dependency, the two always fire back
-to back, so the dependency's record names it as its successor: a
+(headers, chain successors) is resolved then too, into one fire record per
+op.  Ranks whose templates differ only in their peers share one Program;
+each Engine binds its own buffer views and send peers into the records
+that name them, and compiles nothing.  Where an op is the only cascade
+target of its one dependency, the two always fire back to back, so the
+dependency's record names it as its successor: a
 straight-line chain (a reduce and the next step's send, the last reduce and
 the publishing NOP) fires as one unit, a superoperator, as a NIC runs a
 triggered recv -> reduce -> send chain.  Each op of a chain is still marked
@@ -53,10 +53,12 @@ completion: the generation counter bumps, op states and the scratch
 buffers other than the landing ones reset, and messages tagged with a
 future generation wait in the mailbox until their generation is current.
 
-Internal activation fires the entry NOP locally.  External activation is a
-message arriving on an activation-phase recv.  A hold policy, when set,
-defers matching of activation-phase messages for generations it rejects;
-this is the hook the staleness guard uses to degrade a round to synchronous.
+An op fires only on activation or a message, or as what they cascade to:
+validate() rejects any other op with no deps.  Internal activation fires
+the entry NOP locally.  External activation is a message arriving on an
+activation-phase recv.  A hold policy, when set, defers matching of
+activation-phase messages for generations it rejects; this is the hook
+the staleness guard uses to degrade a round to synchronous.
 """
 
 from __future__ import annotations
@@ -144,9 +146,11 @@ class ScheduleTemplate:
         bufs, mo = self.buffers, self.mask_offset
         # one unpack of each OpSpec is much cheaper than its field lookups
         for (oid, kind, logic, deps, _, _, _, _, send_buf, recv_buf, src_buf, dst_buf,
-             _, _) in self.ops:
+             entry, _) in self.ops:
             if kind not in _KINDS:
                 raise ScheduleError(f"unknown op kind {kind!r}")
+            if not (deps or entry or kind == K_RECV):
+                raise ScheduleError(f"{kind} op {oid} has no dependencies: nothing fires it")
             if logic not in ("and", "or"):
                 raise ScheduleError(f"unknown dep logic {logic!r}")
             for d in deps:
@@ -284,7 +288,6 @@ class Program:
         self.zero_nbytes = min((start[n] for n in landing), default=end)
         self.start, self.arena_nbytes = start, end
         waiting0 = bytearray(len(ops))
-        seeds = self.seeds = []
         recv_index = self.recv_index = {}            # (phase, step) -> recv oid
         recv_bufs = self.recv_bufs = []              # (recv oid, buffer name)
         binds = self.binds = {}                      # recv oid -> (name, readers)
@@ -299,8 +302,6 @@ class Program:
                 if need > 255:
                     raise ScheduleError(f"op {oid} has more than 255 and-dependencies")
                 waiting0[oid] = need
-            elif not (entry or kind == K_RECV):
-                seeds.append(oid)
             if entry:
                 self.entry = oid
             send = reduce = None
@@ -460,13 +461,11 @@ class Engine:
     # -- lifecycle ----------------------------------------------------------
 
     def commit(self) -> None:
-        """Arm the schedule: dependency-free ops fire immediately, except the
-        entry NOP, which waits for activation, and recvs, which fire on
-        message arrival."""
+        """Arm the schedule: from now on activation fires the entry NOP and
+        messages fire recvs, starting with those that came before it."""
         if self.committed:
             raise ScheduleError("schedule already committed")
         self.committed = True
-        self._cascade(list(self.program.seeds))
         self.pump()
 
     def activate_internal(self, expected_generation: int | None = None) -> None:
@@ -485,8 +484,6 @@ class Engine:
         self.consumed = bytearray(len(self.ops))
         self._waiting = bytearray(self.program.waiting0)
         self._zeroed.fill(0)
-        if self.program.seeds:
-            self._cascade(list(self.program.seeds))
 
     # -- firing -------------------------------------------------------------
 

@@ -22,15 +22,18 @@ _SHARE_NBYTES = 4096  # only vectors larger than one page are shared
 
 @dataclass
 class CollectiveResult:
-    """One rank's outcome of one round, as the call returns it.  The trace
-    keeps it as it is, or a copy sharing the round's first u (see the
-    module docstring)."""
+    """One rank's outcome of one round, as the call returns it; its nap is
+    derived from included, never stored.  The trace keeps it as it is, or a
+    copy sharing the round's first u (see the module docstring)."""
 
     rank: int
     rnd: int
     u: np.ndarray        # reduced vector, divided by p
     included: int        # bitmask: bit r set iff rank r's fresh value is in u
-    nap: int             # popcount of included
+
+    @property
+    def nap(self) -> int:  # the number of actual participants
+        return self.included.bit_count()
 
 
 @dataclass
@@ -72,7 +75,7 @@ class TraceRecorder:
         if u.nbytes > _SHARE_NBYTES:
             first = self._first_u.setdefault(rec.rnd, u)
             if first is not u and np.array_equal(first.view(np.uint64), u.view(np.uint64)):
-                rec = CollectiveResult(rec.rank, rec.rnd, first, rec.included, rec.nap)
+                rec = CollectiveResult(rec.rank, rec.rnd, first, rec.included)
         self.rounds.append(rec)
 
     def snapshot(self, rec: SnapshotRecord) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import collectives
-from .collectives import CollectiveConfig, SOLO, build_allreduce_template, tree_order_sum
+from .collectives import CollectiveConfig, build_allreduce_template, tree_order_sum
 from .schedule import Engine, Program, ScheduleError
 from .trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from .transport import Message
@@ -144,7 +144,7 @@ def check_round(rnd: int, p: int, results: list[CollectiveResult],
        is all-zero bytes, and u*p equals the sum of the snapshots,
        bit-exact in the reduction-tree order and within _SERIAL_RTOL of a
        serial recomputation;
-    4. at least one fresh contribution, and nap == popcount(included).
+    4. at least one fresh contribution: nap, the popcount of the mask, >= 1.
 
     A snapshot is fresh when its rank offered a value for the round before
     the snapshot took it, whatever bytes the snapshot found: so an offer
@@ -196,8 +196,6 @@ def check_round(rnd: int, p: int, results: list[CollectiveResult],
                             "u*p deviates from the serial contribution sum"))
     if ref.nap < 1:
         vs.append(Violation("nap", rnd, None, "round completed with no fresh data"))
-    if ref.nap != ref.included.bit_count():
-        vs.append(Violation("nap", rnd, None, "nap is not popcount(included)"))
     return vs
 
 
@@ -305,10 +303,11 @@ class InterleavingReport:
         return not self.violations and self.terminals > 0
 
 
-def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=None,
+def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
                           arrivals_first: bool = False,
                           max_states: int = 250_000) -> InterleavingReport:
-    """Enumerate every reachable event order of one collective round.
+    """Enumerate every reachable event order of one round of cfg's collective,
+    whose p, flavor and vector_len set the world explored.
 
     Events are rank arrivals and per-stream message deliveries; everything
     interleaves freely.  An arrival is collectives.offer, the handle's own
@@ -340,8 +339,6 @@ def explore_interleavings(cfg: CollectiveConfig | None = None, *, arrive_ranks=N
     the enumeration to message delivery orders; in that regime the final
     buffer must also be identical in every order.
     """
-    if cfg is None:
-        cfg = CollectiveConfig(p=2, flavor=SOLO, vector_len=2)
     p = cfg.p
     contributions = [np.arange(1, cfg.vector_len + 1, dtype=np.float64) * (r + 1)
                      for r in range(p)]

@@ -328,7 +328,7 @@ def _compiled(eng):
                 reduce and tuple(place(v) for v in reduce), tail, targets, then)
                for ds, label, send, reduce, tail, targets, then in eng._program]
     prog = eng.program
-    return (records, prog.waiting0, prog.seeds, prog.entry, eng._recv_index,
+    return (records, prog.waiting0, prog.entry, eng._recv_index,
             [place(v if v is None else np.asarray(v)) for v in eng._recv_dst],
             place(eng._publish_buf), eng._arena.nbytes)
 
@@ -337,7 +337,7 @@ def _compiled(eng):
 def test_class_program_with_own_peers_compiles_like_own_template(flavor):
     """Every rank's engine bound from its rank class's Program and its own
     peers reads the same fire records (peers, phases, steps, buffer places,
-    targets, chain successors), start counters, seeds and recv index as an
+    targets, chain successors), start counters, entry and recv index as an
     engine compiled from that rank's own template."""
     for p in range(1, 71):
         cfg = CollectiveConfig(p=p, flavor=flavor, vector_len=2)

@@ -555,13 +555,34 @@ def test_cli_verify_lists_explorer_violations_as_data(monkeypatch, capsys):
     """Each explorer violation prints as its fields, as the ledger's do."""
     bad = Violation("liveness", 0, 1, "no result returned via ()")
     monkeypatch.setattr(harness, "explore_interleavings",
-                        lambda **kw: InterleavingReport(3, 1, 1, [bad]))
+                        lambda cfg, **kw: InterleavingReport(3, 1, 1, [bad]))
     rc = main(VERIFY_ARGS)
     out = json.loads(capsys.readouterr().out)
     assert rc == 3
     listed = [{"kind": "liveness", "rnd": 0, "rank": 1,
                "detail": "no result returned via ()"}]
-    assert out["failures"] == {"interleavings_free": listed, "interleavings_fixed": listed}
+    assert out["failures"] == {"interleavings_free[solo]": listed,
+                               "interleavings_fixed[solo]": listed}
+
+
+def test_cli_verify_explores_the_requested_flavors(monkeypatch, capsys):
+    """verify model-checks each requested flavor at its --p, capped at 3,
+    with free arrivals and with arrivals first."""
+    seen = []
+
+    def capture(cfg, *, arrivals_first=False):
+        seen.append((cfg, arrivals_first))
+        return InterleavingReport(1, 1, 1, [])
+
+    monkeypatch.setattr(harness, "explore_interleavings", capture)
+    assert main(["verify", "--p", "5", "--flavors", "majority", "--rounds", "2"]) == 0
+    majority = CollectiveConfig(p=3, flavor="majority", vector_len=2, seed=1234)
+    assert seen == [(majority, False), (majority, True)]
+    seen.clear()
+    assert main(["verify", "--p", "2", "--rounds", "2", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert seen == [(CollectiveConfig(p=2, flavor=f, vector_len=2, seed=7), first)
+                    for f in ("sync", "solo", "majority") for first in (False, True)]
 
 
 def _shadow_drifts(monkeypatch):

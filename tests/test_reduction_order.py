@@ -110,8 +110,6 @@ def published_ids(cfg: CollectiveConfig, sums: Sums, arrivals) -> list[int | Non
                 published[r] = buf[prog.publish_from]
             stack.extend(targets)
 
-    for r, prog in enumerate(programs):
-        fire(r, list(prog.seeds))
     for r in arrivals:
         fire(r, [programs[r].entry])
     while net:

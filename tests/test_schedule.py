@@ -492,8 +492,15 @@ _WIDE = [OpSpec(i, K_NOP, deps=(0,)) for i in range(1, 257)]
     ([], {"publish_from": "nope"}, "publish_from names unknown buffer"),
     (_WIDE + [OpSpec(257, K_NOP, deps=tuple(range(1, 257)))], {},
      "op 257 has more than 255 and-dependencies"),
+    # only the entry NOP and recvs may go without deps: nothing would fire it
+    ([OpSpec(1, K_SEND, peer=1, phase=PHASE_RED, step=0)], {},
+     "send op 1 has no dependencies"),
+    ([OpSpec(1, K_COMPUTE, src_buf="buf", dst_buf="buf")], {},
+     "compute op 1 has no dependencies"),
+    ([OpSpec(1, K_NOP, deps=(0,)), OpSpec(2, K_NOP)], {}, "nop op 2 has no dependencies"),
 ], ids=["sparse-ids", "unknown-kind", "unknown-logic", "missing-dep", "send-buffer",
-        "recv-buffer", "publish-from", "256-and-deps"])
+        "recv-buffer", "publish-from", "256-and-deps", "send-without-deps",
+        "compute-without-deps", "nop-without-deps"])
 def test_program_rejects_a_malformed_template(ops, extra, why):
     tpl = ScheduleTemplate(ops=[OpSpec(0, K_NOP, entry=True), *ops], buffers={"buf": 8},
                            **extra)
@@ -537,14 +544,12 @@ class ReferenceCascade:
     after every match.  Messages of past generations are dropped, those of
     future generations wait, and activation-phase messages wait while the
     hold flag is up.  A persistent schedule replicates when its publishing
-    op fires: the generation bumps, every op resets and the seeds fire."""
+    op fires: the generation bumps and every op resets."""
 
     def __init__(self, tpl):
         self.ops = sorted(tpl.ops, key=lambda o: o.oid)
         self.entry = next(op.oid for op in tpl.ops if op.entry)
         self.persistent = tpl.persistent
-        self.seeds = [op.oid for op in self.ops
-                      if not (op.deps or op.entry or op.kind == K_RECV)]
         self.dependents = [[] for _ in self.ops]
         for op in self.ops:
             for d in op.deps:
@@ -563,9 +568,9 @@ class ReferenceCascade:
         hits = (self.consumed[d] for d in op.deps)
         return any(hits) if op.logic == "or" else all(hits)
 
-    def cascade(self, seeds):
+    def cascade(self, heads):
         gen = self.generation
-        stack = list(seeds)
+        stack = list(heads)
         while stack and self.generation == gen:
             op = self.ops[stack.pop()]
             if self.consumed[op.oid] or op.kind == K_RECV or not self.ready(op):
@@ -583,10 +588,8 @@ class ReferenceCascade:
             if self.persistent:
                 self.generation += 1
                 self.consumed = [0] * len(self.ops)
-                self.cascade(self.seeds)
 
     def commit(self):
-        self.cascade(self.seeds)
         self.pump()
 
     def activate(self):
@@ -632,47 +635,31 @@ class ReferenceCascade:
 _KIND_CHOICES = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
 
 
-def _unprompted(ops):
-    """The ops that fire from the seeds alone, with no activation and no
-    message."""
-    fired: set = set()
-    grew = True
-    while grew:
-        grew = False
-        for op in ops:
-            if op.oid in fired or op.entry or op.kind == K_RECV:
-                continue
-            hits = [d in fired for d in op.deps]
-            if not op.deps or (any(hits) if op.logic == "or" else all(hits)):
-                fired.add(op.oid)
-                grew = True
-    return fired
-
-
 @st.composite
 def random_schedules(draw):
     """A valid schedule, its ops listed in a random order: an entry NOP,
     then ops of every kind with and/or deps on earlier ops only, often on
-    the op before alone, so straight-line chains form; one of them, inside
-    a chain or not, publishes.  Persistent unless the publisher would fire
-    with no activation and no message.  Plus the events to feed it in a
-    random order: an activation and one message per recv for each of its
-    generations (b, the recvs' buffer, may be publish_from, and a may be
-    the snapshot source) (two when persistent, so the second generation's messages
-    arrive early), some duplicates, perhaps a message no recv matches, and
-    perhaps a hold on activation messages and its release."""
+    the op before alone, so straight-line chains form, and none but a recv
+    without deps; one of them, inside a chain or not, publishes.  Plus the
+    events to feed it in a random order: an activation and one message per
+    recv for each of its generations (b, the recvs' buffer, may be
+    publish_from, and a may be the snapshot source) (two when persistent,
+    so the second generation's messages arrive early), some duplicates,
+    perhaps a message no recv matches, and perhaps a hold on activation
+    messages and its release."""
     n = draw(st.integers(2, 12))
     buffers = {"a": 8, "b": 8}
     publisher = draw(st.integers(1, n))
     ops = [OpSpec(0, K_NOP, entry=True)]
     streams = []
     for oid in range(1, n + 1):
+        kind = draw(st.sampled_from(_KIND_CHOICES))
         if draw(st.booleans()):
             deps = (oid - 1,)
         else:
-            deps = tuple(draw(st.sets(st.integers(0, oid - 1), max_size=3)))
+            deps = tuple(draw(st.sets(st.integers(0, oid - 1),
+                                      min_size=0 if kind == K_RECV else 1, max_size=3)))
         logic = draw(st.sampled_from(("and", "or")))
-        kind = draw(st.sampled_from(_KIND_CHOICES))
         mark = {"publish": oid == publisher}
         if kind == K_SEND:
             ops.append(OpSpec(oid, K_SEND, logic=logic, deps=deps, peer=oid,
@@ -688,7 +675,7 @@ def random_schedules(draw):
                               src_buf="b", dst_buf="a", **mark))
         else:
             ops.append(OpSpec(oid, K_NOP, logic=logic, deps=deps, **mark))
-    persistent = draw(st.booleans()) and publisher not in _unprompted(ops)
+    persistent = draw(st.booleans())
     snapshot_last = draw(st.sampled_from((None, *range(n + 1))))
     # listed in any order: the engine compiles the oid order regardless
     tpl = ScheduleTemplate(ops=draw(st.permutations(ops)), buffers=buffers,

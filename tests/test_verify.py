@@ -43,7 +43,6 @@ def tamper_mask(recorder: TraceRecorder, rank: int, rnd: int, bit: int) -> None:
     for r in recorder.rounds:
         if r.rank == rank and r.rnd == rnd:
             r.included ^= 1 << bit
-            r.nap = r.included.bit_count()
             return
     raise KeyError((rank, rnd))
 
@@ -107,15 +106,6 @@ def test_missing_trailing_round_is_caught_via_expect_rounds():
     assert "liveness" in rep.by_kind()
 
 
-def test_forged_nap_is_caught():
-    rec, p = clean_trace()
-    for row in rec.rounds:
-        if row.rnd == 1:
-            row.nap += 1  # nap must be popcount(included) everywhere
-    rep = check_round_contracts(rec, p)
-    assert "nap" in rep.by_kind()
-
-
 def test_missing_snapshot_is_caught_as_liveness():
     rec, p = clean_trace()
     assert check_round_contracts(rec, p, expect_rounds=3).ok
@@ -153,7 +143,7 @@ def _cancelling_contributions(rec, p):
             s.data, s.fresh = vals[s.rank], True
     for row in rec.rounds:
         if row.rnd == 1:
-            row.u, row.included, row.nap = tree_order_sum(vals) / p, 0b1111, 4
+            row.u, row.included = tree_order_sum(vals) / p, 0b1111
 
 
 def _no_fresh_contribution(rec, p):
@@ -163,7 +153,7 @@ def _no_fresh_contribution(rec, p):
             s.data, s.fresh = np.zeros(4), False
     for row in rec.rounds:
         if row.rnd == 1:
-            row.u, row.included, row.nap = np.zeros(4), 0, 0
+            row.u, row.included = np.zeros(4), 0
 
 
 @pytest.mark.parametrize("fault, violation", [
@@ -328,7 +318,7 @@ def test_recorder_shares_one_array_per_round_across_threads():
         offer = np.full(1024, float(rank))
         start.wait(timeout=30)
         for t in range(rounds):
-            rec.round_done(CollectiveResult(rank, t, u + t, 1, 1))
+            rec.round_done(CollectiveResult(rank, t, u + t, 1))
             rec.snapshot(SnapshotRecord(rank, t, zeros, False))
             rec.snapshot(SnapshotRecord(rank, t, offer, True))
 
