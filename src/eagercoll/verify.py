@@ -321,10 +321,17 @@ def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
     ScheduleError.  States are deduplicated on their full value (every
     engine's state, the network, the pending arrivals and the ranks whose
     arrival boarded), so the search is exhaustive over distinct executions.
-    They are stored as shared per-engine deltas: an event changes one
-    engine, so a state's engine-state tuple reuses its parent's entries for
-    the others, and a restore puts back only the engines whose state object
-    differs from the one they hold.
+
+    Each engine state() value and each Message is stored once, under an
+    int id, so a state is (each rank's state id, the network's message ids
+    sorted by stream key, pending arrivals, boarded ranks).  A step, one
+    rank's transition on an arrival or a message, runs engine code only
+    the first time the search meets its (rank, state id, input); a table
+    keeps its next state id, whether the arrival boarded and the ids of the
+    messages it sent.  That is sound because an explorer engine's step is a
+    function of its state() and its input: it has no recorder, callbacks
+    or hold policy, its clock is constant, it reaches another rank only
+    through send_fn, and restore() rebuilds everything a step reads.
 
     Each terminal goes through check_round, given a result per finished
     rank (the engine faults on any double firing), read out of its publish
@@ -332,8 +339,9 @@ def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
     snapshot per rank, fresh with its contribution iff its arrival boarded:
     freshness comes from the offer, as in a recorded trace.
     Each violation's detail ends with the path to its terminal.  A terminal
-    also re-reads every engine's state and raises EngineStateDrift if it
-    differs from the stored one.
+    restores every engine to its recorded state, re-reads it and raises
+    EngineStateDrift if it differs: a step changed an engine it does not
+    name.
 
     arrivals_first performs all arrivals before exploring, which restricts
     the enumeration to message delivery orders; in that regime the final
@@ -346,79 +354,84 @@ def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
     if arrive_ranks is None:
         arrive_ranks = tuple(range(p))
 
-    streams: dict[tuple, Message] = {}
-
-    def send_fn(msg: Message) -> None:
-        key = (msg.src, msg.dst, msg.phase, msg.step)
-        if key in streams:
-            raise ScheduleError(f"second message on stream {key} in one round")
-        streams[key] = msg
-
+    sent: list[Message] = []
     engines: list[Engine] = []
     for r in range(p):
         # single round; terminal state is generation 0 done
         template = replace(build_allreduce_template(r, cfg), persistent=False)
-        eng = Engine(Program(template), r, 0, send_fn, lambda: 0)
+        eng = Engine(Program(template), r, 0, sent.append, lambda: 0)
         eng.commit()
         engines.append(eng)
 
-    def arrive(rank: int) -> bool:
-        # looked up on the module, as the handle does, so both run one rule
-        boards = collectives.offer(engines[rank], cfg, rank, contributions[rank])
-        engines[rank].activate_internal(expected_generation=0)
-        return boards
+    # the interned values: states[i] is the state() value of id i, msgs[i]
+    # the Message of id i and keys[i] its stream key.  These tables and the
+    # steps table live for one call, so a fault patched into Engine or
+    # collectives between calls reaches the next search.
+    states: list[tuple] = []
+    msgs: list[Message] = []
+    keys: list[tuple] = []
+    state_ids: dict[tuple, int] = {}
+    msg_ids: dict[Message, int] = {}
 
-    # A state is (engine states, net, pending arrivals, boarded ranks),
-    # where net is the streams' items by key.  The engines and streams are
-    # live: `held` is the state object each engine holds and `held_net` the
-    # net the streams hold, so a restore puts back only what differs.
-    def restore(s) -> None:
-        nonlocal held_net
-        engs, net, _, _ = s
-        for r, state in enumerate(engs):
-            if held[r] is not state:
-                engines[r].restore(state)
-                held[r] = state
-        if held_net is not net:
-            streams.clear()
-            streams.update(net)
-            held_net = net
+    def intern(ids: dict, values: list, value) -> int:
+        i = ids.setdefault(value, len(values))
+        if i == len(values):
+            values.append(value)
+        return i
 
-    def apply(s, action) -> tuple:
-        """Run `action` from the live state s; return the state it leads to.
+    ARRIVE = -1  # a step's input: an arrival, or a message id
+    steps: dict[tuple, tuple] = {}
+    held = [intern(state_ids, states, e.state()) for e in engines]  # each engine's state id
 
-        An explorer engine has no recorder and no callbacks, and it reaches
-        another rank only through send_fn, which fills a stream.  So an
-        arrival or a delivery changes one engine, the one it names, plus the
-        streams, and only that engine's state() is read again."""
-        nonlocal held_net
-        engs, _, arrivals, boarded = s
-        kind, x = action
-        if kind == "arrive":
-            arrivals = arrivals - {x}
-            if arrive(x):
-                boarded = boarded | {x}
-            r = x
+    def step(r: int, sid: int, x: int) -> tuple:
+        """(next state id, boarded, ids of the messages sent) of rank r in
+        state sid on input x; the engine runs only on the first call."""
+        out = steps.get((r, sid, x))
+        if out is None:
+            eng = engines[r]
+            if held[r] != sid:
+                eng.restore(states[sid])
+            sent.clear()
+            boards = False
+            if x == ARRIVE:
+                # looked up on the module, as the handle does, so both run one rule
+                boards = collectives.offer(eng, cfg, r, contributions[r])
+                eng.activate_internal(expected_generation=0)
+            else:
+                eng.deliver(msgs[x])
+            held[r] = intern(state_ids, states, eng.state())
+            new = tuple([intern(msg_ids, msgs, m) for m in sent])
+            keys.extend((m.src, m.dst, m.phase, m.step) for m in msgs[len(keys):])
+            out = steps[r, sid, x] = (held[r], boards, new)
+        return out
+
+    def child(s: tuple, r: int, x: int) -> tuple:
+        """The state that rank r's step on input x leads to from s."""
+        sids, net, arrivals, boarded = s
+        nsid, boards, new = step(r, sids[r], x)
+        if x == ARRIVE:
+            arrivals = arrivals - {r}
+            if boards:
+                boarded = boarded | {r}
         else:
-            msg = streams.pop(x)
-            r = msg.dst
-            engines[r].deliver(msg)
-        state = held[r] = engines[r].state()
-        net = held_net = tuple(sorted(streams.items()))
-        return (engs[:r] + (state,) + engs[r + 1:], net, arrivals, boarded)
+            net = tuple([i for i in net if i != x])
+        if new:
+            net = tuple(sorted(net + new, key=keys.__getitem__))
+            for a, b in zip(net, net[1:]):
+                if keys[a] == keys[b]:
+                    raise ScheduleError(f"second message on stream {keys[a]} in one round")
+        return (sids[:r] + (nsid,) + sids[r + 1:], net, arrivals, boarded)
 
-    pending, boarded = frozenset(arrive_ranks), frozenset()
+    s = (tuple(held), (), frozenset(arrive_ranks), frozenset())
     if arrivals_first:
-        boarded = frozenset([r for r in sorted(pending) if arrive(r)])
-        pending = frozenset()
-    held = [e.state() for e in engines]
-    held_net = tuple(sorted(streams.items()))
+        for r in sorted(s[2]):
+            s = child(s, r, ARRIVE)
 
     seen: set = set()
     results: set = set()
     violations: list[Violation] = []
     terminals = 0
-    stack = [((tuple(held), held_net, pending, boarded), ())]
+    stack = [(s, ())]
     while stack:
         s, path = stack.pop()
         if s in seen:
@@ -426,12 +439,14 @@ def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
         seen.add(s)
         if len(seen) > max_states:
             raise StateSpaceTooLarge(f"exceeded {max_states} states")
-        engs, net, arrivals, boarded = s
-        ch = [("arrive", r) for r in sorted(arrivals)] + [("deliver", k) for k, _ in net]
-        if not ch:
-            restore(s)
+        sids, net, arrivals, boarded = s
+        if not (arrivals or net):
             terminals += 1
-            drifted = [r for r, e in enumerate(engines) if e.state() != engs[r]]
+            for r, e in enumerate(engines):
+                if held[r] != sids[r]:
+                    e.restore(states[sids[r]])
+                    held[r] = sids[r]
+            drifted = [r for r, e in enumerate(engines) if e.state() != states[sids[r]]]
             if drifted:
                 raise EngineStateDrift(
                     f"ranks {drifted} hold states the search did not record, via {path}")
@@ -447,8 +462,8 @@ def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
             violations += [replace(v, detail=f"{v.detail} via {path}")
                            for v in check_round(0, p, finished, snaps)]
             continue
-        # each choice restores s, so no restore is needed before the loop
-        for c in ch:
-            restore(s)
-            stack.append((apply(s, c), path + (c,)))
+        for r in sorted(arrivals):
+            stack.append((child(s, r, ARRIVE), path + (("arrive", r),)))
+        for i in net:
+            stack.append((child(s, msgs[i].dst, i), path + (("deliver", keys[i]),)))
     return InterleavingReport(len(seen), terminals, len(results), violations)

@@ -553,6 +553,28 @@ def test_explorer_counts_are_pinned(cfg, arrivals_first, counts):
     assert (rep.states, rep.terminals, rep.unique_results) == counts
 
 
+def test_explorer_runs_each_engine_step_once(monkeypatch):
+    """The search memoizes each rank's step on its (state, input), so no
+    (rank, state() before, input) reaches real engine code twice: p=3 solo
+    with free arrivals expands 3,545 states but runs 416 engine steps."""
+    steps = []
+    deliver, offer = Engine.deliver, collectives.offer
+
+    def recorded_deliver(self, msg):
+        steps.append((self.rank, self.state(), msg))
+        deliver(self, msg)
+
+    def recorded_offer(engine, cfg, rank, vec):
+        steps.append((rank, engine.state(), "arrive"))
+        return offer(engine, cfg, rank, vec)
+    monkeypatch.setattr(Engine, "deliver", recorded_deliver)
+    monkeypatch.setattr(collectives, "offer", recorded_offer)
+    rep = explore_interleavings(CollectiveConfig(p=3, flavor="solo", vector_len=2, seed=1234))
+    assert (rep.states, rep.terminals) == (3545, 7)
+    assert len(set(steps)) == len(steps) == 416
+    assert sum(x == "arrive" for _, _, x in steps) == 61
+
+
 def test_explorer_state_budget():
     cfg = CollectiveConfig(p=3, flavor="solo", vector_len=1)
     with pytest.raises(StateSpaceTooLarge):
@@ -601,6 +623,20 @@ def _rank1_loses_its_offer(monkeypatch, lost=None):
             send[:] = 0
         activate(self, expected_generation)
     monkeypatch.setattr(Engine, "activate_internal", zero_then_activate)
+
+
+def test_explorer_search_order_and_path_labels_are_pinned(monkeypatch):
+    """The search is depth-first, last choice first, over arrivals by rank
+    and then deliveries by stream key: the first violation it reports, path
+    included, moves with any change to that order or to the labels."""
+    _rank1_never_completes(monkeypatch)
+    rep = explore_interleavings(CollectiveConfig(p=2, flavor="solo", vector_len=2))
+    assert len(rep.violations) == 3
+    assert rep.violations[0] == Violation(
+        "liveness", 0, 1,
+        "no result returned via (('arrive', 1), ('deliver', (1, 0, 1, 0)),"
+        " ('deliver', (1, 0, 0, 0)), ('deliver', (0, 1, 1, 0)), ('arrive', 0),"
+        " ('deliver', (0, 1, 0, 0)))")
 
 
 @pytest.mark.parametrize("flavor", ["solo", "majority", "sync"])
