@@ -38,7 +38,7 @@ from .trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from .transport import PHASE_ACT, PHASE_RED, Sleep, SimTransport, WaitRound
 
 SOLO, MAJORITY, SYNC = "solo", "majority", "sync"
-FLAVORS = (SOLO, MAJORITY, SYNC)
+FLAVORS = (SYNC, SOLO, MAJORITY)  # a run's default flavors, in run order
 
 
 class RoundOrderError(RuntimeError):

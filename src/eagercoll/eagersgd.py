@@ -107,16 +107,16 @@ def staleness_guard(handle, state: TrainState) -> None:
     handle.engine.hold_policy = policy
 
 
-def attach_delivery_tracking(handle, state: TrainState, ledger=None) -> None:
+def attach_delivery_tracking(handle, state: TrainState, ledger) -> None:
     """Wire the snapshot callback: when a round consumes this rank's fresh
-    stash, record delivery for every pending gradient and reset the stash."""
+    stash, record in `ledger` (a verify.DeliveryLedger) the delivery of
+    every pending gradient, and reset the stash."""
 
     def on_snapshot(rnd: int, fresh: bool) -> None:
         if not fresh:
             return  # null contribution taken on our behalf; stash untouched
-        if ledger is not None:
-            for g in state.send_buf.pending_rounds:
-                ledger.delivered(state.rank, g, rnd)
+        for g in state.send_buf.pending_rounds:
+            ledger.delivered(state.rank, g, rnd)
         state.send_buf.reset()
 
     handle.user_snapshot_cb = on_snapshot
@@ -155,13 +155,6 @@ def train_step(state: TrainState, batch, handle):
     return loss, res
 
 
-def resync_models(weights: list[np.ndarray]) -> np.ndarray:
-    """The average every rank converges to on resync: fixed-tree-order sum
-    divided by the rank count, so the distributed path is bit-identical."""
-    from .collectives import tree_order_sum
-    return tree_order_sum(list(weights)) / len(weights)
-
-
 def resync_step(state: TrainState, resync_handle, k: int):
     """Distributed model averaging round k on a dedicated sync collective."""
     if not resync_handle.try_contribute(k, state.w):
@@ -177,16 +170,18 @@ def resync_step(state: TrainState, resync_handle, k: int):
 
 def training_process(rank: int, state: TrainState, handle, resync_handle,
                      dataset, rows: np.ndarray, delays: np.ndarray, *, epochs: int,
-                     steps_per_epoch: int, metrics=None, ledger=None, val_out=None):
+                     steps_per_epoch: int, metrics: list, ledger, val_out: dict):
     """Full per-rank training loop (generator process body).
 
     rows[t] are the train-split rows of round t's minibatch and delays[t]
     the us of injected computation delay before its gradient: this rank's
     rows of models.batch_table and transport.delay_table, which a run draws
-    once for every flavor; metrics, if given, collects one train-CSV row
-    dict per round, t_us being the transport clock when the round's result
-    was applied; val_out, if given, gets val_out[(rank, epoch)] =
-    validation MSE at each epoch end.
+    once for every flavor.  The loop fills three sinks: `metrics` gets one
+    train-CSV row dict per round, t_us being the transport clock when the
+    round's result was applied; `ledger` (a verify.DeliveryLedger) records
+    each gradient's generation and delivery; and val_out[(rank, epoch)] is
+    the validation MSE at each epoch end.  resync_handle, if not None, is
+    the sync collective that averages the models every resync_period epochs.
     """
     staleness_guard(handle, state)
     attach_delivery_tracking(handle, state, ledger)
@@ -198,22 +193,19 @@ def training_process(rank: int, state: TrainState, handle, resync_handle,
             d = delays[t]
             if d:
                 yield Sleep(int(d))
-            if ledger is not None:
-                ledger.generated(rank, t)
+            ledger.generated(rank, t)
             batch = (dataset.x_train.take(rows[t], axis=0), dataset.y_train.take(rows[t]))
             loss, res = yield from train_step(state, batch, handle)
-            if metrics is not None:
-                metrics.append({
-                    "flavor": handle.cfg.flavor, "round": t, "epoch": epoch,
-                    "rank": rank, "loss": loss, "nap": res.nap,
-                    "staleness_max": state.staleness_max(),
-                    "t_us": handle.transport.now_us(),
-                })
+            metrics.append({
+                "flavor": handle.cfg.flavor, "round": t, "epoch": epoch,
+                "rank": rank, "loss": loss, "nap": res.nap,
+                "staleness_max": state.staleness_max(),
+                "t_us": handle.transport.now_us(),
+            })
         if resync_handle is not None and (epoch + 1) % state.resync_period == 0:
             yield from resync_step(state, resync_handle, resyncs)
             resyncs += 1
-        if val_out is not None:
-            val_out[(rank, epoch)] = mse(state.w, dataset.x_val, dataset.y_val)
+        val_out[(rank, epoch)] = mse(state.w, dataset.x_val, dataset.y_val)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collectives import MAJORITY, SOLO, SYNC, CollectiveConfig, RoundOrderError
+from .collectives import FLAVORS, MAJORITY, SOLO, SYNC, CollectiveConfig, RoundOrderError
 from .collectives import ceil_log2, initiator_for_round, simulate
 from .eagersgd import DivergenceError, TrainState, training_process
 from .models import LinearModel, batch_table, gen_dataset
@@ -41,7 +41,6 @@ from .verify import DeliveryLedger, check_round_contracts, explore_interleavings
 
 BENCH_SCHEMA = "eagercoll-bench-v1"
 TRAIN_SCHEMA = "eagercoll-train-v1"
-ALL_FLAVORS = (SYNC, SOLO, MAJORITY)
 
 _BENCH_FIELDS = ("flavor", "round", "rank", "latency_us", "nap", "initiator")
 _TRAIN_FIELDS = ("flavor", "round", "epoch", "rank", "loss", "nap",
@@ -63,7 +62,7 @@ class RunConfig:
     injection model)."""
 
     mode: str = "bench"                    # bench | train
-    flavors: tuple[str, ...] = ALL_FLAVORS
+    flavors: tuple[str, ...] = FLAVORS
     p: int = 8
     rounds: int = 64                       # bench rounds per flavor
     vector_len: int = 64
@@ -88,7 +87,7 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not self.flavors:
             raise ConfigError("at least one flavor is required")
-        bad = [f for f in self.flavors if f not in ALL_FLAVORS]
+        bad = [f for f in self.flavors if f not in FLAVORS]
         if bad:
             raise ConfigError(f"unknown flavors {bad}")
         if len(set(self.flavors)) != len(self.flavors):
@@ -398,20 +397,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_bench_csv(records: list[BenchRecord], path: str) -> None:
+def _write_csv(path: str, schema: str, fields: tuple[str, ...], rows) -> None:
     with open(path, "w") as f:
-        f.write(f"# {BENCH_SCHEMA}\n")
-        f.write(",".join(_BENCH_FIELDS) + "\n")
-        for b in records:
-            f.write(",".join(_fmt(getattr(b, k)) for k in _BENCH_FIELDS) + "\n")
+        f.write(f"# {schema}\n")
+        f.write(",".join(fields) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(row[k]) for k in fields) + "\n")
+
+
+def write_bench_csv(records: list[BenchRecord], path: str) -> None:
+    _write_csv(path, BENCH_SCHEMA, _BENCH_FIELDS, map(vars, records))
 
 
 def write_train_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w") as f:
-        f.write(f"# {TRAIN_SCHEMA}\n")
-        f.write(",".join(_TRAIN_FIELDS) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(row[k]) for k in _TRAIN_FIELDS) + "\n")
+    _write_csv(path, TRAIN_SCHEMA, _TRAIN_FIELDS, rows)
 
 
 def write_jsonl(path: str, schema: str, dicts: list[dict]) -> None:

@@ -22,10 +22,6 @@ class HyperplaneDataset:
     y_val: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    @property
     def n_train(self) -> int:
         return self.x_train.shape[0]
 

@@ -205,7 +205,7 @@ class SimTransport:
         self._seq = 0
         self._engines: list[dict] = [{} for _ in range(p)]
         self._procs: dict[int, object] = {}
-        self._parked_round: dict[int, tuple] = {}
+        self._parked: set[int] = set()  # ranks blocked on a WaitRound
         self.events_processed = 0
 
     # -- time ---------------------------------------------------------------
@@ -268,9 +268,8 @@ class SimTransport:
                 handler(arg)
         finally:
             self.events_processed = events
-        if self._parked_round:
-            raise DeadlockError(
-                f"ranks {sorted(self._parked_round)} blocked with no pending events")
+        if self._parked:
+            raise DeadlockError(f"ranks {sorted(self._parked)} blocked with no pending events")
 
     def _deliver(self, msg: Message) -> None:
         _engine_for(self._engines[msg.dst], msg).deliver(msg)
@@ -285,13 +284,13 @@ class SimTransport:
         if isinstance(cmd, Sleep):
             self._push(self._now_us + int(cmd.us), _PRIO_RESUME, self._step_proc, (rank, None))
         elif isinstance(cmd, WaitRound):
-            self._parked_round[rank] = (cmd.handle, cmd.generation)
+            self._parked.add(rank)
             cmd.handle.add_waiter(cmd.generation, rank, self._wake_round)
         else:
             raise TypeError(f"process yielded {cmd!r}")
 
     def _wake_round(self, rank: Rank, result) -> None:
-        del self._parked_round[rank]
+        self._parked.remove(rank)
         self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, result))
 
 

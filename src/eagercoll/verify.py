@@ -19,6 +19,8 @@ from .trace import CollectiveResult, SnapshotRecord, TraceRecorder
 from .transport import Message
 
 _SERIAL_RTOL = 1e-12  # relative tolerance of u*p against a serial re-sum
+_SHADOW_SLACK = 0.5   # a shadow drift passes up to (1 + slack) x its bound
+_MAX_STATES = 250_000  # explore_interleavings raises StateSpaceTooLarge past it
 
 
 class IncompleteTrace(ValueError):
@@ -235,11 +237,10 @@ class ShadowReport:
     bound: float
     m2_hat: float
     q_hat: int
-    slack: float
 
     @property
     def ok(self) -> bool:
-        return self.max_drift <= self.bound * (1 + self.slack) + 1e-300
+        return self.max_drift <= self.bound * (1 + _SHADOW_SLACK) + 1e-300
 
 
 def track_shadow(recorder: TraceRecorder, alpha: float, p: int, tau: int) -> ShadowReport:
@@ -280,7 +281,7 @@ def track_shadow(recorder: TraceRecorder, alpha: float, p: int, tau: int) -> Sha
     naps = [r.nap for r in recorder.rounds if r.rnd < rounds]
     q_hat = min(naps) if naps else 0
     bound = alpha * alpha * tau * m2 * (p - q_hat) / (p * p)
-    return ShadowReport(drift, max(drift), bound, m2, q_hat, slack=0.5)
+    return ShadowReport(drift, max(drift), bound, m2, q_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +305,7 @@ class InterleavingReport:
 
 
 def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
-                          arrivals_first: bool = False,
-                          max_states: int = 250_000) -> InterleavingReport:
+                          arrivals_first: bool = False) -> InterleavingReport:
     """Enumerate every reachable event order of one round of cfg's collective,
     whose p, flavor and vector_len set the world explored.
 
@@ -437,8 +437,8 @@ def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
         if s in seen:
             continue
         seen.add(s)
-        if len(seen) > max_states:
-            raise StateSpaceTooLarge(f"exceeded {max_states} states")
+        if len(seen) > _MAX_STATES:
+            raise StateSpaceTooLarge(f"exceeded {_MAX_STATES} states")
         sids, net, arrivals, boarded = s
         if not (arrivals or net):
             terminals += 1

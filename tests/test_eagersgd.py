@@ -18,7 +18,6 @@ from eagercoll.eagersgd import (
     attach_delivery_tracking,
     max_learning_rate,
     min_iterations,
-    resync_models,
     resync_step,
     staleness_guard,
     train_step,
@@ -131,7 +130,7 @@ def test_gradient_conservation_under_random_skew():
     def body(r, handle):
         return training_process(
             r, states[r], handle, None, ds, rows[r], delays[r], epochs=epochs,
-            steps_per_epoch=steps, ledger=ledger)
+            steps_per_epoch=steps, metrics=[], ledger=ledger, val_out={})
 
     simulate([cfg], body, link_latency_us=5, recorder=rec)
 
@@ -156,12 +155,6 @@ def test_gradient_conservation_under_random_skew():
 # resync
 
 
-def test_resync_models_uses_the_fixed_tree_order():
-    ws = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
-    out = resync_models(ws)
-    assert out.tobytes() == (tree_order_sum(ws) / 3).tobytes()
-
-
 def test_resync_step_restores_bitwise_agreement():
     p = 2
     cfg = CollectiveConfig(p=p, flavor="sync", vector_len=4, seed=1)
@@ -175,7 +168,7 @@ def test_resync_step_restores_bitwise_agreement():
 
     simulate([cfg], body, link_latency_us=7)
     assert states[0].w.tobytes() == states[1].w.tobytes()
-    want = resync_models([np.arange(4.0), np.arange(4.0) * 2])
+    want = tree_order_sum([np.arange(4.0), np.arange(4.0) * 2]) / 2
     assert states[0].w.tobytes() == want.tobytes()
 
 

@@ -586,7 +586,7 @@ def test_cli_verify_explores_the_requested_flavors(monkeypatch, capsys):
 
 
 def _shadow_drifts(monkeypatch):
-    drifted = ShadowReport([0.0, 9.0], 9.0, 1.0, 1.0, 3, slack=0.5)
+    drifted = ShadowReport([0.0, 9.0], 9.0, 1.0, 1.0, 3)
     monkeypatch.setattr(harness, "track_shadow", lambda *args: drifted)
     return {"shadow_drift": {"max_drift": 9.0, "bound": 1.0}}
 

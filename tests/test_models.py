@@ -61,7 +61,7 @@ def test_gradient_descent_reduces_loss():
 
 def test_dataset_shapes_and_split():
     ds = gen_dataset(dim=5, n=100, sigma=0.2, seed=9)
-    assert ds.dim == 5
+    assert ds.a.shape == (5,)
     assert ds.x_train.shape == (80, 5) and ds.y_train.shape == (80,)
     assert ds.x_val.shape == (20, 5) and ds.y_val.shape == (20,)
     assert np.all(np.abs(ds.x_train) <= 1.0)

@@ -339,7 +339,8 @@ def test_a_rank_without_a_body_still_serves():
 
 def _socket_training_report(p, epochs, steps, tau):
     """Solo eager-SGD over sockets with the tau guard and a sync resync on
-    cid 1; the last rank is about 2 ms late every round."""
+    cid 1; the last rank is about 2 ms late every round.  Returns the
+    contract report, the metrics rows and the validation dict."""
     rounds = epochs * steps
     cfg = CollectiveConfig(p=p, flavor="solo", vector_len=4, seed=5)
     resync_cfg = CollectiveConfig(p=p, flavor="sync", vector_len=4, seed=5)
@@ -347,7 +348,7 @@ def _socket_training_report(p, epochs, steps, tau):
     rows = batch_table(13, p, rounds, 4, ds.n_train)
     delays = np.zeros((p, rounds), dtype=np.int64)
     delays[p - 1] = 2000
-    rec, ledger = TraceRecorder(), DeliveryLedger()
+    rec, ledger, metrics, val = TraceRecorder(), DeliveryLedger(), [], {}
     net = SocketTransport(p)
     try:
         handles = [AllreduceHandle(cfg, r, net, cid=0, recorder=rec) for r in range(p)]
@@ -358,18 +359,37 @@ def _socket_training_report(p, epochs, steps, tau):
                                      tau=tau)
             return training_process(
                 r, state, handles[r], resyncs[r], ds, rows[r], delays[r], epochs=epochs,
-                steps_per_epoch=steps, ledger=ledger)
+                steps_per_epoch=steps, metrics=metrics, ledger=ledger, val_out=val)
 
         net.run_processes({r: body(r) for r in range(p)}, timeout=30)
     finally:
         net.close()
-    return check_round_contracts(rec, p, tau=tau, ledger=ledger,
-                                 allow_pending_after=rounds - 1 - tau)
+    rep = check_round_contracts(rec, p, tau=tau, ledger=ledger,
+                                allow_pending_after=rounds - 1 - tau)
+    return rep, metrics, val
 
 
 def test_socket_training_keeps_the_staleness_bound():
     """The hold policy runs where the rank's body runs, so it never sees a
     gradient that is neither in progress nor stashed."""
     for _ in range(20):
-        rep = _socket_training_report(p=4, epochs=2, steps=4, tau=1)
+        rep, _, _ = _socket_training_report(p=4, epochs=2, steps=4, tau=1)
         assert rep.ok, rep.violations
+
+
+def test_socket_training_fills_its_sinks():
+    """One metrics row per (rank, round) and one validation MSE per
+    (rank, epoch); a resync ends every epoch, so all ranks validate the
+    same model."""
+    p, epochs, steps = 3, 3, 2
+    rep, metrics, val = _socket_training_report(p, epochs, steps, tau=1)
+    assert rep.ok, rep.violations
+    assert sorted((m["rank"], m["round"]) for m in metrics) == [
+        (r, t) for r in range(p) for t in range(epochs * steps)]
+    for m in metrics:
+        assert (m["flavor"], m["epoch"]) == ("solo", m["round"] // steps)
+        assert 1 <= m["nap"] <= p and m["t_us"] >= 0
+    assert sorted(val) == [(r, e) for r in range(p) for e in range(epochs)]
+    for e in range(epochs):
+        assert np.isfinite(val[(0, e)])
+        assert all(val[(r, e)] == val[(0, e)] for r in range(p))

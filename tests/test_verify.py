@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from eagercoll import collectives, schedule
+from eagercoll import collectives, schedule, verify
 from eagercoll.collectives import (
     AllreduceHandle, CollectiveConfig, run_allreduce, simulate, tree_order_sum,
 )
@@ -450,7 +450,7 @@ def run_training_trace(p=2, rounds=6, flavor="sync", alpha=0.05, delays=None,
         state = TrainState.fresh(w0, lr=alpha, rank=r, tau=tau)
         return training_process(
             r, state, handle, None, ds, rows[r], delays[r], epochs=1,
-            steps_per_epoch=rounds)
+            steps_per_epoch=rounds, metrics=[], ledger=DeliveryLedger(), val_out={})
 
     simulate([cfg], body, link_latency_us=10, recorder=rec)
     return rec
@@ -469,7 +469,7 @@ def test_shadow_drift_bounded_with_one_straggler():
         p=4, rounds=8, flavor="solo", alpha=0.02, tau=1,
         delays=[[500 if r == (t % 4) else 0 for t in range(8)] for r in range(4)])
     rep = track_shadow(rec, alpha=0.02, p=4, tau=1)
-    assert rep.max_drift <= rep.bound * (1 + rep.slack) + 1e-300
+    assert rep.max_drift <= rep.bound * (1 + verify._SHADOW_SLACK) + 1e-300
     assert rep.m2_hat > 0
     assert rep.q_hat >= 1
 
@@ -575,10 +575,11 @@ def test_explorer_runs_each_engine_step_once(monkeypatch):
     assert sum(x == "arrive" for _, _, x in steps) == 61
 
 
-def test_explorer_state_budget():
+def test_explorer_state_budget(monkeypatch):
+    monkeypatch.setattr(verify, "_MAX_STATES", 5)
     cfg = CollectiveConfig(p=3, flavor="solo", vector_len=1)
-    with pytest.raises(StateSpaceTooLarge):
-        explore_interleavings(cfg, max_states=5)
+    with pytest.raises(StateSpaceTooLarge, match="exceeded 5 states"):
+        explore_interleavings(cfg)
 
 
 # Explorer faults: each is patched in for one run, with no source edit, and
