@@ -280,6 +280,8 @@ def run_training(cfg: RunConfig) -> TrainReport:
     rounds = cfg.epochs * cfg.steps_per_epoch
     delays = delay_table(cfg.delay, cfg.p, rounds)
     batches = batch_table(cfg.data_seed, cfg.p, rounds, cfg.batch_per_rank, ds.n_train)
+    # cid 1 is the sync resync collective, built only if some epoch resyncs
+    resync_flavors = (SYNC,) if cfg.epochs >= cfg.resync_period else ()
 
     rows: list[dict] = []
     val: dict = {}
@@ -295,14 +297,14 @@ def run_training(cfg: RunConfig) -> TrainReport:
         states = [TrainState.fresh(w0, cfg.lr, rank=r, resync_period=cfg.resync_period,
                                    tau=cfg.tau) for r in range(cfg.p)]
 
-        def body(rank: int, handle, resync):
+        def body(rank: int, handle, resync=None):
             return training_process(
                 rank, states[rank], handle, resync, ds, batches[rank], delays[rank],
                 epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch,
                 metrics=rows, ledger=ledger, val_out=fval)
 
         configs = [CollectiveConfig(p=cfg.p, flavor=f, vector_len=cfg.dim, seed=cfg.seed)
-                   for f in (flavor, SYNC)]
+                   for f in (flavor, *resync_flavors)]
         try:
             _, sim = simulate(configs, body, link_latency_us=cfg.link_latency_us,
                               recorder=rec)

@@ -19,17 +19,17 @@ Processes never receive messages themselves.  Each message goes to the
 schedule engine registered for (dst, cid): the delivery calls that
 engine's deliver() and touches no other engine.  Messages of one stream,
 a (src, dst, cid, phase, step) key, are delivered in FIFO order; the
-simulated backend orders simultaneous events by (time, priority, sequence)
+simulated backend runs simultaneous events by (time, priority, push order)
 with process resumption ahead of message delivery, which keeps zero-skew
-runs exactly synchronous.  Each of its events is a heap entry (time, priority,
-sequence, handler, arg) that carries its own handler, which the event loop
-calls as handler(arg); the sequence number is unique, so handlers are never
-compared.
+runs exactly synchronous.  Its queue orders only the distinct due times:
+each instant has two FIFO queues, its resumes and its deliveries (messages
+and deferred calls), and each entry is bare.
 """
 
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 import heapq
 import math
 import queue
@@ -167,23 +167,14 @@ def _add_engine(engines: list[dict], rank: Rank, engine) -> None:
     engines[rank][engine.cid] = engine
 
 
-def _engine_for(engines: dict, msg: Message):
-    eng = engines.get(msg.cid)
-    if eng is None:
-        raise UnroutedMessage(f"no engine for cid {msg.cid} at rank {msg.dst}")
-    return eng
+def _unrouted(msg: Message) -> UnroutedMessage:
+    return UnroutedMessage(f"no engine for cid {msg.cid} at rank {msg.dst}")
 
 
 # ---------------------------------------------------------------------------
 # simulated backend
 
-_PRIO_RESUME = 0  # process resumptions run before message deliveries
-_PRIO_DELIVER = 1
 _MAX_EVENTS = 50_000_000  # a run past this many events is taken for a livelock
-
-
-def _call(fn) -> None:
-    fn()
 
 
 class SimTransport:
@@ -193,6 +184,12 @@ class SimTransport:
     reordering within a stream.  A delivery goes to the one engine
     registered for (dst, cid), so schedules make progress without any
     process being scheduled.
+
+    The queue is a heap of the distinct due times and, per due time, a
+    (resumes, deliveries) pair of deques in push order.  A resume is a
+    (rank, value) pair, a delivery a Message or a deferred callable.  At an
+    instant, every pending resume runs before the next delivery, so a
+    process woken by a delivery runs before the deliveries still due then.
     """
 
     def __init__(self, p: int, link_latency_us: int = 0):
@@ -201,8 +198,8 @@ class SimTransport:
         self.p = p
         self.link_latency_us = int(link_latency_us)
         self._now_us = 0
-        self._heap: list = []
-        self._seq = 0
+        self._times: list[int] = []  # heap of the due times that have a slot
+        self._slots: dict[int, tuple[deque, deque]] = {}
         self._engines: list[dict] = [{} for _ in range(p)]
         self._procs: dict[int, object] = {}
         self._parked: set[int] = set()  # ranks blocked on a WaitRound
@@ -222,18 +219,25 @@ class SimTransport:
     def defer(self, fn) -> None:
         """Run fn at the current virtual time, after any pending same-time
         process resumes (delivery priority)."""
-        self._push(self._now_us, _PRIO_DELIVER, _call, fn)
+        self._slot(self._now_us)[1].append(fn)
 
     def spawn(self, rank: Rank, proc) -> None:
         _check_ranks(self.p, rank)
         if rank in self._procs:
             raise ValueError(f"rank {rank} already has a process")
         self._procs[rank] = proc
-        self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, None))
+        self._slot(self._now_us)[0].append((rank, None))
 
-    def _push(self, t: int, prio: int, handler, arg) -> None:
-        heapq.heappush(self._heap, (t, prio, self._seq, handler, arg))
-        self._seq += 1
+    def _slot(self, t: int) -> tuple[deque, deque]:
+        """The (resumes, deliveries) deques of due time t.  Every slot is due
+        at or after now, so only a new one can be in the past."""
+        slot = self._slots.get(t)
+        if slot is None:
+            if t < self._now_us:  # e.g. a process yielded a negative Sleep
+                raise ValueError("clock may not move backwards")
+            slot = self._slots[t] = (deque(), deque())
+            heapq.heappush(self._times, t)
+        return slot
 
     # -- sending ------------------------------------------------------------
 
@@ -241,48 +245,61 @@ class SimTransport:
         src, dst = msg.src, msg.dst
         if not (0 <= src < self.p and 0 <= dst < self.p):
             _check_ranks(self.p, src, dst)
-        heapq.heappush(self._heap, (self._now_us + self.link_latency_us, _PRIO_DELIVER,
-                                    self._seq, self._deliver, msg))
-        self._seq += 1
+        t = self._now_us + self.link_latency_us
+        (self._slots.get(t) or self._slot(t))[1].append(msg)
 
     # -- event loop ---------------------------------------------------------
 
     def run(self) -> None:
-        """Drain the event queue.
+        """Drain the event queue, one instant at a time.
 
-        Raises DeadlockError if the queue empties while processes are still
-        blocked on WaitRound: with no pending events nothing can ever wake
-        them.
+        An entry is taken off its deque before it runs, so a raise leaves
+        in the queue only the events that have not run.  Raises DeadlockError
+        if the queue empties while processes are still blocked on
+        WaitRound: with no pending events nothing can ever wake them.
         """
-        heap, pop, budget = self._heap, heapq.heappop, _MAX_EVENTS
-        events, now = self.events_processed, self._now_us
+        times, slots, engines, step = self._times, self._slots, self._engines, self._step_proc
+        events, budget = self.events_processed, _MAX_EVENTS
         try:
-            while heap:
-                t, _, _, handler, arg = pop(heap)
-                if t < now:  # e.g. a process yielded a negative Sleep
-                    raise ValueError("clock may not move backwards")
-                self._now_us = now = t
-                events += 1
-                if events > budget:
-                    raise RuntimeError("event budget exceeded; likely livelock")
-                handler(arg)
+            while times:
+                t = times[0]
+                self._now_us = t
+                resumes, later = slots[t]
+                while True:
+                    while resumes:
+                        rank, value = resumes.popleft()
+                        events += 1
+                        if events > budget:
+                            raise RuntimeError("event budget exceeded; likely livelock")
+                        step(rank, value)
+                    if not later:
+                        break
+                    e = later.popleft()
+                    events += 1
+                    if events > budget:
+                        raise RuntimeError("event budget exceeded; likely livelock")
+                    if type(e) is Message:
+                        eng = engines[e.dst].get(e.cid)
+                        if eng is None:
+                            raise _unrouted(e)
+                        eng.deliver(e)
+                    else:
+                        e()
+                heapq.heappop(times)
+                del slots[t]
         finally:
             self.events_processed = events
         if self._parked:
             raise DeadlockError(f"ranks {sorted(self._parked)} blocked with no pending events")
 
-    def _deliver(self, msg: Message) -> None:
-        _engine_for(self._engines[msg.dst], msg).deliver(msg)
-
-    def _step_proc(self, resume: tuple) -> None:
-        rank, value = resume
+    def _step_proc(self, rank: Rank, value) -> None:
         try:
             cmd = self._procs[rank].send(value)
         except StopIteration:
             del self._procs[rank]
             return
         if isinstance(cmd, Sleep):
-            self._push(self._now_us + int(cmd.us), _PRIO_RESUME, self._step_proc, (rank, None))
+            self._slot(self._now_us + int(cmd.us))[0].append((rank, None))
         elif isinstance(cmd, WaitRound):
             self._parked.add(rank)
             cmd.handle.add_waiter(cmd.generation, rank, self._wake_round)
@@ -291,7 +308,7 @@ class SimTransport:
 
     def _wake_round(self, rank: Rank, result) -> None:
         self._parked.remove(rank)
-        self._push(self._now_us, _PRIO_RESUME, self._step_proc, (rank, result))
+        self._slot(self._now_us)[0].append((rank, result))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +432,10 @@ class SocketTransport:
                 if msg is None:  # a None only wakes this loop up
                     continue
                 try:
-                    _engine_for(engines, msg).deliver(msg)
+                    eng = engines.get(msg.cid)
+                    if eng is None:
+                        raise _unrouted(msg)
+                    eng.deliver(msg)
                 finally:  # one that raised counts too, or a later run would wait on it
                     with progress:
                         self._delivered += 1

@@ -277,6 +277,44 @@ def test_training_is_reproducible():
     assert a.rows == b.rows
 
 
+class _CidRecordingSim(SimTransport):
+    cids: list = []  # one cid per engine registered, over every sim built
+
+    def register_engine(self, rank, engine):
+        self.cids.append(engine.cid)
+        super().register_engine(rank, engine)
+
+
+@pytest.mark.parametrize("resync_period, resyncs", [(3, False), (2, True)])
+def test_only_a_run_that_resyncs_builds_the_resync_collective(monkeypatch, resync_period,
+                                                              resyncs):
+    """A run of 2 epochs resyncs only if resync_period <= 2, and only then
+    registers cid-1 engines.  A run that never resyncs writes the same rows,
+    validation MSEs and virtual times as the same run with an idle cid 1."""
+    cfg = RunConfig(mode="train", p=4, flavors=("sync", "solo", "majority"), epochs=2,
+                    steps_per_epoch=3, dim=4, n_samples=64, batch_per_rank=4,
+                    resync_period=resync_period,
+                    delay=DelayModel("random_subset", unit_ms=0.3, k=1, seed=5),
+                    link_latency_us=10)
+    monkeypatch.setattr(collectives, "SimTransport", _CidRecordingSim)
+    monkeypatch.setattr(_CidRecordingSim, "cids", [])
+    rep = run_training(cfg)
+    assert Counter(_CidRecordingSim.cids) == ({0: 12, 1: 12} if resyncs else {0: 12})
+    if resyncs:
+        return
+    simulate = harness.simulate
+
+    def with_idle_resync(configs, body, **kw):
+        return simulate(configs + [CollectiveConfig(p=cfg.p, flavor="sync", vector_len=cfg.dim,
+                                                    seed=cfg.seed)], body, **kw)
+
+    monkeypatch.setattr(harness, "simulate", with_idle_resync)
+    monkeypatch.setattr(_CidRecordingSim, "cids", [])
+    idle = run_training(cfg)
+    assert Counter(_CidRecordingSim.cids) == {0: 12, 1: 12}
+    assert (rep.rows, rep.val, rep.sim_time_us) == (idle.rows, idle.val, idle.sim_time_us)
+
+
 @pytest.mark.parametrize("flavors", [("solo",), ("sync", "solo", "majority")])
 def test_run_training_draws_each_batch_once(monkeypatch, flavors):
     """One batch_table per run however many flavors train on it, and the

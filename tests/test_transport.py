@@ -2,12 +2,13 @@
 delay models, deadlock; rank checks on both backends; socket frames that
 stay whole and in order under concurrent senders."""
 
+import heapq
 import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eagercoll import transport
 from eagercoll.collectives import AllreduceHandle, CollectiveConfig
@@ -18,6 +19,7 @@ from eagercoll.transport import (
     SimTransport,
     SocketTransport,
     Sleep,
+    WaitRound,
     PHASE_RED,
     UnknownRank,
     UnroutedMessage,
@@ -318,78 +320,144 @@ def test_defer_runs_after_same_instant_resumes():
 @st.composite
 def event_programs(draw):
     """p ranks, a link latency, and per rank a list of steps: a Sleep of
-    0..3 us, then actions run on resume, each a send to a rank or a defer.
-    Small times force ties between resumes, deliveries and defers."""
+    0..3 us, then actions run on resume, each a send to a rank, a defer or
+    a wait.  Small times force ties between resumes, deliveries and defers."""
     p = draw(st.integers(1, 3))
     action = st.one_of(st.tuples(st.just("send"), st.integers(0, p - 1)),
-                       st.just(("defer",)))
+                       st.just(("defer",)), st.just(("wait",)))
     step = st.tuples(st.integers(0, 3), st.lists(action, max_size=3))
     return p, draw(st.integers(0, 2)), [draw(st.lists(step, max_size=4)) for _ in range(p)]
+
+
+class Boom(Exception):
+    pass
 
 
 class EventLog:
     """Runs event programs on a SimTransport and records every event they
     cause twice: when it was pushed, as (due time, priority, push index),
-    and when its handler ran.  It is also the engine every delivery pumps."""
+    and when its handler ran.  It is also the engine every delivery pumps,
+    and the handle a waiting rank parks on: a "wait" sends to its own rank
+    and parks, and the next delivery to the rank wakes it at that instant.
+    The raise_at-th defer pushed raises Boom on its first call."""
 
     cid = 0
 
-    def __init__(self, p, latency):
+    def __init__(self, p, latency, raise_at=None):
         self.sim = SimTransport(p, link_latency_us=latency)
         self.latency = latency
         self.mailbox = []
         self.pushed = []  # indexed by event id
         self.ran = []     # (event id, virtual time), in handler order
+        self.trail = []   # ("push" | "run", event id), as they happened
+        self.waiting = {}  # rank -> the transport's waker
+        self.defers, self.raise_at, self.raise_eid = 0, raise_at, None
         for rank in range(p):
             self.sim.register_engine(rank, self)
 
     def push(self, t, prio):
-        self.pushed.append((t, prio, len(self.pushed)))
-        return len(self.pushed) - 1
+        eid = len(self.pushed)
+        self.pushed.append((t, prio, eid))
+        self.trail.append(("push", eid))
+        return eid
+
+    def run_event(self, eid):
+        self.ran.append((eid, self.sim.now_us()))
+        self.trail.append(("run", eid))
+
+    def check_order(self):
+        """Each event ran once, at its due time, and was the least (time,
+        priority, push index) of the events pending when it ran."""
+        pending = []
+        for kind, eid in self.trail:
+            if kind == "push":
+                heapq.heappush(pending, self.pushed[eid])
+            else:
+                assert pending and heapq.heappop(pending)[2] == eid
+        assert pending == []
+        assert all(t == self.pushed[eid][0] for eid, t in self.ran)
+
+    def add_waiter(self, generation, rank, waker):
+        self.waiting[rank] = waker
 
     def deliver(self, msg):
         self.mailbox.append(msg)
         self.pump()
+        waker = self.waiting.pop(msg.dst, None)
+        if waker is not None:
+            waker(msg.dst, self.push(self.sim.now_us(), 0))
 
     def pump(self):
         for m in self.mailbox:
-            self.ran.append((int.from_bytes(m.payload, "little"), self.sim.now_us()))
+            self.run_event(int.from_bytes(m.payload, "little"))
         self.mailbox.clear()
 
     def spawn_all(self, programs, cid=0, negative_at=None):
         for rank, steps in enumerate(programs):
             self.sim.spawn(rank, self._body(rank, steps, self.push(0, 0), cid, negative_at))
 
+    def _send(self, src, dst, cid):
+        eid = self.push(self.sim.now_us() + self.latency, 1)
+        self.sim.send(Message(src, dst, cid, 0, PHASE_RED, 0, eid.to_bytes(4, "little")))
+
+    def _deferred(self, eid):
+        self.run_event(eid)
+        if eid == self.raise_eid:
+            self.raise_eid = None
+            raise Boom
+
     def _body(self, rank, steps, eid, cid, negative_at):
         sim = self.sim
-        self.ran.append((eid, sim.now_us()))
+        self.run_event(eid)
         for i, (us, actions) in enumerate(steps):
             if (rank, i) == negative_at:
                 us = -1
             eid = self.push(sim.now_us() + us, 0)
             yield Sleep(us)  # the transport pushes this resume as it yields
-            self.ran.append((eid, sim.now_us()))
+            self.run_event(eid)
             for act in actions:
                 if act[0] == "send":
-                    eid = self.push(sim.now_us() + self.latency, 1)
-                    sim.send(Message(rank, act[1], cid, 0, PHASE_RED, 0,
-                                     eid.to_bytes(4, "little")))
+                    self._send(rank, act[1], cid)
+                elif act[0] == "wait":
+                    self._send(rank, rank, cid)  # so a delivery to this rank is due
+                    self.run_event((yield WaitRound(self, 0)))  # resumed with its event id
                 else:
                     eid = self.push(sim.now_us(), 1)
-                    sim.defer(lambda eid=eid: self.ran.append((eid, sim.now_us())))
+                    self.defers += 1
+                    if self.defers == self.raise_at:
+                        self.raise_eid = eid
+                    sim.defer(lambda eid=eid: self._deferred(eid))
 
 
 @settings(max_examples=200, deadline=None)
 @given(event_programs())
+# a delivery wakes rank 0 while one more delivery is due at that instant
+@example((1, 0, [[(0, [("send", 0), ("wait",)])]]))
 def test_handlers_run_in_time_priority_push_order(case):
     p, latency, programs = case
     ev = EventLog(p, latency)
     ev.spawn_all(programs)
     ev.sim.run()
-    ran = [eid for eid, _ in ev.ran]
-    assert sorted(ran) == list(range(len(ev.pushed)))  # each event ran once
-    assert ran == sorted(ran, key=lambda eid: ev.pushed[eid])
-    assert all(t == ev.pushed[eid][0] for eid, t in ev.ran)
+    ev.check_order()
+    assert ev.sim.events_processed == len(ev.pushed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(event_programs(), st.integers(0, 11))
+@example((1, 0, [[(0, [("defer",), ("send", 0), ("defer",)])]]), 0)
+def test_a_raise_leaves_no_replayable_event(case, k):
+    """A deferred call raises on its first call, out of run().  Run again,
+    the queue runs every other event once, in (time, priority, push)
+    order: the one that raised was taken off the queue before it ran."""
+    p, latency, programs = case
+    defers = sum(act == ("defer",) for steps in programs for _, acts in steps for act in acts)
+    assume(defers)
+    ev = EventLog(p, latency, raise_at=1 + k % defers)
+    ev.spawn_all(programs)
+    with pytest.raises(Boom):
+        ev.sim.run()
+    ev.sim.run()
+    ev.check_order()
     assert ev.sim.events_processed == len(ev.pushed)
 
 
@@ -416,7 +484,7 @@ def test_event_loop_faults_raise_from_run(case, data):
         ev.spawn_all(programs, negative_at=data.draw(st.sampled_from(steps)))
         with pytest.raises(ValueError, match="backwards"):
             ev.sim.run()
-    if any(act[0] == "send" for steps in programs for _, acts in steps for act in acts):
+    if any(act != ("defer",) for steps in programs for _, acts in steps for act in acts):
         ev = EventLog(p, latency)
         ev.spawn_all(programs, cid=7)
         with pytest.raises(UnroutedMessage, match="cid 7"):
