@@ -168,10 +168,11 @@ def resync_step(state: TrainState, resync_handle, k: int):
     state.w = res.u.copy()
 
 
-def training_process(rank: int, state: TrainState, handle, resync_handle,
+def training_process(state: TrainState, handle, resync_handle,
                      dataset, rows: np.ndarray, delays: np.ndarray, *, epochs: int,
                      steps_per_epoch: int, metrics: list, ledger, val_out: dict):
-    """Full per-rank training loop (generator process body).
+    """Full per-rank training loop (generator process body) of rank
+    state.rank.
 
     rows[t] are the train-split rows of round t's minibatch and delays[t]
     the us of injected computation delay before its gradient: this rank's
@@ -179,12 +180,14 @@ def training_process(rank: int, state: TrainState, handle, resync_handle,
     once for every flavor.  The loop fills three sinks: `metrics` gets one
     train-CSV row dict per round, t_us being the transport clock when the
     round's result was applied; `ledger` (a verify.DeliveryLedger) records
-    each gradient's generation and delivery; and val_out[(rank, epoch)] is
-    the validation MSE at each epoch end.  resync_handle, if not None, is
-    the sync collective that averages the models every resync_period epochs.
+    each gradient's generation and delivery; and val_out[(flavor, rank,
+    epoch)] is the validation MSE at each epoch end, the key of
+    harness.TrainReport.val.  resync_handle, if not None, is the sync
+    collective that averages the models every resync_period epochs.
     """
     staleness_guard(handle, state)
     attach_delivery_tracking(handle, state, ledger)
+    rank, flavor = state.rank, handle.cfg.flavor
     resyncs = 0
     for epoch in range(epochs):
         for _ in range(steps_per_epoch):
@@ -197,7 +200,7 @@ def training_process(rank: int, state: TrainState, handle, resync_handle,
             batch = (dataset.x_train.take(rows[t], axis=0), dataset.y_train.take(rows[t]))
             loss, res = yield from train_step(state, batch, handle)
             metrics.append({
-                "flavor": handle.cfg.flavor, "round": t, "epoch": epoch,
+                "flavor": flavor, "round": t, "epoch": epoch,
                 "rank": rank, "loss": loss, "nap": res.nap,
                 "staleness_max": state.staleness_max(),
                 "t_us": handle.transport.now_us(),
@@ -205,7 +208,7 @@ def training_process(rank: int, state: TrainState, handle, resync_handle,
         if resync_handle is not None and (epoch + 1) % state.resync_period == 0:
             yield from resync_step(state, resync_handle, resyncs)
             resyncs += 1
-        val_out[(rank, epoch)] = mse(state.w, dataset.x_val, dataset.y_val)
+        val_out[(flavor, rank, epoch)] = mse(state.w, dataset.x_val, dataset.y_val)
 
 
 # ---------------------------------------------------------------------------

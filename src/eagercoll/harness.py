@@ -259,10 +259,16 @@ class TrainReport:
     rows: list[dict]                 # one per (flavor, rank, round)
     val: dict                        # (flavor, rank, epoch) -> validation MSE
     sim_time_us: dict[str, int]      # flavor -> total virtual time
-    speedup_vs_sync: dict[str, float]
     weights: dict                    # (flavor, rank) -> final parameter vector
     ledgers: dict[str, DeliveryLedger]
     recorders: dict[str, TraceRecorder]
+
+    @property
+    def speedup_vs_sync(self) -> dict[str, float]:
+        """flavor -> sync's virtual time over the flavor's; empty without sync."""
+        base = self.sim_time_us.get(SYNC)
+        return {} if base is None else {
+            f: base / t if t else float("inf") for f, t in self.sim_time_us.items()}
 
     def final_val(self, flavor: str) -> float:
         last = max(e for (f, _, e) in self.val if f == flavor)
@@ -293,15 +299,14 @@ def run_training(cfg: RunConfig) -> TrainReport:
     for flavor in cfg.flavors:
         rec = TraceRecorder()
         ledger = DeliveryLedger()
-        fval: dict = {}
         states = [TrainState.fresh(w0, cfg.lr, rank=r, resync_period=cfg.resync_period,
                                    tau=cfg.tau) for r in range(cfg.p)]
 
         def body(rank: int, handle, resync=None):
             return training_process(
-                rank, states[rank], handle, resync, ds, batches[rank], delays[rank],
+                states[rank], handle, resync, ds, batches[rank], delays[rank],
                 epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch,
-                metrics=rows, ledger=ledger, val_out=fval)
+                metrics=rows, ledger=ledger, val_out=val)
 
         configs = [CollectiveConfig(p=cfg.p, flavor=f, vector_len=cfg.dim, seed=cfg.seed)
                    for f in (flavor, *resync_flavors)]
@@ -311,20 +316,14 @@ def run_training(cfg: RunConfig) -> TrainReport:
         except DivergenceError as e:
             raise DivergenceError(f"flavor {flavor}: {e}") from e
 
-        for (r, e), v in fval.items():
-            val[(flavor, r, e)] = v
         sim_time[flavor] = sim.now_us()
         for r in range(cfg.p):
             weights[(flavor, r)] = states[r].w.copy()
         ledgers[flavor] = ledger
         recorders[flavor] = rec
 
-    speedup = {}
-    if SYNC in sim_time:
-        for flavor, t in sim_time.items():
-            speedup[flavor] = sim_time[SYNC] / t if t else float("inf")
     rows.sort(key=lambda r: (r["flavor"], r["round"], r["rank"]))
-    return TrainReport(rows, val, sim_time, speedup, weights, ledgers, recorders)
+    return TrainReport(rows, val, sim_time, weights, ledgers, recorders)
 
 
 # ---------------------------------------------------------------------------

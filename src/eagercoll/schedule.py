@@ -34,12 +34,12 @@ whole before any op reads it, so a landing buffer keeps the last
 generation's bytes until then.  A large one that ops only read is bound: a
 recv points it at the message's payload instead of copying the payload in,
 as MPI's rendezvous protocol hands large messages over without an eager
-copy.  Every other buffer but the snapshot source is a slice of one byte
-arena, the landing ones last, and a replication zeroes the rest with a
-single fill.  The arena, the snapshot source and the bound payloads are the
-engine's whole payload state.  No payload is copied to hand it out: the
-owner reads the send buffer in on_snapshot and the publish buffer in
-on_done, where the chain left them, before the engine reuses them.
+copy.  Every other buffer is a slice of one byte arena, the landing ones
+and then the snapshot source last, and a replication zeroes the rest with
+a single fill.  The arena and the bound payloads are the engine's whole
+payload state.  No payload is copied to hand it out: the owner reads the
+send buffer in on_snapshot and the publish buffer in on_done, where the
+chain left them, before the engine reuses them.
 
 The engine is passive and single-threaded: it is driven by whoever owns
 its rank (the simulator's event loop, the rank's socket driver thread, or
@@ -264,8 +264,9 @@ class Program:
     arena slice: it starts as a view of `zeros[size]`, one zero bytes object
     per bound size shared by every engine, and a recv rebinds it, so a
     bound view's .base is exactly its bytes payload.  The arena holds the
-    other buffers but the snapshot source, the landing ones last, from
-    zero_nbytes on; a replication zeroes only the bytes before them.
+    other buffers, from zero_nbytes on the landing ones and then the
+    snapshot source, which survives replication too: a replication zeroes
+    only the bytes before them.
     """
 
     def __init__(self, template: ScheduleTemplate):
@@ -274,18 +275,18 @@ class Program:
         self.buffers, self.mask_offset = template.buffers, template.mask_offset
         self.snapshot_last, self.snapshot_src = template.snapshot_last, template.snapshot_src
         self.publish_from, self.persistent = template.publish_from, template.persistent
-        # every buffer but the snapshot source and the bound ones is an
-        # 8-byte-aligned slice of one arena, the landing buffers last
+        # every buffer but the bound ones is an 8-byte-aligned slice of one
+        # arena: what a replication zeroes, the landing buffers, the send buffer
         landing = _landing_buffers(template)
         bound = _bound_buffers(template, landing)
         landing -= bound.keys()
         self.zeros = {size: bytes(size) for size in {template.buffers[b] for b in bound}}
-        scratch = [n for n in template.buffers
-                   if n != template.snapshot_src and n not in bound]
+        kept = landing | {template.snapshot_src}
         start, end = {}, 0
-        for name in [n for n in scratch if n not in landing] + [n for n in scratch if n in landing]:
+        for name in sorted([n for n in template.buffers if n not in bound],
+                           key=lambda n: (n == template.snapshot_src, n in landing)):
             start[name], end = end, end + -(-template.buffers[name] // 8) * 8
-        self.zero_nbytes = min((start[n] for n in landing), default=end)
+        self.zero_nbytes = min((start[n] for n in kept if n in start), default=end)
         self.start, self.arena_nbytes = start, end
         waiting0 = bytearray(len(ops))
         recv_index = self.recv_index = {}            # (phase, step) -> recv oid
@@ -340,7 +341,8 @@ class Engine:
     peers of the template the Program was compiled from).  A replication
     zeroes the arena up to the Program's zero_nbytes, so the landing
     buffers keep the last generation's bytes, and a bound buffer keeps the
-    last payload it was bound to; state() includes both: a search over
+    last payload it was bound to; state() includes both, and the send
+    buffer, whose contribution outlives a replication: a search over
     several generations tells apart states that differ only in bytes no op
     reads.
 
@@ -381,9 +383,8 @@ class Engine:
         self._arena = np.zeros(program.arena_nbytes, dtype=np.uint8)
         self._zeroed = self._arena[:program.zero_nbytes]  # what a replication zeroes
         self._binds = program.binds
-        bufs = self._buf = {  # outside the arena: the snapshot source and bound buffers
+        bufs = self._buf = {  # outside the arena: the bound buffers
             name: (self._arena[start[name]:start[name] + size] if name in start
-                   else np.zeros(size, dtype=np.uint8) if name == program.snapshot_src
                    else np.frombuffer(program.zeros[size], np.uint8))
             for name, size in program.buffers.items()
         }
@@ -421,30 +422,27 @@ class Engine:
 
     def state(self) -> tuple:
         """Everything a run changes (op states and dependency counters,
-        generations, the arena, the send buffer and each bound buffer's
-        payload, the mailbox) as a value; restore() puts it back.  The arena
-        and the bound payloads include the landing buffers' bytes from past
-        generations.  A bound payload is held as its view's .base, with no
-        copy: for bytes, as the simulated and explorer payloads are, that is
-        the payload itself, so the value is hashable; a socket payload is a
-        bytearray, so a socket engine's is not."""
-        snap, binds = self._snap_buf, self._binds
+        generations, the arena, each bound buffer's payload, the mailbox)
+        as a value; restore() puts it back.  The arena holds the send
+        buffer, and with the bound payloads the landing buffers' bytes from
+        past generations.  A bound payload is held as its view's .base, with
+        no copy: for bytes, as the simulated and explorer payloads are, that
+        is the payload itself, so the value is hashable; a socket payload is
+        a bytearray, so a socket engine's is not."""
+        binds = self._binds
         return (bytes(self.consumed) + self._waiting,
                 self.generation, self.done_generation, self._arena.tobytes(),
-                b"" if snap is None else snap.tobytes(),
                 tuple([self._buf[name].base for name, _ in binds.values()])
                 if binds else (),
                 tuple(self.mailbox))
 
     def restore(self, state: tuple) -> None:
-        ops, self.generation, self.done_generation, arena, snap, bound, box = state
+        ops, self.generation, self.done_generation, arena, bound, box = state
         n = len(self.ops)
         self.consumed = bytearray(ops[:n])
         self._waiting = bytearray(ops[n:])
         self.mailbox[:] = box
         self._arena.data[:] = arena
-        if self._snap_buf is not None:
-            self._snap_buf.data[:] = snap
         if bound:
             for (name, readers), raw in zip(self._binds.values(), bound):
                 if self._buf[name].base is not raw:

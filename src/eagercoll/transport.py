@@ -201,8 +201,7 @@ class SimTransport:
         self._times: list[int] = []  # heap of the due times that have a slot
         self._slots: dict[int, tuple[deque, deque]] = {}
         self._engines: list[dict] = [{} for _ in range(p)]
-        self._procs: dict[int, object] = {}
-        self._parked: set[int] = set()  # ranks blocked on a WaitRound
+        self._procs: dict[int, object] = {}  # the live bodies, each sleeping or blocked
         self.events_processed = 0
 
     # -- time ---------------------------------------------------------------
@@ -254,9 +253,11 @@ class SimTransport:
         """Drain the event queue, one instant at a time.
 
         An entry is taken off its deque before it runs, so a raise leaves
-        in the queue only the events that have not run.  Raises DeadlockError
-        if the queue empties while processes are still blocked on
-        WaitRound: with no pending events nothing can ever wake them.
+        in the queue only the events that have not run, and a body that
+        raised leaves the world.  Raises DeadlockError if the queue empties
+        while processes are still blocked on WaitRound: with no pending
+        events nothing can ever wake them, and every body still live then
+        is one of them.
         """
         times, slots, engines, step = self._times, self._slots, self._engines, self._step_proc
         events, budget = self.events_processed, _MAX_EVENTS
@@ -289,25 +290,24 @@ class SimTransport:
                 del slots[t]
         finally:
             self.events_processed = events
-        if self._parked:
-            raise DeadlockError(f"ranks {sorted(self._parked)} blocked with no pending events")
+        if self._procs:
+            raise DeadlockError(f"ranks {sorted(self._procs)} blocked with no pending events")
 
     def _step_proc(self, rank: Rank, value) -> None:
+        proc = self._procs.pop(rank)  # back only once it sleeps or blocks
         try:
-            cmd = self._procs[rank].send(value)
+            cmd = proc.send(value)
         except StopIteration:
-            del self._procs[rank]
             return
         if isinstance(cmd, Sleep):
             self._slot(self._now_us + int(cmd.us))[0].append((rank, None))
         elif isinstance(cmd, WaitRound):
-            self._parked.add(rank)
             cmd.handle.add_waiter(cmd.generation, rank, self._wake_round)
         else:
             raise TypeError(f"process yielded {cmd!r}")
+        self._procs[rank] = proc
 
     def _wake_round(self, rank: Rank, result) -> None:
-        self._parked.remove(rank)
         self._slot(self._now_us)[0].append((rank, result))
 
 

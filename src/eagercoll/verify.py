@@ -81,15 +81,8 @@ class DeliveryLedger:
         self._delivered[key] = delivered_round
 
     def entries(self) -> list[tuple[int, int, int | None]]:
+        """(rank, generated round, delivered round or None) per gradient."""
         return [(r, g, d) for (r, g), d in self._delivered.items()]
-
-    def staleness_of(self, rank: int, rnd: int) -> int | None:
-        d = self._delivered.get((rank, rnd))
-        return None if d is None else d - rnd
-
-    def max_staleness(self) -> int:
-        ages = [d - g for (_, g), d in self._delivered.items() if d is not None]
-        return max(ages, default=0)
 
     def audit(self, tau: int | None = None,
               allow_pending_after: int | None = None) -> list[Violation]:
@@ -201,14 +194,15 @@ def check_round(rnd: int, p: int, results: list[CollectiveResult],
     return vs
 
 
-def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = None,
-                 ledger: DeliveryLedger | None = None,
-                 expect_rounds: int | None = None,
-                 allow_pending_after: int | None = None) -> RoundContractReport:
+def check_round_contracts(recorder: TraceRecorder, p: int, *, expect_rounds: int,
+                          tau: int | None = None, ledger: DeliveryLedger | None = None,
+                          allow_pending_after: int | None = None) -> RoundContractReport:
     """Audit a completed run against the partial-collective contracts:
-    check_round over each round's recorded results and snapshots, whose
-    freshness the handle records from its offer (AllreduceHandle._snap_cb),
-    and, with a ledger and tau, delivery ages within bound, exactly-once.
+    check_round over each of rounds 0..expect_rounds-1, given its recorded
+    results and snapshots, whose freshness the handle records from its
+    offer (AllreduceHandle._snap_cb), and, with a ledger and tau, delivery
+    ages within bound, exactly-once.  The caller states the round count: a
+    trailing round that never published leaves no record to count it by.
     """
     by_round: dict[int, list] = {}
     for r in recorder.rounds:
@@ -216,14 +210,12 @@ def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = 
     snaps: dict[int, list] = {}
     for s in recorder.snapshots:
         snaps.setdefault(s.rnd, []).append(s)
-    n_rounds = expect_rounds if expect_rounds is not None else (
-        max(by_round) + 1 if by_round else 0)
     vs: list[Violation] = []
-    for rnd in range(n_rounds):
+    for rnd in range(expect_rounds):
         vs.extend(check_round(rnd, p, by_round.get(rnd, []), snaps.get(rnd, [])))
     if ledger is not None:
         vs.extend(ledger.audit(tau, allow_pending_after=allow_pending_after))
-    return RoundContractReport(vs, n_rounds)
+    return RoundContractReport(vs, expect_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +224,7 @@ def check_round_contracts(recorder: TraceRecorder, p: int, *, tau: int | None = 
 
 @dataclass
 class ShadowReport:
-    drift: list[float]          # per-round mean over ranks of ||lam - w||^2
-    max_drift: float
+    max_drift: float            # over rounds, the mean over ranks of ||lam - w||^2
     bound: float
     m2_hat: float
     q_hat: int
@@ -263,15 +254,14 @@ def track_shadow(recorder: TraceRecorder, alpha: float, p: int, tau: int) -> Sha
         if w.tobytes() != w0s[0].tobytes():
             raise IncompleteTrace("ranks started from different parameters")
     lam = w0s[0].copy()
-    drift: list[float] = []
+    max_drift = 0.0  # round 0's drift: every rank starts at lam
     # Empirical stand-in for the second-moment constant: the worst observed
     # gradient (a mean would under-cover the early rounds, where both the
     # gradients and the drift peak).
     m2 = 0.0
     for t in range(rounds):
-        d = float(np.mean([np.sum((lam - recorder.weights[(i, t)]) ** 2)
-                           for i in range(p)]))
-        drift.append(d)
+        max_drift = max(max_drift, float(np.mean(
+            [np.sum((lam - recorder.weights[(i, t)]) ** 2) for i in range(p)])))
         total = np.zeros_like(lam)
         for i in range(p):
             g = recorder.gradients[(i, t)]
@@ -281,7 +271,7 @@ def track_shadow(recorder: TraceRecorder, alpha: float, p: int, tau: int) -> Sha
     naps = [r.nap for r in recorder.rounds if r.rnd < rounds]
     q_hat = min(naps) if naps else 0
     bound = alpha * alpha * tau * m2 * (p - q_hat) / (p * p)
-    return ShadowReport(drift, max(drift), bound, m2, q_hat)
+    return ShadowReport(max_drift, bound, m2, q_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_negative_zero_contributions_sum_as_the_engine_sums_them(p, flavor):
     rows = np.tile([-0.0, 1.0, -0.0], (p, 1))
     rec = TraceRecorder()
     res, _, _ = run_allreduce(cfg, rows, recorder=rec)
-    assert check_round_contracts(rec, p).violations == []
+    assert check_round_contracts(rec, p, expect_rounds=1).violations == []
     for r in range(p):
         got = res[(r, 0)]
         fresh = [rows[q] if (got.included >> q) & 1 else np.zeros(3) for q in range(p)]
@@ -212,6 +212,27 @@ def test_add_waiter_on_a_published_round_calls_back_at_once():
     assert got == [(7, 1), (7, 1)]  # round 2 has not published yet
 
 
+def test_a_waiter_is_called_back_exactly_once():
+    """A handle hands each waiter to its callback once: a waiter added
+    before round 0 publishes is woken by round 0, and round 1's publish,
+    later in the same run, does not wake it again."""
+    cfg = CollectiveConfig(p=2, flavor="sync", vector_len=2)
+    sim = SimTransport(2)
+    handles = [AllreduceHandle(cfg, r, sim) for r in range(2)]
+    got = []
+    handles[1].add_waiter(0, 7, lambda rank, res: got.append((rank, res.rnd)))
+
+    def body(r):
+        for t in range(2):
+            yield from handles[r].call_round(t, np.ones(2))
+
+    for r in range(2):
+        sim.spawn(r, body(r))
+    sim.run()
+    assert handles[1].engine.done_generation == 1
+    assert got == [(7, 0)]
+
+
 def test_out_of_order_contribution_raises():
     cfg = CollectiveConfig(p=2, flavor="solo", vector_len=2)
     h = AllreduceHandle(cfg, 0, SimTransport(2))
@@ -311,9 +332,8 @@ def test_template_wires_the_forwarding_rule(p):
 
 def _compiled(eng):
     """What an engine's fire loop reads, with each buffer view as its place
-    (arena or snapshot buffer, byte offset, length, dtype)."""
-    bases = [(name, buf.__array_interface__["data"][0], buf.nbytes)
-             for name, buf in (("arena", eng._arena), ("snapshot", eng._snap_buf))]
+    (the arena, byte offset, length, dtype)."""
+    bases = [("arena", eng._arena.__array_interface__["data"][0], eng._arena.nbytes)]
 
     def place(view):
         if view is None:

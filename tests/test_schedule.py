@@ -254,15 +254,19 @@ def test_allreduce_zeroes_only_its_accumulator_on_replication(p):
 @pytest.mark.parametrize("p", [2, 4, 5, 7])
 def test_large_landing_buffers_are_bound_outside_the_arena(p):
     """Above the gate every land* buffer is bound to its recv's payload:
-    the arena holds acc alone, and a recv leaves buffer() a read-only view
-    of the message bytes, which the reduce adds from and the publish reads."""
+    the arena holds acc, which a replication zeroes, and then the send
+    buffer, its last slice, past zero_nbytes; a recv leaves buffer() a
+    read-only view of the message bytes, which the reduce adds from and
+    the publish reads."""
     vlen = schedule._BIND_NBYTES // 8  # payload: one mask word above the gate
     cfg = CollectiveConfig(p, "solo", vlen)
     for rank, program in enumerate(rank_programs(cfg)):
         lands = {n for n in program.buffers if n.startswith("land")}
         assert {name for name, _ in program.binds.values()} == lands, rank
         assert lands.isdisjoint(program.start), rank
-        assert program.arena_nbytes == program.zero_nbytes == cfg.payload_nbytes, rank
+        assert program.start == {"acc": 0, "send": cfg.payload_nbytes}, rank
+        assert program.zero_nbytes == cfg.payload_nbytes, rank
+        assert program.arena_nbytes == 2 * cfg.payload_nbytes, rank
     ops = [OpSpec(0, K_NOP, entry=True),
            OpSpec(1, K_RECV, phase=PHASE_RED, step=0, recv_buf="land"),
            OpSpec(2, K_COMPUTE, deps=(1,), src_buf="land", dst_buf="acc"),

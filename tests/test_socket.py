@@ -358,13 +358,13 @@ def _socket_training_report(p, epochs, steps, tau):
             state = TrainState.fresh(np.zeros(4), lr=0.02, rank=r, resync_period=1,
                                      tau=tau)
             return training_process(
-                r, state, handles[r], resyncs[r], ds, rows[r], delays[r], epochs=epochs,
+                state, handles[r], resyncs[r], ds, rows[r], delays[r], epochs=epochs,
                 steps_per_epoch=steps, metrics=metrics, ledger=ledger, val_out=val)
 
         net.run_processes({r: body(r) for r in range(p)}, timeout=30)
     finally:
         net.close()
-    rep = check_round_contracts(rec, p, tau=tau, ledger=ledger,
+    rep = check_round_contracts(rec, p, tau=tau, ledger=ledger, expect_rounds=rounds,
                                 allow_pending_after=rounds - 1 - tau)
     return rep, metrics, val
 
@@ -379,8 +379,8 @@ def test_socket_training_keeps_the_staleness_bound():
 
 def test_socket_training_fills_its_sinks():
     """One metrics row per (rank, round) and one validation MSE per
-    (rank, epoch); a resync ends every epoch, so all ranks validate the
-    same model."""
+    (flavor, rank, epoch); a resync ends every epoch, so all ranks validate
+    the same model."""
     p, epochs, steps = 3, 3, 2
     rep, metrics, val = _socket_training_report(p, epochs, steps, tau=1)
     assert rep.ok, rep.violations
@@ -389,7 +389,7 @@ def test_socket_training_fills_its_sinks():
     for m in metrics:
         assert (m["flavor"], m["epoch"]) == ("solo", m["round"] // steps)
         assert 1 <= m["nap"] <= p and m["t_us"] >= 0
-    assert sorted(val) == [(r, e) for r in range(p) for e in range(epochs)]
+    assert sorted(val) == [("solo", r, e) for r in range(p) for e in range(epochs)]
     for e in range(epochs):
-        assert np.isfinite(val[(0, e)])
-        assert all(val[(r, e)] == val[(0, e)] for r in range(p))
+        assert np.isfinite(val["solo", 0, e])
+        assert all(val["solo", r, e] == val["solo", 0, e] for r in range(p))

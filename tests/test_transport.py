@@ -151,6 +151,42 @@ def test_deadlock_detection():
         sim.run()
 
 
+class _NeverPublishes:
+    """A WaitRound handle whose round never comes: add_waiter keeps nothing."""
+
+    def add_waiter(self, generation, rank, cb):
+        pass
+
+
+def _raises_at(us=0):
+    yield Sleep(us)
+    raise ValueError("body failed")
+
+
+def _sleeps(us):
+    yield Sleep(us)
+
+
+def _waits_forever():
+    yield WaitRound(_NeverPublishes(), 0)
+
+
+def test_a_deadlock_after_a_raise_names_only_the_waiting_ranks():
+    """A body raises out of run(); a second run() finishes the other
+    ranks, and its DeadlockError names the one rank still waiting on a
+    round, not the one whose body raised."""
+    sim = SimTransport(3)
+    sim.spawn(0, _raises_at(5))
+    sim.spawn(1, _sleeps(10))
+    sim.spawn(2, _waits_forever())
+    with pytest.raises(ValueError, match="body failed"):
+        sim.run()
+    assert sim.now_us() == 5
+    with pytest.raises(DeadlockError, match=r"ranks \[2\] blocked"):
+        sim.run()
+    assert sim.now_us() == 10
+
+
 def test_unknown_rank_rejected():
     sim = SimTransport(2)
     with pytest.raises(UnknownRank):
@@ -199,6 +235,20 @@ def test_a_process_yielding_a_non_command_fails_the_sim_run():
     sim.spawn(0, _yields_a_non_command())
     with pytest.raises(TypeError, match="process yielded 'sleep'"):
         sim.run()
+
+
+@pytest.mark.parametrize("body", [_raises_at, _yields_a_non_command],
+                         ids=["raised", "non-command"])
+def test_a_body_that_failed_leaves_its_rank_free(body):
+    """A body that raised, or that the transport refused, is gone from
+    the world: its rank takes a new process, which runs to its end."""
+    sim = SimTransport(1)
+    sim.spawn(0, body())
+    with pytest.raises((ValueError, TypeError)):
+        sim.run()
+    sim.spawn(0, _sleeps(3))
+    sim.run()
+    assert sim.now_us() == 3
 
 
 def test_a_process_yielding_a_non_command_fails_the_socket_run():
