@@ -6,11 +6,14 @@ print outside pytest's capture so a plain `pytest -v` run shows them.
 """
 
 import hashlib
+import json
 import math
+import tempfile
 import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,10 +33,11 @@ from eagercoll.harness import (
     write_train_csv,
 )
 from eagercoll.models import loss_and_grad, mse
-from eagercoll.transport import DelayModel
+from eagercoll.transport import DelayModel, SimTransport
 from eagercoll.verify import explore_interleavings, track_shadow
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_JSON = Path(__file__).resolve().parent / "golden.json"
 
 # SHA-256 of the bench32, hyperplane_run, zero_skew_run, two-collective and
 # p=12 bench CSVs.  Any change to a virtual number (latency, NAP, loss,
@@ -60,6 +64,18 @@ ZERO_SKEW = RunConfig(mode="train", p=8, flavors=("sync", "solo", "majority"),
                       batch_per_rank=8, lr=0.03, tau=4, resync_period=1000,
                       delay=DelayModel("none"), link_latency_us=10,
                       seed=1234, data_seed=99)
+
+
+# the other two golden runs (see check_golden_csvs)
+TWO_CID = RunConfig(mode="train", p=5, flavors=("sync", "solo", "majority"),
+                    epochs=6, steps_per_epoch=4, dim=8, n_samples=256,
+                    batch_per_rank=8, lr=0.02, tau=1, resync_period=2,
+                    delay=DelayModel("random_subset", unit_ms=0.5, k=2, seed=3),
+                    link_latency_us=10, seed=7, data_seed=8)
+P12 = RunConfig(mode="bench", flavors=("sync", "solo", "majority"), p=12,
+                rounds=16, vector_len=4,
+                delay=DelayModel("random_subset", unit_ms=0.5, k=3, seed=21),
+                link_latency_us=10, seed=77)
 
 
 @pytest.fixture(scope="module")
@@ -319,21 +335,12 @@ def check_golden_csvs(bench_records, hyperplane_rows, zero_skew_rows, tmp_path):
     run is not a power of two, so its schedules carry the fold and final ops
     beside the butterfly, and majority's CSV rows record the drawn
     initiator."""
-    two_cid = RunConfig(mode="train", p=5, flavors=("sync", "solo", "majority"),
-                        epochs=6, steps_per_epoch=4, dim=8, n_samples=256,
-                        batch_per_rank=8, lr=0.02, tau=1, resync_period=2,
-                        delay=DelayModel("random_subset", unit_ms=0.5, k=2, seed=3),
-                        link_latency_us=10, seed=7, data_seed=8)
-    p12 = RunConfig(mode="bench", flavors=("sync", "solo", "majority"), p=12,
-                    rounds=16, vector_len=4,
-                    delay=DelayModel("random_subset", unit_ms=0.5, k=3, seed=21),
-                    link_latency_us=10, seed=77)
     runs = [
         (write_bench_csv, bench_records, GOLDEN_BENCH_SHA256),
         (write_train_csv, hyperplane_rows, GOLDEN_TRAIN_SHA256),
         (write_train_csv, zero_skew_rows, GOLDEN_ZERO_SKEW_SHA256),
-        (write_train_csv, run_training(two_cid).rows, GOLDEN_TWO_CID_SHA256),
-        (write_bench_csv, bench_collectives(p12), GOLDEN_P12_BENCH_SHA256),
+        (write_train_csv, run_training(TWO_CID).rows, GOLDEN_TWO_CID_SHA256),
+        (write_bench_csv, bench_collectives(P12), GOLDEN_P12_BENCH_SHA256),
     ]
     for i, (write, rows, want) in enumerate(runs):
         path = tmp_path / f"run{i}.csv"
@@ -354,6 +361,122 @@ def test_golden_csv_digests_with_every_eligible_recv_bound(monkeypatch, tmp_path
                       run_training(ZERO_SKEW).rows, tmp_path)
 
 
+# ---------------------------------------------------------------------------
+# per-round digests: where a golden run diverged
+
+
+def _golden_runs() -> dict:
+    """name -> (config, run returning its CSV rows, CSV writer) of the five
+    golden runs, in the order of check_golden_csvs."""
+    train = lambda cfg: run_training(cfg).rows  # noqa: E731
+    return {
+        "bench32": (load_config(str(CONFIGS / "microbench.conf")), bench_collectives,
+                    write_bench_csv),
+        "hyperplane": (load_config(str(CONFIGS / "hyperplane.conf")), train, write_train_csv),
+        "zero_skew": (ZERO_SKEW, train, write_train_csv),
+        "two_cid": (TWO_CID, train, write_train_csv),
+        "p12": (P12, bench_collectives, write_bench_csv),
+    }
+
+
+def round_traces(tmp_path: Path) -> dict:
+    """Run the five golden configs with every SimTransport.send logged.
+    Returns name -> flavour -> (rows, sends): rows maps a round to its CSV
+    lines, and sends maps (cid, rnd) to that round's sends, each as
+    (now_us, src, dst, cid, rnd, phase, step), in send order.  Each flavour
+    runs on a SimTransport of its own, in the config's flavour order."""
+    logs: list[tuple[SimTransport, list]] = []  # (transport, its sends)
+    send = SimTransport.send
+
+    def logged(self, msg):
+        if not logs or logs[-1][0] is not self:
+            logs.append((self, []))
+        logs[-1][1].append((self.now_us(), *msg[:6]))
+        send(self, msg)
+
+    out = {}
+    with mock.patch.object(SimTransport, "send", logged):
+        for name, (cfg, run, write) in _golden_runs().items():
+            logs.clear()
+            path = tmp_path / f"{name}.csv"
+            write(run(cfg), str(path))
+            assert len(logs) == len(cfg.flavors), name
+            out[name] = {}
+            for flavor, (_, log) in zip(cfg.flavors, logs):
+                sends: dict = {}
+                for s in log:
+                    sends.setdefault((s[3], s[4]), []).append(s)
+                out[name][flavor] = ({}, sends)
+            for line in path.read_text().splitlines()[2:]:  # past the schema and header
+                flavor, rnd, _ = line.split(",", 2)
+                out[name][flavor][0].setdefault(int(rnd), []).append(line)
+    return out
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:8]
+
+
+def round_digests(traces: dict) -> dict:
+    """name -> flavour -> {"rows": [round r's digest], "sends": {cid: [round
+    r's digest]}}, 8 hex digits each: the layout of tests/golden.json."""
+    out = {}
+    for name, flavors in traces.items():
+        out[name] = {}
+        for flavor, (rows, sends) in flavors.items():
+            by_cid: dict = {}
+            for cid, rnd in sorted(sends):
+                digests = by_cid.setdefault(str(cid), [])
+                assert rnd == len(digests), (name, flavor, cid, rnd)  # no round skipped
+                digests.append(_digest(sends[cid, rnd]))
+            assert sorted(rows) == list(range(len(rows))), (name, flavor)
+            out[name][flavor] = {"rows": [_digest(rows[r]) for r in range(len(rows))],
+                                 "sends": by_cid}
+    return out
+
+
+def first_divergence(got: dict, want: dict):
+    """The first (name, flavour, round, what) in run order, round by round,
+    where the digests differ: what is "rows", or the cid whose sends differ."""
+    def at(digests, r):
+        return digests[r] if r < len(digests) else None
+
+    for name, flavors in want.items():
+        for flavor, pinned in flavors.items():
+            now = got[name][flavor]
+            cids = sorted(set(pinned["sends"]) | set(now["sends"]))
+            n = max([len(pinned["rows"]), len(now["rows"])]
+                    + [len(d.get(c, ())) for d in (pinned["sends"], now["sends"]) for c in cids])
+            for r in range(n):
+                if at(pinned["rows"], r) != at(now["rows"], r):
+                    return name, flavor, r, "rows"
+                for c in cids:
+                    if at(pinned["sends"].get(c, []), r) != at(now["sends"].get(c, []), r):
+                        return name, flavor, r, int(c)
+    return None
+
+
+def test_golden_round_and_send_digests(tmp_path):
+    """Each golden run's CSV rows and sends, round by round, match
+    tests/golden.json, so a change that moves one message by a microsecond
+    fails even where no CSV number shows it, and the failure names the first
+    (config, flavour, round) that moved.  The whole-file digests above
+    stay the primary pin; regenerate this file with
+    `PYTHONPATH=src python tests/test_acceptance.py` only with a reason."""
+    traces = round_traces(tmp_path)
+    where = first_divergence(round_digests(traces), json.loads(GOLDEN_JSON.read_text()))
+    if where is not None:
+        name, flavor, rnd, what = where
+        rows, sends = traces[name][flavor]
+        if what == "rows":
+            detail = f"its CSV rows differ; now: {rows.get(rnd, [])[:3]}"
+        else:
+            mine = sends.get((what, rnd), [])
+            detail = (f"its cid-{what} sends differ; now {len(mine)} sends, the first "
+                      f"(now_us, src, dst, cid, rnd, phase, step): {mine[:1]}")
+        pytest.fail(f"golden run {name}, flavour {flavor}, round {rnd}: {detail}")
+
+
 @pytest.mark.parametrize("cmd, preset, want", [
     ("bench", "microbench.conf", GOLDEN_BENCH_SHA256),
     ("train", "hyperplane.conf", GOLDEN_TRAIN_SHA256),
@@ -364,3 +487,13 @@ def test_cli_preset_run_writes_the_golden_csv(cmd, preset, want, tmp_path, capsy
     stem = tmp_path / cmd
     assert main([cmd, "--config", str(CONFIGS / preset), "--out", str(stem)]) == 0
     assert hashlib.sha256(Path(f"{stem}.csv").read_bytes()).hexdigest() == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = round_digests(round_traces(Path(tmp)))
+    # one line per (config, flavour), so a re-pin's diff names what moved
+    GOLDEN_JSON.write_text("{\n" + ",\n".join(
+        f" {json.dumps(name)}: {{\n" + ",\n".join(
+            f"  {json.dumps(flavor)}: {json.dumps(d)}" for flavor, d in flavors.items())
+        + "\n }" for name, flavors in table.items()) + "\n}\n")
