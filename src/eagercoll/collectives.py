@@ -7,18 +7,23 @@ majority  one rank per round, drawn by a counter-based PRNG every rank can
           evaluate locally, is the only one allowed to activate internally;
           on average half the ranks have contributed by the time it arrives.
 
-The wire payload is the float64 value vector followed by an inclusion
-bitmask (one bit per rank, packed in 64-bit words at byte 8*vector_len);
-write_payload and parse_payload are its only writer and parser, and the
-template states the split once, as its mask_offset.  offer and round_result
-are a rank's two rules on top, which the handle and the explorer share.
-Each reduction step is one schedule op that combines payloads elementwise:
-sum over the vector, bitwise-or over the mask, so the result always says
-exactly which ranks' fresh contributions it contains.
+The wire payload is float64 words: the value vector, then the inclusion
+mask, which holds rank r's bit as the float64 2^(r mod 52) in mask word
+r // 52.  write_payload and parse_payload are its only writer and parser.
+A fresh contribution holds its own rank's bit alone and a result sums each
+contribution once, so the bits never collide and their sum is their
+bitwise or: a word sums at most 52 distinct powers of two, stays below
+2^52 and is exact at every step.  So each reduction step is one add of a
+whole payload, over the vector and the mask at once, and the result
+always says exactly which ranks' fresh contributions it contains.  offer
+and round_result are a rank's two rules on top, which the handle and the
+explorer share.
 
 The reduction is a recursive-doubling butterfly over the largest power of
 two p2 <= p; ranks beyond p2 fold their contribution into a base partner
-first and get the finished result back at the end.  Combination order is
+first and get the finished result back at the end.  Every reduction step
+is a recv that adds the partner's payload into the accumulator once this
+rank's own send of the step is out, as a triggered recv does.  Combination order is
 identical block-aligned pairing at every rank, so for a given contribution
 set the result is bit-identical everywhere.  Division by p happens at result
 read-out and always divides by the full world size, included or not.
@@ -63,7 +68,7 @@ class CollectiveConfig:
 
     @property
     def mask_words(self) -> int:
-        return (self.p + 63) // 64
+        return (self.p + 51) // 52
 
     @property
     def payload_nbytes(self) -> int:
@@ -72,18 +77,19 @@ class CollectiveConfig:
 
 def write_payload(buf: np.ndarray, cfg: CollectiveConfig, rank: int,
                   vec: np.ndarray) -> None:
-    """Store `vec` as rank's fresh contribution in the payload bytes `buf`:
-    the values, plus rank's bit in the inclusion mask."""
-    np.copyto(buf[:8 * cfg.vector_len].view(np.float64), vec)
-    mask = buf[8 * cfg.vector_len:].view(np.uint64)
-    mask[rank // 64] |= np.uint64(1 << (rank % 64))
+    """Store `vec` as rank's fresh contribution in the payload bytes `buf`,
+    whose mask holds no other rank's bit: the values, plus rank's bit."""
+    words = buf.view(np.float64)
+    np.copyto(words[:cfg.vector_len], vec)
+    words[cfg.vector_len + rank // 52] = 2.0 ** (rank % 52)
 
 
 def parse_payload(raw: np.ndarray, cfg: CollectiveConfig) -> tuple[np.ndarray, int]:
     """(values, inclusion mask as an int) of the payload bytes `raw`; the
     values are a view into raw."""
-    mask = int.from_bytes(raw[8 * cfg.vector_len:].tobytes(), "little")
-    return raw[:8 * cfg.vector_len].view(np.float64), mask
+    words = raw.view(np.float64)
+    mask = sum(int(w) << 52 * i for i, w in enumerate(words[cfg.vector_len:].tolist()))
+    return words[:cfg.vector_len], mask
 
 
 def offer(engine: Engine, cfg: CollectiveConfig, rank: int, vec: np.ndarray) -> bool:
@@ -164,7 +170,6 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     p, nbytes = cfg.p, cfg.payload_nbytes
     peers = allreduce_peers(rank, cfg)
     ops: list[OpSpec] = []
-    buffers: dict[str, int] = {"send": nbytes, "acc": nbytes}
 
     def add(kind: str, **kw) -> int:
         oid = len(ops)
@@ -195,43 +200,30 @@ def build_allreduce_template(rank: int, cfg: CollectiveConfig) -> ScheduleTempla
     m2 = p2.bit_length() - 1
     fold_step, final_step = m2, m2 + 1  # after the butterfly's steps 0..m2-1
     if rank >= p2:
-        # fold into the base partner, then wait for the finished result
-        buffers["land_final"] = nbytes
+        # fold into the base partner, then take the finished result in place
         fold = add(K_SEND, deps=(snap,), peer=peers[PHASE_RED, fold_step], phase=PHASE_RED,
                    step=fold_step, send_buf="acc", label="fold_send")
-        fin = add(K_RECV, phase=PHASE_RED, step=final_step,
-                  recv_buf="land_final", label="final_recv")
-        add(K_NOP, deps=(fold, fin), publish=True, label="done")
-        publish_from = "land_final"
+        prev = add(K_RECV, deps=(fold,), phase=PHASE_RED, step=final_step,
+                   recv_buf="acc", label="final_recv")
     else:
+        # each recv adds its partner's payload into acc
         prev = snap
-        has_extra = rank + p2 < p
-        if has_extra:
-            buffers["land_fold"] = nbytes
-            rf = add(K_RECV, phase=PHASE_RED, step=fold_step,
-                     recv_buf="land_fold", label="fold_recv")
-            prev = add(K_COMPUTE, deps=(rf, prev), src_buf="land_fold", dst_buf="acc",
-                       label="fold_reduce")
+        if rank + p2 < p:
+            prev = add(K_RECV, deps=(prev,), phase=PHASE_RED, step=fold_step,
+                       dst_buf="acc", label="fold_recv")
         for k in range(m2):
-            buffers[f"land{k}"] = nbytes
             sk = add(K_SEND, deps=(prev,), peer=peers[PHASE_RED, k], phase=PHASE_RED, step=k,
                      send_buf="acc", label=f"bf_send{k}")
-            rk = add(K_RECV, phase=PHASE_RED, step=k, recv_buf=f"land{k}",
-                     label=f"bf_recv{k}")
-            prev = add(K_COMPUTE, deps=(rk, sk), src_buf=f"land{k}", dst_buf="acc",
-                       label=f"bf_reduce{k}")
-        if has_extra:
-            fin = add(K_SEND, deps=(prev,), peer=peers[PHASE_RED, final_step],
-                      phase=PHASE_RED, step=final_step, send_buf="acc", label="final_send")
-            add(K_NOP, deps=(prev, fin), publish=True, label="done")
-        else:
-            add(K_NOP, deps=(prev,), publish=True, label="done")
-        publish_from = "acc"
+            prev = add(K_RECV, deps=(sk,), phase=PHASE_RED, step=k, dst_buf="acc",
+                       label=f"bf_recv{k}")
+        if rank + p2 < p:
+            prev = add(K_SEND, deps=(prev,), peer=peers[PHASE_RED, final_step],
+                       phase=PHASE_RED, step=final_step, send_buf="acc", label="final_send")
+    add(K_NOP, deps=(prev,), publish=True, label="done")
 
     return ScheduleTemplate(
-        ops=ops, buffers=buffers, mask_offset=8 * cfg.vector_len,
-        publish_from=publish_from, snapshot_last=snap, snapshot_src="send",
-        persistent=True,
+        ops=ops, buffers={"send": nbytes, "acc": nbytes}, publish_from="acc",
+        snapshot_last=snap, snapshot_src="send", persistent=True,
     )
 
 
@@ -239,7 +231,7 @@ def rank_programs(cfg: CollectiveConfig) -> list[Program]:
     """Each rank's compiled schedule, one Program per rank class: base
     ranks with an extra partner, base ranks without one, and extra ranks.
     Ranks of one class have the same template up to its peers, so an engine
-    binds its Program with allreduce_peers(rank, cfg).  Nothing is kept
+    runs its Program with allreduce_peers(rank, cfg).  Nothing is kept
     between calls."""
     p, p2 = cfg.p, floor_pow2(cfg.p)
     # each rank's class representative: the class's lowest rank
@@ -285,7 +277,7 @@ class AllreduceHandle:
     def _snap_cb(self, rnd: int, taken: np.ndarray) -> None:
         fresh = self.contributed_round == rnd  # whatever the bytes: a lost offer shows
         if self.recorder is not None:
-            values = taken[:self.engine.program.mask_offset].view(np.float64)
+            values = taken[:8 * self.cfg.vector_len].view(np.float64)
             self.recorder.snapshot(SnapshotRecord(self.rank, rnd, values, fresh))
         if self.user_snapshot_cb is not None:
             self.user_snapshot_cb(rnd, fresh)
@@ -363,10 +355,8 @@ def simulate(configs, body, *, link_latency_us: int = 0,
 
     Returns (handles, sim) where handles[i][rank] is config i's handle.
     Once the run ends, the handles and engines let go of the recorder, so
-    the caller's last reference to it frees it, and every engine lets go of
-    the payloads its bound buffers hold (Engine.release_payloads): engines
-    and handles live in reference cycles, which only the cyclic collector
-    frees, and until then would keep each rank's last large payloads.
+    the caller's last reference to it frees it: engines and handles live in
+    reference cycles, which only the cyclic collector frees.
     """
     p = configs[0].p
     sim = SimTransport(p, link_latency_us=link_latency_us)
@@ -380,7 +370,6 @@ def simulate(configs, body, *, link_latency_us: int = 0,
     for hs in handles:
         for h in hs:
             h.recorder = h.engine.recorder = None
-            h.engine.release_payloads()
     return handles, sim
 
 

@@ -440,9 +440,7 @@ def explore_interleavings(cfg: CollectiveConfig, *, arrive_ranks=None,
             if drifted:
                 raise EngineStateDrift(
                     f"ranks {drifted} hold states the search did not record, via {path}")
-            # each rank's result, read where its chain left it; a bound
-            # buffer's view changes with each recv and restore(), so it is
-            # read anew here
+            # each rank's result, read where its chain left it
             published = [e.buffer(e.program.publish_from) for e in engines]
             results.add(published[0].tobytes())
             finished = [collectives.round_result(r, 0, published[r], cfg)

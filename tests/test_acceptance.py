@@ -18,7 +18,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from eagercoll import schedule
 from eagercoll.collectives import CollectiveConfig
 from eagercoll.eagersgd import LrBoundParams, max_learning_rate, min_iterations
 from eagercoll.harness import (
@@ -350,15 +349,6 @@ def check_golden_csvs(bench_records, hyperplane_rows, zero_skew_rows, tmp_path):
 
 def test_golden_csv_digests(bench32, hyperplane_run, zero_skew_run, tmp_path):
     check_golden_csvs(bench32[2], hyperplane_run[1].rows, zero_skew_run[1].rows, tmp_path)
-
-
-def test_golden_csv_digests_with_every_eligible_recv_bound(monkeypatch, tmp_path):
-    """With the gate at 0, every recv whose buffer may bind does, at every
-    payload size of the pinned runs: the CSVs must not change."""
-    monkeypatch.setattr(schedule, "_BIND_NBYTES", 0)
-    check_golden_csvs(bench_collectives(load_config(str(CONFIGS / "microbench.conf"))),
-                      run_training(load_config(str(CONFIGS / "hyperplane.conf"))).rows,
-                      run_training(ZERO_SKEW).rows, tmp_path)
 
 
 # ---------------------------------------------------------------------------

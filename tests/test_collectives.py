@@ -8,6 +8,7 @@ engine.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eagercoll.collectives import (
     AllreduceHandle,
@@ -333,23 +334,22 @@ def test_template_wires_the_forwarding_rule(p):
 def _compiled(eng):
     """What an engine's fire loop reads, with each buffer view as its place
     (the arena, byte offset, length, dtype)."""
-    bases = [("arena", eng._arena.__array_interface__["data"][0], eng._arena.nbytes)]
+    base = eng._arena.__array_interface__["data"][0]
 
     def place(view):
         if view is None:
             return None
+        view = np.asarray(view)  # a copying recv's memoryview too
         addr = view.__array_interface__["data"][0]
-        for name, base, size in bases:
-            if base <= addr < base + size:
-                return (name, addr - base, view.nbytes, view.dtype.str)
-        raise AssertionError("view outside the engine's buffers")
+        assert base <= addr < base + eng._arena.nbytes, "view outside the arena"
+        return (addr - base, view.nbytes, view.dtype.str)
 
     records = [(ds, label, send and (*send[:3], place(send[3])),
-                reduce and tuple(place(v) for v in reduce), tail, targets, then)
-               for ds, label, send, reduce, tail, targets, then in eng._program]
+                recv and (place(recv[0]), recv[1]),
+                reduce and tuple(place(v) for v in reduce), tail, then)
+               for ds, label, send, recv, reduce, tail, then in eng._program]
     prog = eng.program
     return (records, prog.waiting0, prog.entry, eng._recv_index,
-            [place(v if v is None else np.asarray(v)) for v in eng._recv_dst],
             place(eng._publish_buf), eng._arena.nbytes)
 
 
@@ -389,17 +389,46 @@ def test_config_validation():
         CollectiveConfig(p=2, flavor="sync", vector_len=0)
 
 
-def test_payload_layout():
-    cfg = CollectiveConfig(p=8, flavor="sync", vector_len=16)
-    assert cfg.mask_words == 1
-    assert cfg.payload_nbytes == 16 * 8 + 8
-    wide = CollectiveConfig(p=65, flavor="sync", vector_len=1)
-    assert wide.mask_words == 2
-    buf = np.zeros(wide.payload_nbytes, dtype=np.uint8)
-    write_payload(buf, wide, 64, np.array([2.5]))
-    data, mask = parse_payload(buf, wide)
-    assert data.tolist() == [2.5] and mask == 1 << 64
-    assert buf[8:].view(np.uint64).tolist() == [0, 1]  # mask words after the values
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_payloads_of_distinct_ranks_add_to_their_set(data):
+    """For any p <= 1,024, the payloads of any set of distinct ranks, added
+    word by word in any order from a zeroed accumulator as the engine's
+    reductions add them, parse back to exactly that set, with the values'
+    sum; and no mask word reaches 2^52 at any step, so every partial sum
+    is exact."""
+    p = data.draw(st.integers(1, 1024))
+    vlen = data.draw(st.integers(1, 3))
+    cfg = CollectiveConfig(p=p, flavor="sync", vector_len=vlen)
+    assert cfg.mask_words == -(-p // 52) and cfg.payload_nbytes == 8 * (vlen + cfg.mask_words)
+    ranks = data.draw(st.lists(st.integers(0, p - 1), unique=True, max_size=min(p, 200)))
+    acc = np.zeros(cfg.payload_nbytes, dtype=np.uint8)
+    total = np.zeros(vlen)
+    for r in ranks:
+        vec = np.arange(vlen) + 1.0 + r
+        buf = np.zeros(cfg.payload_nbytes, dtype=np.uint8)
+        write_payload(buf, cfg, r, vec)
+        np.add(acc.view(np.float64), buf.view(np.float64), out=acc.view(np.float64))
+        total += vec
+        assert (acc.view(np.float64)[vlen:] < 2.0 ** 52).all()
+    values, mask = parse_payload(acc, cfg)
+    assert mask == sum(1 << r for r in ranks)
+    assert values.tolist() == total.tolist()
+
+
+def test_a_full_world_fills_every_mask_word_below_two_to_the_52():
+    """All 1,024 ranks: 19 full words of 52 bits, each 2^52 - 1, then 36
+    bits in the last; offering twice in a round leaves one bit."""
+    cfg = CollectiveConfig(p=1024, flavor="sync", vector_len=1)
+    acc = np.zeros(cfg.payload_nbytes, dtype=np.uint8)
+    for r in range(cfg.p):
+        buf = np.zeros(cfg.payload_nbytes, dtype=np.uint8)
+        write_payload(buf, cfg, r, np.ones(1))
+        write_payload(buf, cfg, r, np.ones(1))
+        acc.view(np.float64)[:] += buf.view(np.float64)
+    words = acc.view(np.float64)[1:].tolist()
+    assert words == [2.0 ** 52 - 1] * 19 + [2.0 ** 36 - 1]
+    assert parse_payload(acc, cfg)[1] == (1 << 1024) - 1
 
 
 def test_helpers():

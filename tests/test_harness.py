@@ -168,23 +168,21 @@ def test_a_finished_bench_run_lets_go_of_its_recorder():
 
 
 @pytest.mark.parametrize("flavor", ["sync", "solo"])
-def test_a_finished_bench_run_lets_go_of_its_payloads(flavor):
-    """Above 64 KiB every landing buffer that ops only read binds its
-    payload; once the run ends, each is bound back to its Program's shared
-    zero bytes, the publish buffer of an extra rank (p=6 has two) too."""
-    _, _, sim = bench_flavor(bench_cfg(p=6, rounds=2, vector_len=8200), flavor)
+def test_a_finished_bench_run_holds_no_payload(flavor):
+    """Every recv takes its payload out of its slot as it fires, and a
+    replication empties the slots, so once a run with 64 KiB payloads ends
+    no engine holds a message's payload: each engine's payload state is its
+    arena of acc and the send buffer, the publish buffer of an extra rank
+    (p=6 has two) included."""
+    cfg = bench_cfg(p=6, rounds=2, vector_len=8200)
+    _, _, sim = bench_flavor(cfg, flavor)
     engines = [e for by_cid in sim._engines for e in by_cid.values()]
-    bound = 0
+    nbytes = CollectiveConfig(p=cfg.p, flavor=flavor, vector_len=cfg.vector_len).payload_nbytes
+    assert len(engines) == 6
     for eng in engines:
-        prog = eng.program
-        names = {name for name, _ in prog.binds.values()}
-        for name in names:
-            assert eng.buffer(name).base is prog.zeros[prog.buffers[name]], (eng.rank, name)
-        if prog.publish_from in names:
-            assert eng._publish_buf.base is prog.zeros[prog.buffers[prog.publish_from]]
-        bound += len(names)
-    # base ranks 0-1: fold + two butterfly landings; 2-3: two; extras 4-5: final
-    assert len(engines) == 6 and bound == 12
+        assert eng._parked == [None] * len(eng.ops), eng.rank
+        assert eng._arena.nbytes == 2 * nbytes and eng.buffer("acc").base is eng._arena
+        assert eng._publish_buf.base is eng._arena, eng.rank
 
 
 def test_a_round_that_overruns_its_slot_raises(monkeypatch):
@@ -220,15 +218,16 @@ def test_bench_flavor_compiles_one_program_per_rank_class(monkeypatch):
 
 
 @pytest.mark.parametrize("flavor, events, sends, fires", [
-    ("sync", 236, 128, {"compute": 160, "nop": 96, "recv": 128, "send": 128}),
-    ("solo", 240, 176, {"compute": 160, "nop": 100, "recv": 176, "send": 176}),
-    ("majority", 255, 176, {"compute": 160, "nop": 100, "recv": 176, "send": 176}),
+    ("sync", 236, 128, {"compute": 48, "nop": 96, "recv": 128, "send": 128}),
+    ("solo", 240, 176, {"compute": 48, "nop": 100, "recv": 176, "send": 176}),
+    ("majority", 255, 176, {"compute": 48, "nop": 100, "recv": 176, "send": 176}),
 ])
 def test_bench_event_and_fire_counts_are_pinned(monkeypatch, flavor, events, sends, fires):
     """The work a bench run does, at a shape with extra ranks (p=12 over a
     butterfly of 8): events processed, messages sent and op fires by kind.
     A faster engine or transport must leave all of them as they are, or
-    the event sequence and so the CSVs change."""
+    the event sequence and so the CSVs change.  The one compute op is each
+    round's snapshot: every reduction is a recv that adds its payload."""
     monkeypatch.setattr(harness, "TraceRecorder", _KindCount)
     monkeypatch.setattr(collectives, "SimTransport", _CountingSim)
     cfg = RunConfig(p=12, rounds=4)

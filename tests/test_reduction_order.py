@@ -5,9 +5,9 @@ Numeric runs cannot show this at scale: the bench and the explorer
 contribute integer-valued vectors, whose float64 sums are exact in any
 order, so a mis-associated reduction gives the same bytes.  Here each rank's
 real Program runs on symbolic payloads.  A buffer holds a hash-consed
-expression id: leaf r is rank r's snapshot, and a reduce makes a
-commutative but non-associative add node, where adding zero returns the
-other operand.  Two ids are equal exactly when the two sums pair the same
+expression id: leaf r is rank r's snapshot, and each add, the snapshot's
+and each recv's that adds its payload, makes a commutative but
+non-associative add node, where adding zero returns the other operand.  Two ids are equal exactly when the two sums pair the same
 leaves the same way, so an id equal to tree_order_sum's over the leaves
 also proves that each leaf appears exactly once.
 """
@@ -81,18 +81,19 @@ def published_ids(cfg: CollectiveConfig, sums: Sums, arrivals) -> list[int | Non
         bufs[r][prog.snapshot_src] = r + 1
     waiting = [bytearray(prog.waiting0) for prog in programs]
     consumed = [bytearray(len(prog.records)) for prog in programs]
-    landing = [dict(prog.recv_bufs) for prog in programs]
+    parked: list[dict[int, int | None]] = [{} for _ in programs]
     published: list[int | None] = [None] * p
     net = deque()
 
     def fire(r: int, stack: list[int]) -> None:
-        # the engine's _cascade: fire each unconsumed, ready op once
+        # the engine's _cascade: fire each unconsumed, ready op once; a recv
+        # adds its parked payload into its buffer, or copies it in
         prog, buf, wait, done = programs[r], bufs[r], waiting[r], consumed[r]
         while stack:
             oid = stack.pop()
             if done[oid] or wait[oid]:
                 continue
-            dependents, _, send, reduce, tail, targets, _ = prog.records[oid]
+            dependents, _, send, recv, reduce, tail, _ = prog.records[oid]
             done[oid] = 1
             for d in dependents:
                 if wait[d]:
@@ -101,6 +102,11 @@ def published_ids(cfg: CollectiveConfig, sums: Sums, arrivals) -> list[int | Non
                 _, phase, step, name = send
                 net.append((peers[r][phase, step], phase, step,
                             None if name is None else buf[name]))
+            elif recv is not None:
+                name, adds = recv
+                payload = parked[r].pop(oid)
+                if name is not None:
+                    buf[name] = sums.add(buf[name], payload) if adds else payload
             elif reduce is not None:
                 dst, src = reduce
                 buf[dst] = sums.add(buf[dst], buf[src])
@@ -108,7 +114,7 @@ def published_ids(cfg: CollectiveConfig, sums: Sums, arrivals) -> list[int | Non
                 buf[prog.snapshot_src] = ZERO
             if tail & 2:
                 published[r] = buf[prog.publish_from]
-            stack.extend(targets)
+            stack.extend(dependents)
 
     for r in arrivals:
         fire(r, [programs[r].entry])
@@ -117,9 +123,9 @@ def published_ids(cfg: CollectiveConfig, sums: Sums, arrivals) -> list[int | Non
         oid = programs[dst].recv_index[phase, step]
         if consumed[dst][oid]:
             continue  # a duplicate activation from an overlapping tree
-        assert not waiting[dst][oid]
-        if payload is not None:
-            bufs[dst][landing[dst][oid]] = payload
+        assert oid not in parked[dst]
+        parked[dst][oid] = payload  # the message counts the recv down
+        waiting[dst][oid] -= 1
         fire(dst, [oid])
     return published
 
@@ -190,7 +196,7 @@ def _wrong_fold_peer(monkeypatch):
 
 def _final_send_before_last_reduce(monkeypatch):
     """A base rank sends its extra partner the result as it stands before
-    the butterfly's last reduce."""
+    the butterfly's last recv adds its payload."""
     build = collectives.build_allreduce_template
 
     def template(rank, cfg):

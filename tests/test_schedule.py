@@ -1,12 +1,9 @@
 """Schedule DAG semantics: consumable ops, dep logic, replication, validation."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eagercoll import schedule
 from eagercoll.collectives import CollectiveConfig, rank_programs
 from eagercoll.schedule import (
     CycleError,
@@ -49,8 +46,7 @@ def chain_template():
         OpSpec(3, K_COMPUTE, deps=(2,), src_buf="inbox", dst_buf="acc"),
         OpSpec(4, K_NOP, deps=(3,), publish=True, label="done"),
     ]
-    return ScheduleTemplate(ops=ops, buffers=buffers, mask_offset=16,
-                            publish_from="acc")
+    return ScheduleTemplate(ops=ops, buffers=buffers, publish_from="acc")
 
 
 def test_entry_waits_for_activation():
@@ -75,41 +71,81 @@ def test_chain_runs_to_completion_on_matching_recv():
     assert acc.tolist() == [0.0, 1.0]
 
 
-def test_compute_fns():
-    """One fire adds the f8 values below mask_offset and ors the mask
-    bytes from there on."""
+def _adding_template(persistent=False):
+    """N0 -> send acc (step 0) -> recv (step 0) adding into acc -> publish:
+    one butterfly step, whose recv waits for its own send."""
     ops = [
-        OpSpec(0, K_NOP, entry=True),
-        OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="a"),
-        OpSpec(2, K_NOP, deps=(1,), publish=True),
+        OpSpec(0, K_NOP, entry=True, label="N0"),
+        OpSpec(1, K_SEND, deps=(0,), peer=1, phase=PHASE_RED, step=0, send_buf="acc"),
+        OpSpec(2, K_RECV, deps=(1,), peer=1, phase=PHASE_RED, step=0, dst_buf="acc"),
+        OpSpec(3, K_NOP, deps=(2,), publish=True, label="done"),
     ]
-    tpl = ScheduleTemplate(ops=ops, buffers={"a": 24, "b": 24}, mask_offset=16,
-                           publish_from="a")
-    eng = make_engine(tpl)
-    eng.commit()
-    eng.buffer("a")[:16].view(np.float64)[:] = [1.0, 2.0]
-    eng.buffer("b")[:16].view(np.float64)[:] = [10.0, 20.0]
-    eng.buffer("a")[16:].view(np.uint64)[:] = 0b0101
-    eng.buffer("b")[16:].view(np.uint64)[:] = 0b0011
-    eng.activate_internal()
-    assert eng.buffer("a")[:16].view(np.float64).tolist() == [11.0, 22.0]
-    assert eng.buffer("a")[16:].view(np.uint64)[0] == 0b0111
+    return ScheduleTemplate(ops=ops, buffers={"acc": 16}, publish_from="acc",
+                            persistent=persistent)
 
 
-def test_bor_on_integer_view():
-    """With mask_offset 0 the whole buffer is mask bytes: the reduce op is
-    a plain bitwise or, with no float prefix to add."""
-    ops = [
-        OpSpec(0, K_NOP, entry=True),
-        OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="a"),
-    ]
-    tpl = ScheduleTemplate(ops=ops, buffers={"a": 8, "b": 8}, mask_offset=0)
-    eng = make_engine(tpl)
+def test_an_early_payload_parks_and_fires_from_the_cascade():
+    """A message that comes before its recv's send has fired parks its
+    payload in the recv's slot, not in the mailbox; a duplicate of it
+    drops.  The send that counts the recv down to 0 fires it from the slot
+    in the same cascade: the send carries acc as it was, and the recv adds
+    the payload into acc, all bits of both, with one add."""
+    sent, log = [], FireLog()
+    eng = Engine(Program(_adding_template()), 0, 0, sent.append, lambda: 0, recorder=log)
     eng.commit()
-    eng.buffer("a").view(np.uint64)[:] = 0b0101
-    eng.buffer("b").view(np.uint64)[:] = 0b0011
+    acc = eng.buffer("acc").view(np.float64)
+    acc[:] = [1.5, 2.0 ** 51]
+    payload = np.array([2.25, 2.0 ** 50]).tobytes()
+    msg = Message(1, 0, 0, 0, PHASE_RED, 0, payload)
+    eng.deliver(msg)
+    assert (bytes(eng.consumed), eng.mailbox, log.fires) == (bytes(4), [], [])
+    assert eng._parked[2] is payload and eng._waiting[2] == 1
+    eng.deliver(msg)  # a duplicate for the parked recv
+    assert eng.mailbox == [] and eng._parked[2] is payload
     eng.activate_internal()
-    assert eng.buffer("a").view(np.uint64)[0] == 0b0111
+    assert log.fires == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert [m.payload for m in sent] == [np.array([1.5, 2.0 ** 51]).tobytes()]
+    assert acc.tolist() == [3.75, 2.0 ** 51 + 2.0 ** 50]
+    assert eng.done_generation == 0 and eng._parked == [None] * 4
+
+
+def test_a_replication_drops_what_its_generation_left_parked():
+    """A payload parked when its generation publishes is dropped with the
+    generation: the replication empties every slot.  Here the send counts
+    the parked recv down to 0, but the publishing NOP, its other ready
+    dependent, fires first and replicates."""
+    ops = [OpSpec(0, K_NOP, entry=True),
+           OpSpec(1, K_SEND, deps=(0,), peer=1, phase=PHASE_RED, step=0, send_buf="acc"),
+           OpSpec(2, K_RECV, deps=(1,), peer=1, phase=PHASE_RED, step=0, dst_buf="acc"),
+           OpSpec(3, K_NOP, deps=(1,), publish=True)]
+    eng = make_engine(ScheduleTemplate(ops=ops, buffers={"acc": 8}, publish_from="acc",
+                                       persistent=True))
+    eng.commit()
+    eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 0, np.float64(4.0).tobytes()))
+    assert eng._parked[2] is not None
+    eng.activate_internal()
+    assert (eng.generation, eng.done_generation) == (1, 0)
+    assert eng._parked == [None] * 4 and bytes(eng.consumed) == bytes(4)
+    assert eng.buffer("acc").view(np.float64).tolist() == [0.0]
+
+
+def test_state_restore_round_trip_with_a_parked_payload():
+    """state() holds a parked payload as it came, so it stays a hashable
+    value, and restore() puts it back: the run then goes on as the
+    uninterrupted one did."""
+    eng = make_engine(_adding_template(persistent=True), [])
+    eng.commit()
+    payload = np.array([1.0, 2.0]).tobytes()
+    eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 0, payload))
+    parked = eng.state()
+    assert hash(parked) and parked[4][2] is payload
+    eng.activate_internal()
+    done = eng.state()
+    assert done[4] == (None,) * 4 and eng.buffer("acc").view(np.float64).tolist() == [0, 0]
+    eng.restore(parked)
+    assert eng.state() == parked and eng._parked[2] is payload and eng.generation == 0
+    eng.activate_internal()
+    assert eng.state() == done
 
 
 def test_fire_twice_is_silent_noop():
@@ -190,35 +226,26 @@ def test_persistent_replication_resets_state_and_buffers():
 
 
 _NOPS = [OpSpec(0, K_NOP, entry=True), OpSpec(1, K_NOP, deps=(0,), publish=True)]
-# a recv landing in "land", which this generation never fires
-_RECV_LAND = _NOPS + [OpSpec(2, K_RECV, phase=PHASE_RED, step=0, recv_buf="land")]
+# a recv copying into "land", which this generation never fires, and
+# computes reading it
 _LAND_SIZES = {"send": 16, "land": 16, "acc": 16, "out": 16}
-# every reader of land depends on its recv, but ops also write and send it
-_LAND_KEPT = _RECV_LAND + [
-    OpSpec(3, K_COMPUTE, deps=(2,), src_buf="land", dst_buf="acc"),
-    OpSpec(4, K_SEND, deps=(2, 3), peer=1, phase=PHASE_RED, step=1, send_buf="land"),
-    OpSpec(5, K_COMPUTE, deps=(2, 0), src_buf="out", dst_buf="land")]
-# one reader of land lacks the dependency on its recv
-_LAND_ZEROED = _RECV_LAND + [
+_LAND_ZEROED = _NOPS + [
+    OpSpec(2, K_RECV, phase=PHASE_RED, step=0, recv_buf="land"),
     OpSpec(3, K_COMPUTE, deps=(2,), src_buf="land", dst_buf="acc"),
     OpSpec(4, K_COMPUTE, deps=(1,), src_buf="land", dst_buf="out")]
 
 
 @pytest.mark.parametrize("ops, sizes, kept", [
-    (_NOPS, {"send": 24, "acc": 24, "land_fold": 24, "land0": 24, "land1": 24},  # allreduce, p=5
-     {"send"}),
+    (_NOPS, {"send": 24, "acc": 24, "a": 24, "b": 24, "c": 24}, {"send"}),
     (_NOPS, {"a": 5, "send": 3, "b": 16, "c": 1, "d": 0}, {"send"}),  # odd sizes, so slices pad
-    # every reader of land depends on its recv, so land keeps its bytes
-    (_LAND_KEPT, _LAND_SIZES, {"send", "land"}),
-    # one reader lacks the dependency, so land is zeroed like the rest
+    # a recv's buffer is zeroed like the rest
     (_LAND_ZEROED, _LAND_SIZES, {"send"}),
-], ids=["sizes0", "sizes1", "land-kept", "land-zeroed"])
+], ids=["sizes0", "sizes1", "land-zeroed"])
 def test_replication_zeroes_every_scratch_buffer_and_keeps_send(ops, sizes, kept):
     """Scratch buffers share one arena: each holds its own bytes, and a
-    replication zeroes all of them but the snapshot source and the landing
-    buffers, which a recv overwrites before any op reads them.
-    state()/restore() brings back every byte, in the arena (padding
-    included) and in the snapshot source outside it."""
+    replication zeroes all of them but the snapshot source, the arena's
+    last slice.  state()/restore() brings back every byte of the arena,
+    padding included."""
     tpl = ScheduleTemplate(ops=ops, buffers=sizes, persistent=True,
                            snapshot_src="send")
     eng = make_engine(tpl)
@@ -243,91 +270,14 @@ def test_replication_zeroes_every_scratch_buffer_and_keeps_send(ops, sizes, kept
 
 @pytest.mark.parametrize("p", [2, 4, 5, 7])
 def test_allreduce_zeroes_only_its_accumulator_on_replication(p):
-    """In every rank class of the allreduce, each land* buffer has one recv
-    and readers that wait for it, so a replication zeroes acc alone."""
-    for rank, program in enumerate(rank_programs(CollectiveConfig(p, "solo", 3))):
-        assert program.start["acc"] == 0, rank
-        assert program.zero_nbytes == program.buffers["acc"], rank
-        assert program.binds == {}, rank
-
-
-@pytest.mark.parametrize("p", [2, 4, 5, 7])
-def test_large_landing_buffers_are_bound_outside_the_arena(p):
-    """Above the gate every land* buffer is bound to its recv's payload:
-    the arena holds acc, which a replication zeroes, and then the send
-    buffer, its last slice, past zero_nbytes; a recv leaves buffer() a
-    read-only view of the message bytes, which the reduce adds from and
-    the publish reads."""
-    vlen = schedule._BIND_NBYTES // 8  # payload: one mask word above the gate
-    cfg = CollectiveConfig(p, "solo", vlen)
+    """In every rank class of the allreduce the arena holds acc and then
+    the send buffer, its last slice, and nothing else: every recv adds into
+    acc or copies into it, so a replication zeroes acc alone."""
+    cfg = CollectiveConfig(p, "solo", 3)
     for rank, program in enumerate(rank_programs(cfg)):
-        lands = {n for n in program.buffers if n.startswith("land")}
-        assert {name for name, _ in program.binds.values()} == lands, rank
-        assert lands.isdisjoint(program.start), rank
         assert program.start == {"acc": 0, "send": cfg.payload_nbytes}, rank
         assert program.zero_nbytes == cfg.payload_nbytes, rank
         assert program.arena_nbytes == 2 * cfg.payload_nbytes, rank
-    ops = [OpSpec(0, K_NOP, entry=True),
-           OpSpec(1, K_RECV, phase=PHASE_RED, step=0, recv_buf="land"),
-           OpSpec(2, K_COMPUTE, deps=(1,), src_buf="land", dst_buf="acc"),
-           OpSpec(3, K_NOP, deps=(1, 2), publish=True)]
-    nbytes = cfg.payload_nbytes
-    tpl = ScheduleTemplate(ops=ops, buffers={"acc": nbytes, "land": nbytes},
-                           mask_offset=8 * vlen, publish_from="land")
-    published = []
-    eng = Engine(Program(tpl), 0, 0, lambda m: None, lambda: 0,
-                 on_done=lambda g, buf: published.append(buf))
-    eng.commit()
-    payload = np.arange(nbytes // 8, dtype=np.float64).tobytes()
-    eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 0, payload))
-    land = eng.buffer("land")
-    assert not land.flags.writeable and land.base is payload
-    assert published == [land]
-    assert eng.buffer("acc")[:8 * vlen].tobytes() == payload[:8 * vlen]
-    restored = eng.state()
-    eng.restore(restored)
-    assert eng.state() == restored and eng.buffer("land").tobytes() == payload
-
-
-@pytest.mark.parametrize("ops", [_LAND_KEPT, _LAND_ZEROED], ids=["land-kept", "land-zeroed"])
-def test_a_landing_buffer_that_is_written_or_read_early_is_never_bound(ops):
-    """Even with the gate at 0, land stays in the arena when an op writes
-    or sends it ([land-kept]) or a reader does not wait for its recv
-    ([land-zeroed])."""
-    tpl = ScheduleTemplate(ops=ops, buffers=_LAND_SIZES, persistent=True,
-                           snapshot_src="send")
-    with mock.patch.object(schedule, "_BIND_NBYTES", 0):
-        program = Program(tpl)
-    assert program.binds == {} and "land" in program.start
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 3), st.data())
-def test_bor_matches_a_word_wise_or(offset_words, data):
-    """The engine ors the mask bytes from mask_offset on; the bits match
-    np.bitwise_or over the same uint64 words, and the f8 values below the
-    offset are added."""
-    words = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
-    a = np.array(data.draw(words), dtype=np.uint64)
-    b = np.array(data.draw(st.lists(st.integers(0, 2**64 - 1),
-                                    min_size=len(a), max_size=len(a))), dtype=np.uint64)
-    off = 8 * offset_words
-    size = off + a.nbytes
-    ops = [
-        OpSpec(0, K_NOP, entry=True),
-        OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="a"),
-    ]
-    eng = make_engine(ScheduleTemplate(ops=ops, buffers={"a": size, "b": size},
-                                       mask_offset=off))
-    eng.commit()
-    eng.buffer("a")[:off].view(np.float64)[:] = np.arange(offset_words)
-    eng.buffer("b")[:off].view(np.float64)[:] = 0.5
-    eng.buffer("a")[off:].view(np.uint64)[:] = a
-    eng.buffer("b")[off:].view(np.uint64)[:] = b
-    eng.activate_internal()
-    assert eng.buffer("a")[off:].view(np.uint64).tolist() == np.bitwise_or(a, b).tolist()
-    assert eng.buffer("a")[:off].view(np.float64).tolist() == [
-        i + 0.5 for i in range(offset_words)]
 
 
 def test_future_generation_messages_wait_in_mailbox():
@@ -343,7 +293,8 @@ def test_future_generation_messages_wait_in_mailbox():
     eng.deliver(Message(1, 0, 0, 0, PHASE_RED, 1, b"\0" * 16))
     assert eng.done_generation == 0
     assert eng.generation == 1
-    assert len(eng.mailbox) == 1  # now current, but generation 1 is not yet activated
+    # now current, but generation 1 is not yet activated: it parks at its recv
+    assert eng.mailbox == [] and eng._parked[2] is not None and not eng.consumed[2]
 
 
 def test_stale_activation_is_ignored():
@@ -452,21 +403,29 @@ def test_validate_rejects_missing_entry_and_double_publish():
         ScheduleTemplate(ops=ops, buffers={}).validate()
 
 
-def test_validate_rejects_bad_views():
-    for src, dst, sizes, mask_offset, why in [
-        ("b", "zz", {"a": 8, "b": 8}, 0, "unknown buffer"),
-        (None, "a", {"a": 8, "b": 8}, 0, "unknown buffer"),
-        ("b", "a", {"a": 8, "b": 16}, 0, "sizes differ"),
-        ("b", "a", {"a": 16, "b": 16}, 4, "multiple of 8"),    # misaligned
-        ("b", "a", {"a": 16, "b": 16}, 24, "multiple of 8"),   # past the end
-        ("b", "a", {"a": 16, "b": 16}, -8, "multiple of 8"),   # before the start
-    ]:
-        ops = [
-            OpSpec(0, K_NOP, entry=True),
-            OpSpec(1, K_COMPUTE, deps=(0,), src_buf=src, dst_buf=dst),
-        ]
-        with pytest.raises(ScheduleError, match=why):
-            ScheduleTemplate(ops=ops, buffers=sizes, mask_offset=mask_offset).validate()
+@pytest.mark.parametrize("op, sizes, why", [
+    (OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="zz"), {"a": 8, "b": 8},
+     "compute op 1 names unknown buffer"),
+    (OpSpec(1, K_COMPUTE, deps=(0,), dst_buf="a"), {"a": 8, "b": 8},
+     "compute op 1 names unknown buffer"),
+    (OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="a"), {"a": 8, "b": 16},
+     "compute op 1 buffer sizes differ"),
+    (OpSpec(1, K_COMPUTE, deps=(0,), src_buf="b", dst_buf="a"), {"a": 12, "b": 12},
+     "compute op 1 adds into 'a', which is not a known buffer of whole float64 words"),
+    (OpSpec(1, K_RECV, phase=PHASE_RED, step=0, dst_buf="a"), {"a": 4},
+     "recv op 1 adds into 'a', which is not"),
+    (OpSpec(1, K_RECV, phase=PHASE_RED, step=0, dst_buf="zz"), {"a": 8},
+     "recv op 1 adds into 'zz', which is not"),
+    (OpSpec(1, K_RECV, phase=PHASE_RED, step=0, recv_buf="a", dst_buf="a"), {"a": 8},
+     "recv op 1 both copies and adds its payload"),
+    (OpSpec(1, K_RECV, logic="or", deps=(0, 0), phase=PHASE_RED, step=0), {},
+     "recv op 1 has or-logic over 2 deps: its counter also counts its message"),
+], ids=["compute-unknown-dst", "compute-no-src", "compute-sizes-differ",
+        "compute-not-whole-words", "recv-adds-not-whole-words", "recv-adds-unknown",
+        "recv-copies-and-adds", "recv-or-over-two-deps"])
+def test_validate_rejects_bad_views(op, sizes, why):
+    with pytest.raises(ScheduleError, match=why):
+        ScheduleTemplate(ops=[OpSpec(0, K_NOP, entry=True), op], buffers=sizes).validate()
 
 
 @pytest.mark.parametrize("snapshot, why", [
@@ -543,12 +502,15 @@ class ReferenceCascade:
     """A schedule run under the readiness rule the engine used before it
     counted dependencies, compiled chains or delivered straight into a
     ready recv: an op is ready when all (and-logic) or any (or-logic) of
-    its deps are consumed, re-checked at every pop of a LIFO stack, and
-    every delivery appends to the mailbox and rescans it from the front
-    after every match.  Messages of past generations are dropped, those of
-    future generations wait, and activation-phase messages wait while the
-    hold flag is up.  A persistent schedule replicates when its publishing
-    op fires: the generation bumps and every op resets."""
+    its deps are consumed, and a recv also once its message has parked,
+    re-checked at every pop of a LIFO stack; every delivery appends to the
+    mailbox and rescans it from the front after every fire.  Messages of
+    past generations are dropped, those of future generations wait, and
+    activation-phase messages wait while the hold flag is up.  A current
+    one parks at its recv, and fires it at once if the recv's deps are
+    met, or drops if the recv has fired or holds a parked one.  A
+    persistent schedule replicates when its publishing op fires: the
+    generation bumps, every op resets and every parked message drops."""
 
     def __init__(self, tpl):
         self.ops = sorted(tpl.ops, key=lambda o: o.oid)
@@ -561,6 +523,7 @@ class ReferenceCascade:
         self.recvs = {(op.phase, op.step): op.oid for op in self.ops if op.kind == K_RECV}
         self.generation, self.done_generation = 0, -1
         self.consumed = [0] * len(self.ops)
+        self.parked = set()  # recvs holding their message
         self.held = False
         self.box = []    # (rnd, phase, step)
         self.fired = []  # (generation, oid)
@@ -577,13 +540,15 @@ class ReferenceCascade:
         stack = list(heads)
         while stack and self.generation == gen:
             op = self.ops[stack.pop()]
-            if self.consumed[op.oid] or op.kind == K_RECV or not self.ready(op):
+            if (self.consumed[op.oid] or not self.ready(op)
+                    or op.kind == K_RECV and op.oid not in self.parked):
                 continue
             self.fire(op)
             stack.extend(self.dependents[op.oid])
 
     def fire(self, op):
         self.consumed[op.oid] = 1
+        self.parked.discard(op.oid)
         self.fired.append((self.generation, op.oid))
         if op.kind == K_SEND:
             self.sent.append((self.generation, op.peer, op.phase, op.step))
@@ -592,6 +557,7 @@ class ReferenceCascade:
             if self.persistent:
                 self.generation += 1
                 self.consumed = [0] * len(self.ops)
+                self.parked.clear()
 
     def commit(self):
         self.pump()
@@ -622,18 +588,20 @@ class ReferenceCascade:
                     box.pop(i)
                 elif rnd > self.generation or oid is None:
                     i += 1
-                elif self.consumed[oid]:
+                elif self.consumed[oid] or oid in self.parked:
                     box.pop(i)
-                elif phase == PHASE_ACT and self.held or not self.ready(self.ops[oid]):
+                elif phase == PHASE_ACT and self.held:
                     i += 1
                 else:
                     box.pop(i)
-                    gen = self.generation
-                    self.fire(self.ops[oid])
-                    if self.generation == gen:
-                        self.cascade(self.dependents[oid])
-                    progressed = True
-                    break
+                    self.parked.add(oid)
+                    if self.ready(self.ops[oid]):
+                        gen = self.generation
+                        self.fire(self.ops[oid])
+                        if self.generation == gen:
+                            self.cascade(self.dependents[oid])
+                        progressed = True
+                        break
 
 
 _KIND_CHOICES = (K_SEND, K_RECV, K_COMPUTE, K_NOP)
@@ -646,8 +614,8 @@ def random_schedules(draw):
     the op before alone, so straight-line chains form, and none but a recv
     without deps; one of them, inside a chain or not, publishes.  Plus the
     events to feed it in a random order: an activation and one message per
-    recv for each of its generations (b, the recvs' buffer, may be
-    publish_from, and a may be the snapshot source) (two when persistent,
+    recv for each of its generations (a recv copies into b or adds into a,
+    either may be publish_from, and a may be the snapshot source) (two when persistent,
     so the second generation's messages arrive early), some duplicates,
     perhaps a message no recv matches, and perhaps a hold on activation
     messages and its release."""
@@ -664,6 +632,8 @@ def random_schedules(draw):
             deps = tuple(draw(st.sets(st.integers(0, oid - 1),
                                       min_size=0 if kind == K_RECV else 1, max_size=3)))
         logic = draw(st.sampled_from(("and", "or")))
+        if kind == K_RECV and len(deps) > 1:
+            logic = "and"  # validate rejects an or over several: the message counts too
         mark = {"publish": oid == publisher}
         if kind == K_SEND:
             ops.append(OpSpec(oid, K_SEND, logic=logic, deps=deps, peer=oid,
@@ -671,8 +641,10 @@ def random_schedules(draw):
                               step=oid, send_buf=draw(st.sampled_from((None, "a"))), **mark))
         elif kind == K_RECV:
             phase = draw(st.sampled_from((PHASE_ACT, PHASE_RED)))
+            buf = draw(st.sampled_from((None, "b", "a+")))  # a+ adds into a
             ops.append(OpSpec(oid, K_RECV, logic=logic, deps=deps, peer=1, phase=phase,
-                              step=oid, recv_buf=draw(st.sampled_from((None, "b"))), **mark))
+                              step=oid, recv_buf=buf if buf == "b" else None,
+                              dst_buf="a" if buf == "a+" else None, **mark))
             streams.append((phase, oid))
         elif kind == K_COMPUTE:
             ops.append(OpSpec(oid, K_COMPUTE, logic=logic, deps=deps,
@@ -682,8 +654,7 @@ def random_schedules(draw):
     persistent = draw(st.booleans())
     snapshot_last = draw(st.sampled_from((None, *range(n + 1))))
     # listed in any order: the engine compiles the oid order regardless
-    tpl = ScheduleTemplate(ops=draw(st.permutations(ops)), buffers=buffers,
-                           mask_offset=draw(st.sampled_from((0, 8))), persistent=persistent,
+    tpl = ScheduleTemplate(ops=draw(st.permutations(ops)), buffers=buffers, persistent=persistent,
                            publish_from=draw(st.sampled_from((None, "a", "b"))),
                            snapshot_last=snapshot_last,
                            snapshot_src=None if snapshot_last is None else "a")
@@ -702,7 +673,7 @@ def random_schedules(draw):
 
 def _payload(tpl, step):
     op = next(op for op in tpl.ops if op.kind == K_RECV and op.step == step)
-    return b"" if op.recv_buf is None else np.float64(step).tobytes()
+    return b"" if op.recv_buf is None and op.dst_buf is None else np.float64(step).tobytes()
 
 
 def _apply(eng, tpl, held, event):
@@ -735,11 +706,11 @@ def _sends(sent):
 @settings(max_examples=400, deadline=None)
 @given(random_schedules())
 def test_counters_fire_what_the_reference_fires(case):
-    """The engine's dependency counters, fused chains and direct delivery
-    fire the same ops in the same order, with the same sends, as
-    re-checking all/any over consumed and pumping every message, across
-    generations and hold policies; state() and restore() mid-run replay to
-    the same end state."""
+    """The engine's dependency counters, fused chains, parking slots and
+    direct delivery fire the same ops in the same order, with the same
+    sends, as re-checking all/any over consumed and pumping every message,
+    across generations and hold policies; state() and restore() mid-run
+    replay to the same end state, buffer bytes included."""
     tpl, hold, events, cut = case
     sent, log = [], FireLog()
     eng = Engine(Program(tpl), 0, 0, sent.append, lambda: 0, recorder=log)
@@ -772,55 +743,3 @@ def test_counters_fire_what_the_reference_fires(case):
     assert eng.state() == end
     assert log.fires[len(ref.fired):] == ref.fired[n_fired:]
     assert _sends(sent[len(ref.sent):]) == ref.sent[n_sent:]
-
-
-def _recording_engine(program, hold, held):
-    """A committed engine and the list its callbacks append what they see to."""
-    seen = []
-    eng = Engine(program, 0, 0, lambda m: None, lambda: 0,
-                 on_snapshot=lambda g, buf: seen.append(("snap", g, buf.tobytes())),
-                 on_done=lambda g, buf: seen.append(
-                     ("done", g, None if buf is None else buf.tobytes())))
-    if hold:
-        eng.hold_policy = lambda gen: held[0]
-    eng.commit()
-    return eng, seen
-
-
-def _observed(eng, tpl, seen):
-    """Every buffer's bytes and what the callbacks have seen so far."""
-    return [eng.buffer(name).tobytes() for name in tpl.buffers], list(seen)
-
-
-@settings(max_examples=400, deadline=None)
-@given(random_schedules())
-def test_bound_recvs_leave_the_bytes_that_copying_recvs_leave(case):
-    """With the gate at 0 every recv that may bind does: each event leaves
-    the same buffer bytes, and the callbacks see the same bytes, as at the
-    default gate, where these 8-byte buffers are copied into; and a
-    restore() mid-run, which rebinds, replays to the same end."""
-    tpl, hold, events, cut = case
-    with mock.patch.object(schedule, "_BIND_NBYTES", 0):
-        bound = Program(tpl)
-    held = [False]
-    runs = [_recording_engine(program, hold, held) for program in (Program(tpl), bound)]
-    (copying, copy_seen), (binding, bind_seen) = runs
-    mid = None
-    for i, event in enumerate(events):
-        if i == cut:
-            mid = (binding.state(), held[0], _observed(binding, tpl, bind_seen))
-        for eng, _ in runs:
-            if event[0] in ("hold", "release"):
-                held[0] = event[0] == "hold"
-            _apply(eng, tpl, held, event)
-        assert _observed(binding, tpl, bind_seen) == _observed(copying, tpl, copy_seen)
-    if mid is None:
-        return
-    end = _observed(binding, tpl, bind_seen)
-    state, held[0], at_cut = mid
-    binding.restore(state)
-    del bind_seen[len(at_cut[1]):]
-    assert _observed(binding, tpl, bind_seen) == at_cut
-    for event in events[cut:]:
-        _apply(binding, tpl, held, event)
-    assert _observed(binding, tpl, bind_seen) == end

@@ -21,6 +21,7 @@ import eagercoll
 from eagercoll.collectives import AllreduceHandle, CollectiveConfig, tree_order_sum
 from eagercoll.eagersgd import TrainState, training_process
 from eagercoll.models import batch_table, gen_dataset
+from eagercoll.schedule import Engine
 from eagercoll.trace import TraceRecorder
 from eagercoll.transport import (
     _FRAME, PHASE_RED, Message, SocketTransport, Sleep, TransportClosed, UnroutedMessage,
@@ -271,6 +272,40 @@ def test_reader_returns_when_the_stream_ends_inside_a_payload():
         SocketTransport._reader(b, inbox)
     assert inbox.get_nowait() == Message(0, 1, 0, 0, PHASE_RED, 0, b"abc")
     assert inbox.empty()
+
+
+def test_a_socket_payload_that_comes_early_parks_as_a_bytearray(monkeypatch):
+    """Rank 1 joins the sync round 200 ms late, so rank 0's butterfly
+    message reaches rank 1 before rank 1's own send: the reader thread's
+    bytearray parks in the recv's slot, and rank 1's activation fires the
+    recv from there, adding the payload into acc."""
+    parked = []
+    take = Engine._fire_recv
+
+    def recorded(self, oid, payload):
+        take(self, oid, payload)
+        if self._parked[oid] is payload:
+            parked.append((self.rank, self.ops[oid].label, type(payload)))
+    monkeypatch.setattr(Engine, "_fire_recv", recorded)
+    cfg = CollectiveConfig(p=2, flavor="sync", vector_len=3)
+    contrib = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 8.0]])
+    net = SocketTransport(2)
+    try:
+        handles = [AllreduceHandle(cfg, r, net, cid=0) for r in range(2)]
+        results = {}
+
+        def body(rank):
+            if rank == 1:
+                yield Sleep(200_000)
+            results[rank] = yield from handles[rank].call_round(0, contrib[rank])
+
+        net.run_processes({r: body(r) for r in range(2)}, timeout=10)
+    finally:
+        net.close()
+    assert parked == [(1, "bf_recv0", bytearray)]
+    want = (tree_order_sum(list(contrib)) / 2).tobytes()
+    assert [results[r].u.tobytes() for r in range(2)] == [want, want]
+    assert all(h.engine._parked == [None] * len(h.engine.ops) for h in handles)
 
 
 def test_socket_round_with_multi_mib_payloads():
