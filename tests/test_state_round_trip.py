@@ -16,9 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from eagercoll.harness import (
-    bench_collectives, random_config, run_training, write_bench_csv, write_train_csv,
-)
+from eagercoll.harness import random_config, run_training, write_train_csv
 from eagercoll.collectives import CollectiveConfig
 from eagercoll.schedule import Engine
 from eagercoll.verify import check_round_contracts, explore_interleavings
@@ -72,23 +70,17 @@ def _csv_sha(write, rows, tmp_path) -> str:
 
 
 # the golden runs at p <= 12, with their whole-file digests
-GOLDEN = {
-    "hyperplane": (lambda: run_training(golden._golden_runs()["hyperplane"][0]).rows,
-                   write_train_csv, golden.GOLDEN_TRAIN_SHA256),
-    "zero_skew": (lambda: run_training(golden.ZERO_SKEW).rows, write_train_csv,
-                  golden.GOLDEN_ZERO_SKEW_SHA256),
-    "two_cid": (lambda: run_training(golden.TWO_CID).rows, write_train_csv,
-                golden.GOLDEN_TWO_CID_SHA256),
-    "p12": (lambda: bench_collectives(golden.P12), write_bench_csv,
-            golden.GOLDEN_P12_BENCH_SHA256),
-}
+GOLDEN_SHA256 = {"hyperplane": golden.GOLDEN_TRAIN_SHA256,
+                 "zero_skew": golden.GOLDEN_ZERO_SKEW_SHA256,
+                 "two_cid": golden.GOLDEN_TWO_CID_SHA256,
+                 "p12": golden.GOLDEN_P12_BENCH_SHA256}
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
+@pytest.mark.parametrize("name", list(GOLDEN_SHA256))
 def test_golden_runs_continue_from_state_alone(monkeypatch, tmp_path, name):
-    run, write, want = GOLDEN[name]
+    cfg, run, write = golden._golden_runs()[name]
     trips = sanitize(monkeypatch)
-    assert _csv_sha(write, run(), tmp_path) == want
+    assert _csv_sha(write, run(cfg), tmp_path) == GOLDEN_SHA256[name]
     assert trips.n > 1000
 
 
